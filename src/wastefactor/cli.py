@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 scenario/chain parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence, TextIO
@@ -35,6 +36,7 @@ from .scenario_io import (
     resolve_preset,
 )
 from .sweeps import (
+    Curve,
     SweepSpec,
     curve_csv_rows,
     find_crossover,
@@ -51,15 +53,22 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_EVAL = 3
 
-_TABLE_CSV_HEADER = (
-    "band,direction,environment,waste_figure_db,cascade_gain_db,path_loss_db,"
-    "eirp_dbm,p_received_dbw,snr_db,rate_gbps,p_consumed_w,cef_gbpj"
+# One row per reported link metric: (label, CSV column, unit, decimals in the
+# `link` report, getter).  The `link` report, both CSV schemas and the
+# `table1` text all derive from this table.
+_METRICS: tuple[tuple[str, str, str, int, Callable[[LinkReport], float]], ...] = (
+    ("waste figure", "waste_figure_db", "dB", 3, lambda r: r.waste_figure_db),
+    ("cascade gain", "cascade_gain_db", "dB", 3, lambda r: r.cascade_gain_db),
+    ("path loss", "path_loss_db", "dB", 3, lambda r: r.path_loss_db),
+    ("EIRP", "eirp_dbm", "dBm", 3, lambda r: r.eirp_dbm),
+    ("received power", "p_received_dbw", "dBW", 3, lambda r: r.p_received_dbw),
+    ("SNR", "snr_db", "dB", 3, lambda r: r.snr_db),
+    ("data rate", "rate_gbps", "Gb/s", 4, lambda r: r.rate_bps / 1e9),
+    ("consumed power", "p_consumed_w", "W", 4, lambda r: r.p_consumed_w),
+    ("CEF", "cef_gbpj", "Gb/J", 4, lambda r: r.cef_bpj / 1e9),
 )
 
-_LINK_CSV_HEADER = (
-    "waste_figure_db,cascade_gain_db,path_loss_db,eirp_dbm,p_received_dbw,"
-    "snr_db,rate_gbps,p_consumed_w,cef_gbpj"
-)
+_METRIC_CSV_HEADER = ",".join(column for _, column, _, _, _ in _METRICS)
 
 
 class _ParseFailure(Exception):
@@ -103,24 +112,8 @@ def _direction(word: str) -> str:
     return {"ul": "uplink", "dl": "downlink"}.get(word, word)
 
 
-def _link_report_rows(report: LinkReport) -> list[str]:
-    return [
-        _LINK_CSV_HEADER,
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.waste_figure_db,
-                report.cascade_gain_db,
-                report.path_loss_db,
-                report.eirp_dbm,
-                report.p_received_dbw,
-                report.snr_db,
-                report.rate_bps / 1e9,
-                report.p_consumed_w,
-                report.cef_bpj / 1e9,
-            )
-        ),
-    ]
+def _metric_csv(report: LinkReport) -> str:
+    return ",".join(_fmt(get(report)) for _, _, _, _, get in _METRICS)
 
 
 def cmd_link(args, stdout: TextIO) -> int:
@@ -129,18 +122,11 @@ def cmd_link(args, stdout: TextIO) -> int:
     stdout.write(
         f"{scenario.band.label} {scenario.direction} {scenario.environment}"
         f" at {scenario.distance_m:g} m, tx {scenario.tx_power_dbm:g} dBm\n"
-        f"  waste figure     {report.waste_figure_db:10.3f} dB\n"
-        f"  cascade gain     {report.cascade_gain_db:10.3f} dB\n"
-        f"  path loss        {report.path_loss_db:10.3f} dB\n"
-        f"  EIRP             {report.eirp_dbm:10.3f} dBm\n"
-        f"  received power   {report.p_received_dbw:10.3f} dBW\n"
-        f"  SNR              {report.snr_db:10.3f} dB\n"
-        f"  data rate        {report.rate_bps / 1e9:10.4f} Gb/s\n"
-        f"  consumed power   {report.p_consumed_w:10.4f} W\n"
-        f"  CEF              {report.cef_bpj / 1e9:10.4f} Gb/J\n"
     )
+    for label, _, unit, decimals, get in _METRICS:
+        stdout.write(f"  {label:<17}{get(report):10.{decimals}f} {unit}\n")
     if args.out:
-        _emit(_link_report_rows(report), args.out, stdout)
+        _emit([_METRIC_CSV_HEADER, _metric_csv(report)], args.out, stdout)
     return EXIT_OK
 
 
@@ -165,27 +151,14 @@ def _table_cells(args) -> list[tuple[str, str, str, LinkReport]]:
     return cells
 
 
-_TABLE_METRICS: tuple[tuple[str, Callable[[LinkReport], float], str], ...] = (
-    ("waste figure", lambda r: r.waste_figure_db, "dB"),
-    ("cascade gain", lambda r: r.cascade_gain_db, "dB"),
-    ("path loss", lambda r: r.path_loss_db, "dB"),
-    ("EIRP", lambda r: r.eirp_dbm, "dBm"),
-    ("received power", lambda r: r.p_received_dbw, "dBW"),
-    ("SNR", lambda r: r.snr_db, "dB"),
-    ("data rate", lambda r: r.rate_bps / 1e9, "Gb/s"),
-    ("consumed power", lambda r: r.p_consumed_w, "W"),
-    ("CEF", lambda r: r.cef_bpj / 1e9, "Gb/J"),
-)
-
-
 def _render_table(cells: list[tuple[str, str, str, LinkReport]]) -> list[str]:
     short = {"uplink": "UL", "downlink": "DL", "los": "LoS", "nlos": "NLoS"}
     headers = ["metric", "unit"] + [
         f"{band} {short[d]} {short[e]}" for band, d, e, _ in cells
     ]
     rows = [headers]
-    for label, getter, unit in _TABLE_METRICS:
-        rows.append([label, unit] + [f"{getter(r):.3f}" for _, _, _, r in cells])
+    for label, _, unit, _, get in _METRICS:
+        rows.append([label, unit] + [f"{get(r):.3f}" for _, _, _, r in cells])
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = []
     for index, row in enumerate(rows):
@@ -201,27 +174,9 @@ def cmd_table1(args, stdout: TextIO) -> int:
     cells = _table_cells(args)
     for line in _render_table(cells):
         stdout.write(line + "\n")
-    csv_rows = [_TABLE_CSV_HEADER]
+    csv_rows = ["band,direction,environment," + _METRIC_CSV_HEADER]
     for band, direction, environment, r in cells:
-        csv_rows.append(
-            ",".join(
-                [band, direction, environment]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.waste_figure_db,
-                        r.cascade_gain_db,
-                        r.path_loss_db,
-                        r.eirp_dbm,
-                        r.p_received_dbw,
-                        r.snr_db,
-                        r.rate_bps / 1e9,
-                        r.p_consumed_w,
-                        r.cef_bpj / 1e9,
-                    )
-                ]
-            )
-        )
+        csv_rows.append(f"{band},{direction},{environment},{_metric_csv(r)}")
     if args.out:
         _emit(csv_rows, args.out, stdout)
     else:
@@ -230,18 +185,18 @@ def cmd_table1(args, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_bw(args, stdout: TextIO) -> int:
+def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Curve]:
+    """The scenario turned to --direction, and its curve over [lo, hi]."""
     base = _load_scenario(args, default_preset="subthz-140")
     base = replace(base, direction=_direction(args.direction))
     spec = SweepSpec(
-        scenario=base,
-        parameter="bandwidth",
-        lo=args.lo_ghz * 1e9,
-        hi=args.hi_ghz * 1e9,
-        points=args.points,
-        snr_target_db=args.snr,
+        scenario=base, parameter=parameter, lo=lo, hi=hi, points=args.points, snr_target_db=args.snr
     )
-    curve = sweep(spec)
+    return base, sweep(spec)
+
+
+def cmd_sweep_bw(args, stdout: TextIO) -> int:
+    base, curve = _swept(args, "bandwidth", args.lo_ghz * 1e9, args.hi_ghz * 1e9)
 
     ref_args = argparse.Namespace(
         scenario=None, preset=args.reference_preset, overrides=args.overrides
@@ -274,17 +229,7 @@ def cmd_sweep_bw(args, stdout: TextIO) -> int:
 
 
 def cmd_sweep_pa(args, stdout: TextIO) -> int:
-    base = _load_scenario(args, default_preset="subthz-140")
-    base = replace(base, direction=_direction(args.direction))
-    spec = SweepSpec(
-        scenario=base,
-        parameter="pa_efficiency",
-        lo=args.lo,
-        hi=args.hi,
-        points=args.points,
-        snr_target_db=args.snr,
-    )
-    curve = sweep(spec)
+    base, curve = _swept(args, "pa_efficiency", args.lo, args.hi)
     rows = list(curve_csv_rows(curve))
     if args.target_cef is not None:
         match = min_matching_efficiency(args.target_cef * 1e9, base)
@@ -317,7 +262,7 @@ def cmd_netsim(args, stdout: TextIO) -> int:
     if updates:
         scenario = replace(scenario, **updates)
     radii = tuple(args.radius) if args.radius else DEFAULT_RADII
-    reports = sweep_radius(scenario, radii=radii, max_workers=args.threads)
+    reports = sweep_radius(scenario, radii=radii)
     _emit(network_csv_rows(reports), args.out, stdout)
     best = optimal_radius(reports)
     stdout.write(
@@ -362,6 +307,36 @@ def cmd_chain(args, stdout: TextIO) -> int:
     return EXIT_OK
 
 
+def _checked(
+    convert: Callable[[str], float], accept: Callable[[float], bool], expected: str
+) -> Callable[[str], float]:
+    """argparse type that rejects out-of-range values as usage errors."""
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POINTS = _checked(int, lambda n: n >= 2, "at least 2")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_EFFICIENCY = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_RADIUS = _checked(float, lambda v: 20.0 <= v <= 500.0, "within the studied 20-500 m")
+_DROPS = _checked(int, lambda n: n >= 1, "at least 1")
+_SEED = _checked(int, lambda n: n >= 0, "non-negative")
+
+
+def _check_order(parser: argparse.ArgumentParser, args) -> None:
+    """Sweep bounds must be increasing; argparse checks each flag alone."""
+    for lo, hi in (("lo_ghz", "hi_ghz"), ("lo", "hi")):
+        if hasattr(args, lo) and not getattr(args, lo) < getattr(args, hi):
+            parser.error(f"--{lo.replace('_', '-')} must be below --{hi.replace('_', '-')}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
     parser.add_argument("--scenario", metavar="FILE", help="scenario file to load")
@@ -373,7 +348,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="SECTION.KEY=VALUE",
         help="override one scenario value, unit included (band.bandwidth=1 GHz)",
     )
-    parser.add_argument("--seed", type=int, help="simulation seed (netsim only)")
+    parser.add_argument("--seed", type=_SEED, help="simulation seed (netsim only)")
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
 
 
@@ -396,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bw)
     p_bw.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
     p_bw.add_argument("--snr", type=float, default=20.0, help="target SNR in dB")
-    p_bw.add_argument("--lo-ghz", type=float, default=0.1)
-    p_bw.add_argument("--hi-ghz", type=float, default=10.0)
-    p_bw.add_argument("--points", type=int, default=64)
+    p_bw.add_argument("--lo-ghz", type=_POSITIVE, default=0.1)
+    p_bw.add_argument("--hi-ghz", type=_POSITIVE, default=10.0)
+    p_bw.add_argument("--points", type=_POINTS, default=64)
     p_bw.add_argument(
         "--reference-preset",
         default="mmwave-28",
@@ -410,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pa)
     p_pa.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
     p_pa.add_argument("--snr", type=float, default=None, help="target SNR in dB (fixed power if omitted)")
-    p_pa.add_argument("--lo", type=float, default=0.02)
-    p_pa.add_argument("--hi", type=float, default=0.6)
-    p_pa.add_argument("--points", type=int, default=64)
+    p_pa.add_argument("--lo", type=_EFFICIENCY, default=0.02)
+    p_pa.add_argument("--hi", type=_EFFICIENCY, default=0.6)
+    p_pa.add_argument("--points", type=_POINTS, default=64)
     p_pa.add_argument(
         "--target-cef",
         type=float,
@@ -426,13 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_net)
     p_net.add_argument(
         "--radius",
-        type=float,
+        type=_RADIUS,
         action="append",
         metavar="M",
         help="cell radius in meters; repeatable (default: built-in sweep)",
     )
-    p_net.add_argument("--drops", type=int, help="Monte Carlo drops per radius")
-    p_net.add_argument("--threads", type=int, default=None)
+    p_net.add_argument("--drops", type=_DROPS, help="Monte Carlo drops per radius")
     p_net.add_argument("--no-interference", action="store_true")
     p_net.add_argument("--wraparound", action="store_true")
     p_net.set_defaults(func=cmd_netsim)
@@ -451,6 +425,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_order(parser, args)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter to 1.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

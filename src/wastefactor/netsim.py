@@ -9,23 +9,23 @@ network consumption efficiency are aggregated per cell radius.
 Determinism: every (cell, drop) pair owns an independent substream derived
 from the scenario seed by spawn key, so adding cells or running drops in a
 different order never reshuffles another cell's draws, and results are
-reduced by index.  Identical seeds produce identical reports byte for byte
-regardless of thread count.
+reduced by index.  Identical seeds produce identical reports byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
 from .linkbudget import (
+    ci_path_loss_db,
     dbm_to_watts,
     free_space_path_loss_db,
     thermal_noise_dbm,
+    tx_power_for_snr_dbm,
 )
 from .transceiver import (
     BandProfile,
@@ -49,7 +49,6 @@ __all__ = [
     "simulate_network",
     "sweep_radius",
     "optimal_radius",
-    "write_network_csv",
     "NETSIM_CSV_HEADER",
 ]
 
@@ -86,14 +85,24 @@ class NetworkScenario:
     def __post_init__(self) -> None:
         if not (20.0 <= self.cell_radius_m <= 500.0):
             raise ValueError("cell radius must lie in the studied 20-500 m range")
-        if self.area_m2 <= 0.0:
-            raise ValueError("area must be positive")
+        if not 0.0 < self.area_m2 < math.inf:
+            raise ValueError("area must be positive and finite")
+        # hex_layout places its first centre at y = sqrt(3) r / 2 and keeps
+        # only centres strictly inside the square.
+        if not math.sqrt(3.0) * self.cell_radius_m / 2.0 < math.sqrt(self.area_m2):
+            raise ValueError(
+                f"area {self.area_m2:g} m2 holds no cell of radius {self.cell_radius_m:g} m"
+            )
         if self.arrays_per_bs < 1 or self.ues_per_cell < 1:
             raise ValueError("array and UE counts must be >= 1")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if self.los_d1_m <= 0.0 or self.los_d2_m <= 0.0:
             raise ValueError("LoS model distances must be positive")
+        if self.ple_los <= 0.0 or self.ple_nlos <= 0.0:
+            raise ValueError("path-loss exponents must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.interferer_reach <= 0.0:
             raise ValueError("interferer reach must be positive")
 
@@ -236,14 +245,10 @@ def power_control(
 ) -> float:
     """EIRP (dBm) holding the target SNR for a cell-edge receiver of the
     given gain; halving the radius lowers it by 6.02 dB at PLE 2."""
-    if cell_radius_m < 1.0:
-        raise ValueError("cell radius must be >= 1 m")
-    path_loss = (
-        free_space_path_loss_db(band.carrier_frequency_hz)
-        + 10.0 * ple * math.log10(cell_radius_m)
+    path_loss = ci_path_loss_db(band.carrier_frequency_hz, cell_radius_m, ple)
+    return tx_power_for_snr_dbm(
+        target_snr_db, band.bandwidth_hz, band.noise_figure_db, path_loss, 0.0, rx_gain_dbi
     )
-    noise = thermal_noise_dbm(band.bandwidth_hz, band.noise_figure_db)
-    return target_snr_db + noise + path_loss - rx_gain_dbi
 
 
 def _neighbor_lists(
@@ -408,15 +413,10 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
 
 
 def sweep_radius(
-    scenario: NetworkScenario,
-    radii: Iterable[float] = DEFAULT_RADII,
-    max_workers: int | None = None,
+    scenario: NetworkScenario, radii: Iterable[float] = DEFAULT_RADII
 ) -> tuple[NetworkReport, ...]:
-    """One report per radius, in input order regardless of worker count."""
+    """One report per radius, in input order."""
     tasks = [replace(scenario, cell_radius_m=float(r)) for r in radii]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return tuple(pool.map(simulate_network, tasks))
     return tuple(simulate_network(t) for t in tasks)
 
 
@@ -435,8 +435,3 @@ def network_csv_rows(reports: Iterable[NetworkReport]) -> Iterable[str]:
             f"{r.throughput_bps / 1e9:.10g},{r.power_w:.10g},{r.mean_sinr_db:.10g},"
             f"{r.los_fraction:.10g},{r.ci_halfwidth_bpj / 1e9:.10g}"
         )
-
-
-def write_network_csv(reports: Iterable[NetworkReport], stream: TextIO) -> None:
-    for row in network_csv_rows(reports):
-        stream.write(row + "\n")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, TextIO
 
@@ -138,15 +137,18 @@ def _apply(scenario: LinkScenario, parameter: str, x: float) -> LinkScenario:
     return replace(scenario, band=replace(scenario.band, pa_efficiency=x))
 
 
-def _evaluate_point(spec: SweepSpec, x: float) -> SweepSample:
-    scenario = _apply(spec.scenario, spec.parameter, x)
+def _evaluate_point(
+    scenario: LinkScenario, x: float, snr_target_db: float | None, eirp_ceiling_dbm: float
+) -> SweepSample:
+    """Evaluate a scenario already set to x, solving transmit power for the
+    SNR target when one is given."""
     feasible = True
-    if spec.snr_target_db is not None:
+    if snr_target_db is not None:
         freq = scenario.band.carrier_frequency_hz
         tx_gain = scenario.transmitter.antenna_gain_db(freq)
         rx_gain = scenario.receiver.antenna_gain_db(freq)
         tx_power = tx_power_for_snr_dbm(
-            spec.snr_target_db,
+            snr_target_db,
             scenario.band.bandwidth_hz,
             scenario.band.noise_figure_db,
             scenario.path_loss_db(),
@@ -154,10 +156,10 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepSample:
             rx_gain,
         )
         scenario = replace(scenario, tx_power_dbm=tx_power)
-        feasible = tx_power + tx_gain <= spec.eirp_ceiling_dbm
+        feasible = tx_power + tx_gain <= eirp_ceiling_dbm
     report: LinkReport = evaluate_link(scenario)
-    if spec.snr_target_db is None:
-        feasible = report.eirp_dbm <= spec.eirp_ceiling_dbm
+    if snr_target_db is None:
+        feasible = report.eirp_dbm <= eirp_ceiling_dbm
     return SweepSample(
         x=x,
         cef_bpj=report.cef_bpj,
@@ -168,34 +170,31 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepSample:
     )
 
 
-def sweep(spec: SweepSpec, max_workers: int | None = None) -> Curve:
-    """Evaluate the grid; output order is keyed by grid index, never by
-    completion order, so parallel runs emit identical curves."""
-    grid = _grid(spec)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            samples = tuple(pool.map(lambda x: _evaluate_point(spec, x), grid))
-    else:
-        samples = tuple(_evaluate_point(spec, x) for x in grid)
+def sweep(spec: SweepSpec) -> Curve:
+    """Evaluate the grid in order, one sample per grid point."""
+
+    def evaluate(x: float) -> SweepSample:
+        scenario = _apply(spec.scenario, spec.parameter, x)
+        return _evaluate_point(scenario, x, spec.snr_target_db, spec.eirp_ceiling_dbm)
+
     return Curve(
         parameter=spec.parameter,
         unit=spec.unit,
-        samples=samples,
+        samples=tuple(evaluate(x) for x in _grid(spec)),
         band_label=spec.scenario.band.label,
         direction=spec.scenario.direction,
         snr_target_db=spec.snr_target_db,
-        evaluator=lambda x: _evaluate_point(spec, x),
+        evaluator=evaluate,
     )
 
 
 def _refine(
-    lo: float,
-    hi: float,
-    above: Callable[[float], bool],
+    lo: float, hi: float, above: Callable[[float], bool],
+    rel_tol: float = _BISECT_REL_TOL, abs_tol: float = 0.0,
 ) -> float:
     """Smallest x in (lo, hi] where `above` holds, assuming above(hi) and a
-    single sign change; bisection to relative tolerance."""
-    while (hi - lo) > _BISECT_REL_TOL * hi:
+    single sign change; bisection until hi - lo <= rel_tol * hi + abs_tol."""
+    while (hi - lo) > rel_tol * hi + abs_tol:
         mid = 0.5 * (lo + hi)
         if above(mid):
             hi = mid
@@ -204,28 +203,46 @@ def _refine(
     return hi
 
 
+def _crossing(
+    curve: Curve,
+    on_grid: Callable[[int], bool],
+    between: Callable[[float], bool] | None,
+    fallback: Callable[[int], CrossoverResult],
+) -> CrossoverResult:
+    """Smallest x where a test first holds along `curve`: on_grid(i) on grid
+    sample i finds the bracket, `between` (the test at any x) bisects it, and
+    fallback(i) answers from the grid when there is no `between`."""
+    samples = curve.samples
+    first = next((i for i in range(len(samples)) if on_grid(i)), None)
+    if first is None:
+        return CrossoverResult(found=False)
+    if first == 0:
+        return CrossoverResult(found=True, x=samples[0].x, cef_bpj=samples[0].cef_bpj)
+    if between is None:
+        return fallback(first)
+    x = _refine(samples[first - 1].x, samples[first].x, between)
+    return CrossoverResult(found=True, x=x, cef_bpj=curve.evaluator(x).cef_bpj)
+
+
 def find_crossover(curve: Curve, reference_cef_bpj: float) -> CrossoverResult:
     """Smallest x where the curve reaches the reference CEF.
 
     Grid points bracket the crossing; when the curve carries an evaluator the
     bracket is refined by bisection, otherwise by log-linear interpolation.
     """
-    samples = curve.samples
-    crossing = next((i for i, s in enumerate(samples) if s.cef_bpj >= reference_cef_bpj), None)
-    if crossing is None:
-        return CrossoverResult(found=False)
-    if crossing == 0:
-        first = samples[0]
-        return CrossoverResult(found=True, x=first.x, cef_bpj=first.cef_bpj)
-    lo, hi = samples[crossing - 1].x, samples[crossing].x
-    if curve.evaluator is not None:
-        evaluator = curve.evaluator
-        x = _refine(lo, hi, lambda v: evaluator(v).cef_bpj >= reference_cef_bpj)
-        return CrossoverResult(found=True, x=x, cef_bpj=evaluator(x).cef_bpj)
-    # Interpolate in x between the bracketing grid samples.
-    below, above = samples[crossing - 1], samples[crossing]
-    frac = (reference_cef_bpj - below.cef_bpj) / (above.cef_bpj - below.cef_bpj)
-    return CrossoverResult(found=True, x=lo + frac * (hi - lo), cef_bpj=reference_cef_bpj)
+    samples, evaluator = curve.samples, curve.evaluator
+
+    def interpolate(i: int) -> CrossoverResult:
+        lo, hi = samples[i - 1], samples[i]
+        frac = (reference_cef_bpj - lo.cef_bpj) / (hi.cef_bpj - lo.cef_bpj)
+        return CrossoverResult(found=True, x=lo.x + frac * (hi.x - lo.x), cef_bpj=reference_cef_bpj)
+
+    return _crossing(
+        curve,
+        lambda i: samples[i].cef_bpj >= reference_cef_bpj,
+        None if evaluator is None else lambda v: evaluator(v).cef_bpj >= reference_cef_bpj,
+        interpolate,
+    )
 
 
 def find_curve_crossing(a: Curve, b: Curve) -> CrossoverResult:
@@ -234,24 +251,13 @@ def find_curve_crossing(a: Curve, b: Curve) -> CrossoverResult:
         sa.x != sb.x for sa, sb in zip(a.samples, b.samples)
     ):
         raise ValueError("curves must share the same grid")
-    crossing = next(
-        (
-            i
-            for i, (sa, sb) in enumerate(zip(a.samples, b.samples))
-            if sa.cef_bpj >= sb.cef_bpj
-        ),
-        None,
+    ea, eb = a.evaluator, b.evaluator
+    return _crossing(
+        a,
+        lambda i: a.samples[i].cef_bpj >= b.samples[i].cef_bpj,
+        None if ea is None or eb is None else lambda v: ea(v).cef_bpj >= eb(v).cef_bpj,
+        lambda i: CrossoverResult(found=True, x=a.samples[i].x, cef_bpj=a.samples[i].cef_bpj),
     )
-    if crossing is None:
-        return CrossoverResult(found=False)
-    if crossing == 0:
-        return CrossoverResult(found=True, x=a.samples[0].x, cef_bpj=a.samples[0].cef_bpj)
-    lo, hi = a.samples[crossing - 1].x, a.samples[crossing].x
-    if a.evaluator is not None and b.evaluator is not None:
-        ea, eb = a.evaluator, b.evaluator
-        x = _refine(lo, hi, lambda v: ea(v).cef_bpj >= eb(v).cef_bpj)
-        return CrossoverResult(found=True, x=x, cef_bpj=ea(x).cef_bpj)
-    return CrossoverResult(found=True, x=hi, cef_bpj=a.samples[crossing].cef_bpj)
 
 
 def snr_matched_sample(
@@ -261,17 +267,7 @@ def snr_matched_sample(
 ) -> SweepSample:
     """Evaluate a scenario at its own bandwidth with the same power-solving
     rules a sweep uses, so crossover references and curves stay comparable."""
-    bandwidth = scenario.band.bandwidth_hz
-    spec = SweepSpec(
-        scenario=scenario,
-        parameter="bandwidth",
-        lo=0.5 * bandwidth,
-        hi=2.0 * bandwidth,
-        points=2,
-        snr_target_db=snr_target_db,
-        eirp_ceiling_dbm=eirp_ceiling_dbm,
-    )
-    return _evaluate_point(spec, bandwidth)
+    return _evaluate_point(scenario, scenario.band.bandwidth_hz, snr_target_db, eirp_ceiling_dbm)
 
 
 def reference_cef(scenario: LinkScenario, pa_efficiency: float | None = None) -> float:
@@ -300,16 +296,11 @@ def min_matching_efficiency(
 
     if cef_at(hi) < target_cef_bpj:
         return EfficiencyMatch(found=False)
-    if cef_at(lo) >= target_cef_bpj:
-        return EfficiencyMatch(found=True, efficiency=lo, cef_bpj=cef_at(lo))
-    low, high = lo, hi
-    while (high - low) > tol:
-        mid = 0.5 * (low + high)
-        if cef_at(mid) >= target_cef_bpj:
-            high = mid
-        else:
-            low = mid
-    return EfficiencyMatch(found=True, efficiency=high, cef_bpj=cef_at(high))
+    low_cef = cef_at(lo)
+    if low_cef >= target_cef_bpj:
+        return EfficiencyMatch(found=True, efficiency=lo, cef_bpj=low_cef)
+    eta = _refine(lo, hi, lambda v: cef_at(v) >= target_cef_bpj, rel_tol=0.0, abs_tol=tol)
+    return EfficiencyMatch(found=True, efficiency=eta, cef_bpj=cef_at(eta))
 
 
 def curve_csv_rows(curve: Curve) -> Iterable[str]:

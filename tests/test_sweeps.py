@@ -112,11 +112,6 @@ class TestSweepEvaluation:
         again = curve.evaluator(grid_sample.x)
         assert again.cef_bpj == pytest.approx(grid_sample.cef_bpj, rel=1e-12)
 
-    def test_thread_count_does_not_change_results(self):
-        serial = sweep(_bandwidth_spec(points=16), max_workers=1)
-        threaded = sweep(_bandwidth_spec(points=16), max_workers=8)
-        assert serial.samples == threaded.samples
-
     def test_pa_sweep_monotone_cef(self):
         # at fixed transmit power, a more efficient PA always wastes less
         spec = SweepSpec(scenario=_dl_140(), parameter="pa_efficiency",
