@@ -27,7 +27,11 @@ REFERENCE_TEMP_K = 290.0
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    """Scalars or arrays; a scalar too large for a float raises ValueError."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB is too large to express as a ratio") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -43,7 +47,11 @@ def watts_to_dbm(power_w: float) -> float:
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    return 10.0 ** (power_dbm / 10.0) * 1e-3
+    """Scalars or arrays; a scalar too large for a float raises ValueError."""
+    try:
+        return 10.0 ** (power_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ValueError(f"power {power_dbm!r} dBm is too large to express in watts") from None
 
 
 def free_space_path_loss_db(frequency_hz: float, distance_m: float = 1.0) -> float:

@@ -10,6 +10,12 @@ Determinism: every (cell, drop) pair owns an independent substream derived
 from the scenario seed by spawn key, so adding cells or running drops in a
 different order never reshuffles another cell's draws, and results are
 reduced by index.  Identical seeds produce identical reports byte for byte.
+
+A drop is whole-array work: cells with the same number of interferers sum
+their interference together, in chunks of bounded size, then the serving
+links, sectors and power run over all cells at once.  Totals are added in cell
+order with the same float operations as a cell-by-cell loop, so reports match
+that loop bit for bit (the tests keep it as an oracle).
 """
 
 from __future__ import annotations
@@ -187,22 +193,22 @@ _HEX_VERTICES = np.array(
 )
 
 
-def _sample_hex_offsets(rng: np.random.Generator, cell_radius_m: float, n: int) -> np.ndarray:
-    """n points uniform over the hexagon, exactly 3 draws per point.
+def _hex_offsets(u: np.ndarray, cell_radius_m: float) -> np.ndarray:
+    """Points uniform over the hexagon from variates u of shape (..., 3),
+    exactly 3 draws per point; returns shape (..., 2).
 
     The hexagon splits into six equal triangles at the center; a uniform
     triangle pick plus folded barycentric coordinates is draw-count stable,
     unlike rejection sampling.
     """
-    u = rng.random((n, 3))
-    tri = np.minimum((u[:, 0] * 6).astype(int), 5)
-    a, b = u[:, 1], u[:, 2]
+    tri = np.minimum((u[..., 0] * 6).astype(int), 5)
+    a, b = u[..., 1], u[..., 2]
     fold = a + b > 1.0
     a = np.where(fold, 1.0 - a, a)
     b = np.where(fold, 1.0 - b, b)
     v0 = _HEX_VERTICES[tri]
     v1 = _HEX_VERTICES[tri + 1]
-    return cell_radius_m * (a[:, None] * v0 + b[:, None] * v1)
+    return cell_radius_m * (a[..., None] * v0 + b[..., None] * v1)
 
 
 def drop_ues(layout: CellLayout, ues_per_cell: int, seed: int) -> np.ndarray:
@@ -212,10 +218,8 @@ def drop_ues(layout: CellLayout, ues_per_cell: int, seed: int) -> np.ndarray:
         raise ValueError("ues_per_cell must be >= 1")
     out = np.empty((layout.n_cells, ues_per_cell, 2))
     for idx, center in enumerate(layout.bs_positions):
-        rng = _cell_rng(seed, idx, 0)
-        out[idx] = np.asarray(center) + _sample_hex_offsets(
-            rng, layout.cell_radius_m, ues_per_cell
-        )
+        u = _cell_rng(seed, idx, 0).random((ues_per_cell, 3))
+        out[idx] = np.asarray(center) + _hex_offsets(u, layout.cell_radius_m)
     return out
 
 
@@ -251,15 +255,25 @@ def power_control(
     )
 
 
+# Cells whose distances to every other cell are held at once by the neighbour
+# search, so its working set grows linearly with the cell count.
+_NEIGHBOR_ROWS = 64
+
+
 def _neighbor_lists(
     positions: np.ndarray, reach_m: float, side: float, wraparound: bool
 ) -> list[np.ndarray]:
-    delta = positions[:, None, :] - positions[None, :, :]
-    if wraparound:
-        delta -= side * np.round(delta / side)
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    return [np.nonzero(dist[i] <= reach_m)[0] for i in range(len(positions))]
+    lists = []
+    for start in range(0, len(positions), _NEIGHBOR_ROWS):
+        block = positions[start : start + _NEIGHBOR_ROWS]
+        delta = block[:, None, :] - positions[None, :, :]
+        if wraparound:
+            delta -= side * np.round(delta / side)
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        rows = np.arange(len(block))
+        dist[rows, start + rows] = np.inf
+        lists.extend(np.nonzero(row <= reach_m)[0] for row in dist)
+    return lists
 
 
 @dataclass(frozen=True)
@@ -302,67 +316,99 @@ def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: n
     return rc.anchor_db + 10.0 * ple * np.log10(np.maximum(d, 1.0))
 
 
-@dataclass
-class _DropTotals:
-    rate_bps: float = 0.0
-    power_w: float = 0.0
-    sinr_db_sum: float = 0.0
-    los_count: int = 0
-    ue_count: int = 0
+# Working-set budget of one chunk of a drop, in (UE, interferer) pairs.
+_CHUNK_PAIRS = 1 << 15
 
 
-def _simulate_cell(
-    s: NetworkScenario,
-    rc: _RadioConstants,
-    positions: np.ndarray,
-    neighbors: np.ndarray,
-    cell_idx: int,
-    drop_idx: int,
-    side: float,
-    totals: _DropTotals,
-) -> None:
-    rng = _cell_rng(s.seed, cell_idx, drop_idx)
-    n_ue = s.ues_per_cell
-    offsets = _sample_hex_offsets(rng, s.cell_radius_m, n_ue)
-    u_serving = rng.random(n_ue)
+@dataclass(frozen=True)
+class _Chunk:
+    """Cells that share one neighbour count k, drawn and computed together."""
 
-    d_serving = np.hypot(offsets[:, 0], offsets[:, 1])
+    cells: np.ndarray  # (C,) cell indices, ascending
+    centres: np.ndarray  # (2, C): x and y of each cell's centre
+    interferers: np.ndarray  # (2, C, k): x and y of each cell's neighbours
+
+
+def _chunks(positions: np.ndarray, neighbors: list[np.ndarray], n_ue: int) -> list[_Chunk]:
+    """Cells grouped by neighbour count k, each group cut into chunks of at
+    most _CHUNK_PAIRS pairs (one cell at least), so a larger k gets fewer
+    cells.  Groups are never padded to a common k: np.sum adds rows of 8 or
+    more terms with 8 accumulators, so zero padding would move the last bits
+    of each UE's interference."""
+    counts = np.array([len(nb) for nb in neighbors])
+    chunks = []
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        step = max(1, _CHUNK_PAIRS // (n_ue * max(k, 1)))
+        for start in range(0, len(group), step):
+            cells = group[start : start + step]
+            nbrs = np.array([neighbors[c] for c in cells], dtype=np.intp)
+            chunks.append(_Chunk(cells, positions.T[:, cells], positions.T[:, nbrs]))
+    return chunks
+
+
+def _fold(values: np.ndarray) -> float:
+    """Left-to-right sum, the order of a running total (np.sum adds pairwise)."""
+    return float(np.add.accumulate(values)[-1])
+
+
+def _simulate_drop(
+    s: NetworkScenario, rc: _RadioConstants, chunks: list[_Chunk], n_cells: int,
+    drop_idx: int, side: float,
+) -> tuple[float, float, float, int]:
+    """Rate, power, summed SINR (dB) and LoS count of one drop.
+
+    Each cell draws all 4n + 2nk variates of its stream in one call: 3n hex
+    offsets, n serving-LoS draws, then n x k x 2 interferer draws.  Per-cell
+    totals are folded in cell order, sector power before UE power.
+    """
+    n = s.ues_per_cell
+    sectors = s.arrays_per_bs
+    offsets = np.empty((n_cells, n, 2))
+    u_serving = np.empty((n_cells, n))
+    interference_w = np.zeros((n_cells, n))
+    for chunk in chunks:
+        c, k = chunk.interferers.shape[1:]
+        u = np.empty((c, 4 * n + 2 * n * k))
+        for row, cell in zip(u, chunk.cells.tolist()):
+            _cell_rng(s.seed, cell, drop_idx).random(out=row)
+        chunk_offsets = _hex_offsets(u[:, : 3 * n].reshape(c, n, 3), s.cell_radius_m)
+        offsets[chunk.cells] = chunk_offsets
+        u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
+        if k:
+            u_int = u[:, 4 * n :].reshape(c, n, k, 2)
+            ue_abs = chunk.centres[..., None] + np.moveaxis(chunk_offsets, -1, 0)
+            delta = ue_abs[..., None] - chunk.interferers[:, :, None, :]  # (2, C, n, k)
+            if s.wraparound:
+                delta -= side * np.round(delta / side)
+            d_int = np.hypot(delta[0], delta[1])
+            los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
+            pl_int = _path_loss_db(s, rc, d_int, los_int)
+            main_lobe = u_int[..., 1] < 1.0 / sectors
+            discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
+            i_dbm = rc.eirp_dbm - pl_int + rc.gain_ue_db - discrimination
+            interference_w[chunk.cells] = np.sum(dbm_to_watts(i_dbm), axis=2)
+
+    d_serving = np.hypot(offsets[..., 0], offsets[..., 1])
     los = u_serving < p_los(d_serving, s.los_d1_m, s.los_d2_m)
-    pl_serving = _path_loss_db(s, rc, d_serving, los)
-    arrival_dbm = rc.eirp_dbm - pl_serving
+    arrival_dbm = rc.eirp_dbm - _path_loss_db(s, rc, d_serving, los)
     signal_w = dbm_to_watts(arrival_dbm + rc.gain_ue_db)
-
-    interference_w = np.zeros(n_ue)
-    if s.interference and len(neighbors) > 0:
-        u_int = rng.random((n_ue, len(neighbors), 2))
-        ue_abs = np.asarray(positions[cell_idx]) + offsets
-        delta = ue_abs[:, None, :] - positions[neighbors][None, :, :]
-        if s.wraparound:
-            delta -= side * np.round(delta / side)
-        d_int = np.hypot(delta[..., 0], delta[..., 1])
-        los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
-        pl_int = _path_loss_db(s, rc, d_int, los_int)
-        main_lobe = u_int[..., 1] < 1.0 / s.arrays_per_bs
-        discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
-        i_dbm = rc.eirp_dbm - pl_int + rc.gain_ue_db - discrimination
-        interference_w = np.sum(dbm_to_watts(i_dbm), axis=1)
-
     sinr = signal_w / (rc.noise_w + interference_w)
 
-    angles = np.arctan2(offsets[:, 1], offsets[:, 0])
-    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % s.arrays_per_bs
-    occupancy = np.bincount(sector, minlength=s.arrays_per_bs)
-    bandwidth_share = s.band.bandwidth_hz / occupancy[sector]
+    angles = np.arctan2(offsets[..., 1], offsets[..., 0])
+    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % sectors
+    slot = np.arange(n_cells)[:, None] * sectors + sector
+    occupancy = np.bincount(slot.ravel(), minlength=n_cells * sectors)
+    bandwidth_share = s.band.bandwidth_hz / occupancy[slot]
 
     arrival_w = dbm_to_watts(arrival_dbm)
     ue_power = (1.0 + rc.ue_cooling) * (rc.ue_slope * arrival_w + rc.ue_fixed)
 
-    totals.rate_bps += float(np.sum(bandwidth_share * np.log2(1.0 + sinr)))
-    totals.power_w += float(np.count_nonzero(occupancy) * rc.sector_power_w)
-    totals.power_w += float(np.sum(ue_power))
-    totals.sinr_db_sum += float(np.sum(10.0 * np.log10(sinr)))
-    totals.los_count += int(np.sum(los))
-    totals.ue_count += n_ue
+    rate = np.sum(bandwidth_share * np.log2(1.0 + sinr), axis=1)
+    occupied = np.count_nonzero(occupancy.reshape(n_cells, sectors), axis=1)
+    power = np.stack([occupied * rc.sector_power_w, np.sum(ue_power, axis=1)], axis=1)
+    sinr_db = np.sum(10.0 * np.log10(sinr), axis=1)
+    return _fold(rate), _fold(power.ravel()), _fold(sinr_db), int(np.count_nonzero(los))
 
 
 def simulate_network(scenario: NetworkScenario) -> NetworkReport:
@@ -370,27 +416,27 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     the determinism contract."""
     layout = hex_layout(scenario.area_m2, scenario.cell_radius_m)
     positions = np.asarray(layout.bs_positions)
-    reach = scenario.interferer_reach * scenario.cell_radius_m
-    neighbors = _neighbor_lists(positions, reach, layout.area_side_m, scenario.wraparound)
+    if scenario.interference:
+        reach = scenario.interferer_reach * scenario.cell_radius_m
+        neighbors = _neighbor_lists(positions, reach, layout.area_side_m, scenario.wraparound)
+    else:
+        neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
+    chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario)
 
     drop_rates = np.empty(scenario.drops)
     drop_powers = np.empty(scenario.drops)
     sinr_db_sum = 0.0
     los_count = 0
-    ue_count = 0
     for drop in range(scenario.drops):
-        totals = _DropTotals()
-        for cell in range(layout.n_cells):
-            _simulate_cell(
-                scenario, rc, positions, neighbors[cell], cell, drop,
-                layout.area_side_m, totals,
-            )
-        drop_rates[drop] = totals.rate_bps
-        drop_powers[drop] = totals.power_w
-        sinr_db_sum += totals.sinr_db_sum
-        los_count += totals.los_count
-        ue_count += totals.ue_count
+        rate, power, sinr_db, los = _simulate_drop(
+            scenario, rc, chunks, layout.n_cells, drop, layout.area_side_m
+        )
+        drop_rates[drop] = rate
+        drop_powers[drop] = power
+        sinr_db_sum += sinr_db
+        los_count += los
+    ue_count = scenario.drops * layout.n_cells * scenario.ues_per_cell
 
     throughput = float(np.mean(drop_rates))
     power = float(np.mean(drop_powers))

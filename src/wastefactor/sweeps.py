@@ -228,7 +228,8 @@ def find_crossover(curve: Curve, reference_cef_bpj: float) -> CrossoverResult:
     """Smallest x where the curve reaches the reference CEF.
 
     Grid points bracket the crossing; when the curve carries an evaluator the
-    bracket is refined by bisection, otherwise by log-linear interpolation.
+    bracket is refined by bisection, otherwise CEF is interpolated linearly
+    in x between the two bracketing samples.
     """
     samples, evaluator = curve.samples, curve.evaluator
 

@@ -384,13 +384,15 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     gain_tx = tx.antenna_gain_db(freq)
     gain_rx = rx.antenna_gain_db(freq)
 
+    # Converted first, so that a transmit power too large for a float is the
+    # value an overflow names, not the SNR derived from it.
+    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
     p_received = received_power_dbm(scenario.tx_power_dbm, gain_tx, gain_rx, path_loss)
     noise = thermal_noise_dbm(band.bandwidth_hz, band.noise_figure_db)
     snr = p_received - noise
     rate = shannon_rate_bps(band.bandwidth_hz, snr)
 
     chain = build_chain(scenario)
-    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
     arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
     consumed = tx_terminal_power(band, tx, tx_power_w) + rx_terminal_power(
         band, rx, arrival_w

@@ -1,6 +1,7 @@
 """Tests for linkbudget.py — dB arithmetic, path loss, noise, Shannon rate."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,18 @@ class TestDbConversions:
         assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
         assert watts_to_dbm(1e-3) == pytest.approx(0.0, abs=1e-12)
+
+    def test_scalar_overflow_names_the_value(self):
+        with pytest.raises(ValueError, match="4000.0 dBm"):
+            dbm_to_watts(4000.0)
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            db_to_linear(4000.0)
+
+    def test_array_overflow_is_inf(self):
+        # numpy does not raise on arrays; their behaviour is unchanged
+        with np.errstate(over="ignore"):
+            assert dbm_to_watts(np.array([4000.0]))[0] == np.inf
+            assert db_to_linear(np.array([4000.0]))[0] == np.inf
 
     @given(st.floats(min_value=-120.0, max_value=120.0, **_FINITE))
     @settings(max_examples=200, deadline=None)

@@ -1,10 +1,10 @@
 """Tests for netsim.py — hex layout, UE drops, LoS model, Monte-Carlo runs."""
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastefactor.linkbudget import (
     ci_path_loss_db,
@@ -12,6 +12,7 @@ from wastefactor.linkbudget import (
     free_space_path_loss_db,
     thermal_noise_dbm,
 )
+from wastefactor import netsim
 from wastefactor.netsim import (
     NETSIM_CSV_HEADER,
     NetworkReport,
@@ -26,6 +27,14 @@ from wastefactor.netsim import (
     power_control,
     simulate_network,
     sweep_radius,
+)
+from wastefactor.netsim import (
+    _cell_rng,
+    _chunks,
+    _hex_offsets,
+    _neighbor_lists,
+    _path_loss_db,
+    _radio_constants,
 )
 from wastefactor.transceiver import (
     rx_power_coefficients,
@@ -49,6 +58,125 @@ _R65_ROW = (85, 5267331228.064204, 10063781964391.06, 1910.6035919616165,
             14.185212155870044, 0.7576313725490196, 33611857.962048545)
 _R500_ROW = (1, 470344911.84475327, 23193662155.75722, 49.3120294738359,
              -3.6066378893943734, 0.04666666666666667, 105621698.67219035)
+
+
+# Scalar oracle: simulate_network as a loop over cells, one cell-drop at a
+# time.  It draws each cell's variates in three calls and adds every total as
+# it goes, so it shares neither the single draw nor the grouping, chunking and
+# folding of the whole-array drop.
+@dataclass
+class _DropTotals:
+    rate_bps: float = 0.0
+    power_w: float = 0.0
+    sinr_db_sum: float = 0.0
+    los_count: int = 0
+    ue_count: int = 0
+
+
+def _simulate_cell(s, rc, positions, neighbors, cell_idx, drop_idx, side, totals):
+    rng = _cell_rng(s.seed, cell_idx, drop_idx)
+    n_ue = s.ues_per_cell
+    offsets = _hex_offsets(rng.random((n_ue, 3)), s.cell_radius_m)
+    u_serving = rng.random(n_ue)
+
+    d_serving = np.hypot(offsets[:, 0], offsets[:, 1])
+    los = u_serving < p_los(d_serving, s.los_d1_m, s.los_d2_m)
+    pl_serving = _path_loss_db(s, rc, d_serving, los)
+    arrival_dbm = rc.eirp_dbm - pl_serving
+    signal_w = dbm_to_watts(arrival_dbm + rc.gain_ue_db)
+
+    interference_w = np.zeros(n_ue)
+    if s.interference and len(neighbors) > 0:
+        u_int = rng.random((n_ue, len(neighbors), 2))
+        ue_abs = np.asarray(positions[cell_idx]) + offsets
+        delta = ue_abs[:, None, :] - positions[neighbors][None, :, :]
+        if s.wraparound:
+            delta -= side * np.round(delta / side)
+        d_int = np.hypot(delta[..., 0], delta[..., 1])
+        los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
+        pl_int = _path_loss_db(s, rc, d_int, los_int)
+        main_lobe = u_int[..., 1] < 1.0 / s.arrays_per_bs
+        discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
+        i_dbm = rc.eirp_dbm - pl_int + rc.gain_ue_db - discrimination
+        interference_w = np.sum(dbm_to_watts(i_dbm), axis=1)
+
+    sinr = signal_w / (rc.noise_w + interference_w)
+
+    angles = np.arctan2(offsets[:, 1], offsets[:, 0])
+    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % s.arrays_per_bs
+    occupancy = np.bincount(sector, minlength=s.arrays_per_bs)
+    bandwidth_share = s.band.bandwidth_hz / occupancy[sector]
+
+    arrival_w = dbm_to_watts(arrival_dbm)
+    ue_power = (1.0 + rc.ue_cooling) * (rc.ue_slope * arrival_w + rc.ue_fixed)
+
+    totals.rate_bps += float(np.sum(bandwidth_share * np.log2(1.0 + sinr)))
+    totals.power_w += float(np.count_nonzero(occupancy) * rc.sector_power_w)
+    totals.power_w += float(np.sum(ue_power))
+    totals.sinr_db_sum += float(np.sum(10.0 * np.log10(sinr)))
+    totals.los_count += int(np.sum(los))
+    totals.ue_count += n_ue
+
+
+def _oracle(scenario):
+    layout = hex_layout(scenario.area_m2, scenario.cell_radius_m)
+    positions = np.asarray(layout.bs_positions)
+    reach = scenario.interferer_reach * scenario.cell_radius_m
+    neighbors = _neighbor_lists(positions, reach, layout.area_side_m, scenario.wraparound)
+    rc = _radio_constants(scenario)
+
+    drop_rates = np.empty(scenario.drops)
+    drop_powers = np.empty(scenario.drops)
+    sinr_db_sum = 0.0
+    los_count = 0
+    ue_count = 0
+    for drop in range(scenario.drops):
+        totals = _DropTotals()
+        for cell in range(layout.n_cells):
+            _simulate_cell(
+                scenario, rc, positions, neighbors[cell], cell, drop,
+                layout.area_side_m, totals,
+            )
+        drop_rates[drop] = totals.rate_bps
+        drop_powers[drop] = totals.power_w
+        sinr_db_sum += totals.sinr_db_sum
+        los_count += totals.los_count
+        ue_count += totals.ue_count
+
+    throughput = float(np.mean(drop_rates))
+    power = float(np.mean(drop_powers))
+    drop_cefs = drop_rates / drop_powers
+    if scenario.drops > 1:
+        halfwidth = 1.96 * float(np.std(drop_cefs, ddof=1)) / math.sqrt(scenario.drops)
+    else:
+        halfwidth = 0.0
+    return NetworkReport(
+        radius_m=scenario.cell_radius_m,
+        n_cells=layout.n_cells,
+        throughput_bps=throughput,
+        power_w=power,
+        cef_bpj=throughput / power,
+        mean_sinr_db=sinr_db_sum / ue_count,
+        los_fraction=los_count / ue_count,
+        ci_halfwidth_bpj=halfwidth,
+        drops=scenario.drops,
+    )
+
+
+@st.composite
+def _small_networks(draw):
+    radius = draw(st.floats(min_value=50.0, max_value=500.0))
+    # just above the smallest area that holds a cell, up to 0.25 km^2
+    smallest = (math.sqrt(3.0) * radius / 2.0) ** 2 * (1.0 + 1e-6)
+    return default_network(
+        radius,
+        area_m2=draw(st.floats(min_value=smallest, max_value=0.25e6)),
+        wraparound=draw(st.booleans()),
+        interference=draw(st.booleans()),
+        drops=draw(st.integers(min_value=1, max_value=3)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        ues_per_cell=draw(st.integers(min_value=1, max_value=20)),
+    )
 
 
 class TestScenarioValidation:
@@ -329,6 +457,69 @@ class TestSimulateNetwork:
     def test_single_drop_has_zero_halfwidth(self):
         report = simulate_network(default_network(65.0, drops=1))
         assert report.ci_halfwidth_bpj == 0.0
+
+
+class TestNeighborLists:
+    @pytest.mark.parametrize("radius, area", [(20.0, 1e6), (35.0, 1e6), (65.0, 2e5), (500.0, 1e6)])
+    @pytest.mark.parametrize("wraparound", [False, True])
+    def test_matches_all_pairs_search(self, radius, area, wraparound):
+        # the row-blocked search against every pair at once
+        layout = hex_layout(area, radius)
+        positions = np.asarray(layout.bs_positions)
+        reach, side = 8.0 * radius, layout.area_side_m
+        delta = positions[:, None, :] - positions[None, :, :]
+        if wraparound:
+            delta -= side * np.round(delta / side)
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        np.fill_diagonal(dist, np.inf)
+        lists = _neighbor_lists(positions, reach, side, wraparound)
+        assert len(lists) == layout.n_cells
+        for i, found in enumerate(lists):
+            assert np.array_equal(found, np.nonzero(dist[i] <= reach)[0])
+
+
+class TestScalarOracle:
+    """The whole-array drop against the cell-by-cell loop, compared exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_networks())
+    @example(default_network(500.0, drops=3))  # one cell, no neighbours
+    @example(default_network(500.0, drops=2, wraparound=True))
+    @example(default_network(65.0, area_m2=0.25e6, drops=2, interference=False))
+    @example(default_network(50.0, area_m2=0.25e6, drops=2, ues_per_cell=7))
+    def test_matches_oracle(self, scenario):
+        assert simulate_network(scenario) == _oracle(scenario)
+
+    @pytest.mark.parametrize("wraparound", [False, True])
+    def test_matches_oracle_at_smallest_radius(self, wraparound):
+        # 941 cells: dozens of neighbour counts, groups cut into several chunks
+        scenario = default_network(20.0, drops=1, wraparound=wraparound)
+        assert simulate_network(scenario) == _oracle(scenario)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        scenario = default_network(35.0, drops=2, wraparound=True)
+        default = simulate_network(scenario)
+        monkeypatch.setattr(netsim, "_CHUNK_PAIRS", 1)  # one cell per chunk
+        assert simulate_network(scenario) == default
+
+    @pytest.mark.parametrize("wraparound", [False, True])
+    def test_chunks_cover_cells_once_within_budget(self, wraparound):
+        scenario = default_network(20.0, wraparound=wraparound)
+        layout = hex_layout(scenario.area_m2, scenario.cell_radius_m)
+        positions = np.asarray(layout.bs_positions)
+        neighbors = _neighbor_lists(
+            positions, scenario.interferer_reach * 20.0, layout.area_side_m, wraparound
+        )
+        chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
+        cells = np.concatenate([chunk.cells for chunk in chunks])
+        assert np.array_equal(np.sort(cells), np.arange(layout.n_cells))
+        ks = [chunk.interferers.shape[2] for chunk in chunks]
+        assert len(ks) > len(set(ks))  # some group was cut
+        for chunk, k in zip(chunks, ks):
+            assert len(chunk.cells) * scenario.ues_per_cell * k <= netsim._CHUNK_PAIRS
+            assert np.array_equal(chunk.centres, positions[chunk.cells].T)
+            for i, c in enumerate(chunk.cells):
+                assert np.array_equal(chunk.interferers[:, i, :], positions[neighbors[c]].T)
 
 
 class TestRadiusSweep:
