@@ -328,6 +328,7 @@ _EFFICIENCY = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _RADIUS = _checked(float, lambda v: 20.0 <= v <= 500.0, "within the studied 20-500 m")
 _DROPS = _checked(int, lambda n: n >= 1, "at least 1")
 _SEED = _checked(int, lambda n: n >= 0, "non-negative")
+_FINITE = _checked(float, math.isfinite, "finite")
 
 
 def _check_order(parser: argparse.ArgumentParser, args) -> None:
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bw = sub.add_parser("sweep-bw", help="bandwidth sweep with crossover search")
     _add_common(p_bw)
     p_bw.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
-    p_bw.add_argument("--snr", type=float, default=20.0, help="target SNR in dB")
+    p_bw.add_argument("--snr", type=_FINITE, default=20.0, help="target SNR in dB")
     p_bw.add_argument("--lo-ghz", type=_POSITIVE, default=0.1)
     p_bw.add_argument("--hi-ghz", type=_POSITIVE, default=10.0)
     p_bw.add_argument("--points", type=_POINTS, default=64)
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa = sub.add_parser("sweep-pa", help="PA-efficiency sweep")
     _add_common(p_pa)
     p_pa.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
-    p_pa.add_argument("--snr", type=float, default=None, help="target SNR in dB (fixed power if omitted)")
+    p_pa.add_argument("--snr", type=_FINITE, default=None, help="target SNR in dB (fixed power if omitted)")
     p_pa.add_argument("--lo", type=_EFFICIENCY, default=0.02)
     p_pa.add_argument("--hi", type=_EFFICIENCY, default=0.6)
     p_pa.add_argument("--points", type=_POINTS, default=64)

@@ -16,6 +16,12 @@ their interference together, in chunks of bounded size, then the serving
 links, sectors and power run over all cells at once.  Totals are added in cell
 order with the same float operations as a cell-by-cell loop, so reports match
 that loop bit for bit (the tests keep it as an oracle).
+
+Interferers are found with a bucket grid, in time linear in the cell count:
+each cell is compared only with the cells of its own and the eight
+surrounding buckets, each at least one reach wide.  Wraparound folds
+distances on the square, whose side is not a period of the hex lattice, so
+cells along the seam see a slightly distorted neighbourhood.
 """
 
 from __future__ import annotations
@@ -255,24 +261,56 @@ def power_control(
     )
 
 
-# Cells whose distances to every other cell are held at once by the neighbour
-# search, so its working set grows linearly with the cell count.
-_NEIGHBOR_ROWS = 64
+# Working-set budget, in pairs, of one block of the neighbour search and of one
+# chunk of a drop, where a pair is a UE and an interferer.
+_CHUNK_PAIRS = 1 << 15
+
+
+def _bucket_grid(positions: np.ndarray, reach_m: float, side: float) -> tuple[int, np.ndarray]:
+    """Buckets per side, nb, and each cell's bucket key, column * nb + row.
+
+    The buckets tile the square, each side / nb wide: at least the reach plus
+    a margin far above the rounding of the positions, so two cells in buckets
+    two or more apart (across the seam too) are out of reach.  nb never
+    exceeds the cell count, so the keys stay small however short the reach."""
+    nb = max(1, math.floor(min(side / (reach_m * (1.0 + 1e-6)), len(positions))))
+    cell = np.minimum((positions * (nb / side)).astype(np.intp), nb - 1)
+    return nb, cell[:, 0] * nb + cell[:, 1]
 
 
 def _neighbor_lists(
     positions: np.ndarray, reach_m: float, side: float, wraparound: bool
 ) -> list[np.ndarray]:
-    lists = []
-    for start in range(0, len(positions), _NEIGHBOR_ROWS):
-        block = positions[start : start + _NEIGHBOR_ROWS]
-        delta = block[:, None, :] - positions[None, :, :]
+    """Indices of the cells within reach of each cell, ascending, as intp.
+
+    Each bucket's cells are compared with the cells of its 3 x 3 neighbourhood
+    only, so at a fixed reach the time and memory grow linearly with the cell
+    count.  The distances use the float operations of an all-pairs search, so
+    the lists are the same.  A bucket's rows are cut so that one block holds
+    at most _CHUNK_PAIRS distances."""
+    nb, keys = _bucket_grid(positions, reach_m, side)
+    order = np.argsort(keys, kind="stable")
+    occupied, starts = np.unique(keys[order], return_index=True)
+    members = dict(zip(occupied.tolist(), np.split(order, starts[1:])))
+    lists: list[np.ndarray] = [None] * len(positions)
+    for key, rows in members.items():
         if wraparound:
-            delta -= side * np.round(delta / side)
-        dist = np.hypot(delta[..., 0], delta[..., 1])
-        rows = np.arange(len(block))
-        dist[rows, start + rows] = np.inf
-        lists.extend(np.nonzero(row <= reach_m)[0] for row in dist)
+            # sets: below three buckets a step across the seam meets itself
+            xs, ys = ({(b + d) % nb for d in (-1, 0, 1)} for b in divmod(key, nb))
+        else:
+            xs, ys = ([b + d for d in (-1, 0, 1) if 0 <= b + d < nb] for b in divmod(key, nb))
+        around = [members[k] for k in (x * nb + y for x in xs for y in ys) if k in members]
+        cols = np.sort(np.concatenate(around))
+        step = max(1, _CHUNK_PAIRS // len(cols))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            delta = positions[block][:, None, :] - positions[cols][None, :, :]
+            if wraparound:
+                delta -= side * np.round(delta / side)
+            dist = np.hypot(delta[..., 0], delta[..., 1])
+            dist[np.arange(len(block)), np.searchsorted(cols, block)] = np.inf
+            for cell, row in zip(block.tolist(), dist):
+                lists[cell] = cols[row <= reach_m]
     return lists
 
 
@@ -314,10 +352,6 @@ def _radio_constants(s: NetworkScenario) -> _RadioConstants:
 def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray):
     ple = np.where(los, s.ple_los, s.ple_nlos)
     return rc.anchor_db + 10.0 * ple * np.log10(np.maximum(d, 1.0))
-
-
-# Working-set budget of one chunk of a drop, in (UE, interferer) pairs.
-_CHUNK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)

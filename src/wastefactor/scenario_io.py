@@ -78,6 +78,9 @@ _LINEAR_UNITS: dict[str, tuple[tuple[str, float], ...]] = {
     # The explicit W/Hz form exists so any float state serializes exactly.
     "power_per_ghz": (("W", 1e-9), ("mW", 1e-12), ("W/Hz", 1.0)),
 }
+# Units read but never written: "1 km2" is shorter than "1e+06 m2", so as a
+# table entry km2 would change every serialized network scenario.
+_INPUT_ONLY_UNITS: dict[str, tuple[tuple[str, float], ...]] = {"area": (("km2", 1e6),)}
 _DB_UNITS: dict[str, tuple[tuple[str, float], ...]] = {
     "db": (("dB", 0.0),),
     "dbm": (("dBm", 0.0), ("dBW", 30.0)),
@@ -110,7 +113,7 @@ def parse_quantity(line: int, text: str, kind: str) -> float:
             return value
         raise ScenarioParseError(line, f"expected a bare fraction or %, got {text!r}")
     if kind in _LINEAR_UNITS:
-        table = _LINEAR_UNITS[kind]
+        table = _LINEAR_UNITS[kind] + _INPUT_ONLY_UNITS.get(kind, ())
         if unit is None:
             raise ScenarioParseError(
                 line, f"{text!r} needs a unit ({'/'.join(u for u, _ in table)})"

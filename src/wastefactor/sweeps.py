@@ -157,7 +157,13 @@ def _evaluate_point(
         )
         scenario = replace(scenario, tx_power_dbm=tx_power)
         feasible = tx_power + tx_gain <= eirp_ceiling_dbm
-    report: LinkReport = evaluate_link(scenario)
+    try:
+        report: LinkReport = evaluate_link(scenario)
+    except ValueError as exc:
+        if snr_target_db is None:
+            raise
+        # the transmit power was derived from the target, so name the target
+        raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     if snr_target_db is None:
         feasible = report.eirp_dbm <= eirp_ceiling_dbm
     return SweepSample(

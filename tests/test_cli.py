@@ -74,6 +74,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "evaluation failed" in err
         assert "4000" in err
+        # a finite SNR target whose transmit power overflows names the target
+        assert main(["sweep-bw", "--snr", "1e308"]) == EXIT_EVAL
+        assert "SNR target 1e+308 dB" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -89,6 +92,8 @@ class TestExitCodes:
             (["netsim", "--drops", "0"], "--drops"),
             (["netsim", "--seed", "-1"], "--seed"),
             (["netsim", "--threads", "4"], "--threads"),
+            (["sweep-bw", "--snr", "nan"], "--snr"),
+            (["sweep-pa", "--snr", "inf"], "--snr"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
@@ -280,6 +285,21 @@ class TestGoldenOutput:
         text, csv_text = (_GOLDEN / "table1.txt").read_text(encoding="utf-8").split("\n\n")
         assert out == text + "\n"
         assert path.read_text(encoding="utf-8") == csv_text
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("netsim", ["--radius", "20", "--radius", "65", "--drops", "2"]),
+            (
+                "netsim-wrap",
+                ["--radius", "20", "--radius", "35", "--radius", "65", "--drops", "2", "--wraparound"],
+            ),
+        ],
+    )
+    def test_netsim_matches_golden(self, name, argv):
+        code, out = _run(["netsim", *argv])
+        assert code == EXIT_OK
+        assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 class TestPresetDirectory:

@@ -459,23 +459,78 @@ class TestSimulateNetwork:
         assert report.ci_halfwidth_bpj == 0.0
 
 
+def _all_pairs(positions, reach, side, wraparound):
+    delta = positions[:, None, :] - positions[None, :, :]
+    if wraparound:
+        delta -= side * np.round(delta / side)
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    np.fill_diagonal(dist, np.inf)
+    return [np.nonzero(row <= reach)[0] for row in dist]
+
+
+def _assert_same_neighbors(area, radius, reach, wraparound):
+    layout = hex_layout(area, radius)
+    positions = np.asarray(layout.bs_positions)
+    side = layout.area_side_m
+    lists = _neighbor_lists(positions, reach, side, wraparound)
+    expected = _all_pairs(positions, reach, side, wraparound)
+    assert len(lists) == len(expected) == layout.n_cells
+    for found, want in zip(lists, expected):
+        assert found.dtype == np.intp
+        assert np.array_equal(found, want)
+
+
+# Multiples of sqrt(3) r are lattice distances, so pairs sit on the reach.
+_REACH_MULTIPLIERS = st.one_of(
+    st.floats(min_value=0.5, max_value=40.0),
+    st.integers(min_value=1, max_value=12).map(lambda m: math.sqrt(3.0) * m),
+)
+
+
 class TestNeighborLists:
+    """The bucket-grid search against every pair at once, compared exactly."""
+
     @pytest.mark.parametrize("radius, area", [(20.0, 1e6), (35.0, 1e6), (65.0, 2e5), (500.0, 1e6)])
     @pytest.mark.parametrize("wraparound", [False, True])
     def test_matches_all_pairs_search(self, radius, area, wraparound):
-        # the row-blocked search against every pair at once
-        layout = hex_layout(area, radius)
-        positions = np.asarray(layout.bs_positions)
-        reach, side = 8.0 * radius, layout.area_side_m
-        delta = positions[:, None, :] - positions[None, :, :]
-        if wraparound:
-            delta -= side * np.round(delta / side)
-        dist = np.hypot(delta[..., 0], delta[..., 1])
-        np.fill_diagonal(dist, np.inf)
-        lists = _neighbor_lists(positions, reach, side, wraparound)
-        assert len(lists) == layout.n_cells
-        for i, found in enumerate(lists):
-            assert np.array_equal(found, np.nonzero(dist[i] <= reach)[0])
+        _assert_same_neighbors(area, radius, 8.0 * radius, wraparound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.floats(min_value=20.0, max_value=500.0),
+        area=st.floats(min_value=0.0, max_value=0.5e6),
+        multiplier=_REACH_MULTIPLIERS,
+        wraparound=st.booleans(),
+    )
+    @example(radius=20.0, area=0.5e6, multiplier=math.sqrt(3.0) * 4, wraparound=True)
+    @example(radius=20.0, area=0.5e6, multiplier=math.sqrt(3.0), wraparound=False)
+    @example(radius=20.0, area=0.5e6, multiplier=15.0, wraparound=True)  # two buckets
+    @example(radius=20.0, area=0.5e6, multiplier=40.0, wraparound=True)  # one bucket
+    @example(radius=50.0, area=0.5e6, multiplier=0.5, wraparound=True)  # no neighbours
+    def test_matches_all_pairs_property(self, radius, area, multiplier, wraparound):
+        # up to 0.5 km^2 above the smallest area that holds a cell
+        smallest = (math.sqrt(3.0) * radius / 2.0) ** 2 * (1.0 + 1e-6)
+        _assert_same_neighbors(smallest + area, radius, multiplier * radius, wraparound)
+
+    def test_bucket_block_does_not_grow_with_cells(self):
+        # Size arithmetic on the grid only; the search never runs at 100 km^2.
+        radius, reach = 20.0, 8.0 * 20.0
+        # nb >= 3 buckets of side / nb <= (4/3) reach (1 + 1e-6), with columns
+        # 1.5 r and rows sqrt(3) r apart, bound any bucket and neighbourhood.
+        width = 4.0 / 3.0 * reach * (1.0 + 1e-6)
+        rows = (width / (1.5 * radius) + 1) * (width / (math.sqrt(3.0) * radius) + 1)
+        cols = (3 * width / (1.5 * radius) + 1) * (3 * width / (math.sqrt(3.0) * radius) + 1)
+        for area in (1e6, 100e6):
+            layout = hex_layout(area, radius)
+            positions = np.asarray(layout.bs_positions)
+            nb, keys = netsim._bucket_grid(positions, reach, layout.area_side_m)
+            counts = np.bincount(keys, minlength=nb * nb).reshape(nb, nb)
+            around = sum(
+                np.roll(counts, (dx, dy), axis=(0, 1)) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            )
+            assert counts.max() <= rows and around.max() <= cols
+        assert layout.n_cells > 90_000  # about 8.8e9 pairs for an all-pairs search
+        assert rows * cols < 30_000
 
 
 class TestScalarOracle:

@@ -58,6 +58,7 @@ class TestParseQuantity:
         assert parse_quantity(1, "400 MHz", "frequency") == parse_quantity(1, "0.4 GHz", "frequency")
         assert parse_quantity(1, "0.2 km", "distance") == 200.0
         assert parse_quantity(1, "5 cm2", "area") == pytest.approx(5e-4, rel=1e-15)
+        assert parse_quantity(1, "2.5 km2", "area") == 2.5e6
         assert parse_quantity(1, "2.5e-10 W/Hz", "power_per_ghz") == 2.5e-10
         assert parse_quantity(1, "250 mW", "power_per_ghz") == 2.5e-10
 
@@ -181,6 +182,13 @@ class TestRoundTrip:
     def test_network_round_trip(self):
         scenario = parse_scenario("[network]\ncell_radius = 120 m\ndrops = 7\n")
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    def test_km2_area_reads_but_writes_m2(self):
+        scenario = parse_scenario("[network]\narea = 100 km2\n")
+        assert scenario.area_m2 == 1e8
+        text = serialize_scenario(scenario)
+        assert "area = 1e+08 m2" in text
+        assert parse_scenario(text) == scenario
 
     def test_canonical_form_is_fixed_point(self):
         canonical = serialize_scenario(parse_scenario(_MESSY_SCENARIO))
