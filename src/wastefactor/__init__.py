@@ -4,6 +4,10 @@ The package models how much power a radio chain consumes per unit of signal
 power it delivers (the waste factor), folds that into full link budgets,
 and compares bands, sweeps, and network layouts by consumption efficiency
 (bits per joule).
+
+The network Monte Carlo names other than `NetworkScenario` are loaded from
+`netsim` on first use, so `import wastefactor` and the link-level tools do
+not import numpy.
 """
 
 from .cascade import (
@@ -37,23 +41,6 @@ from .linkbudget import (
     tx_power_for_snr_dbm,
     watts_to_dbm,
 )
-from .netsim import (
-    DEFAULT_RADII,
-    NETSIM_CSV_HEADER,
-    CellLayout,
-    NetworkReport,
-    NetworkScenario,
-    default_network,
-    drop_ues,
-    hex_layout,
-    network_csv_rows,
-    optimal_radius,
-    p_los,
-    point_in_hex,
-    power_control,
-    simulate_network,
-    sweep_radius,
-)
 from .scenario_io import (
     PRESET_DIR_ENV,
     ScenarioParseError,
@@ -84,6 +71,7 @@ from .transceiver import (
     BandProfile,
     LinkReport,
     LinkScenario,
+    NetworkScenario,
     TerminalProfile,
     band_comparison,
     build_chain,
@@ -176,3 +164,35 @@ __all__ = [
     "tx_power_coefficients",
     "__version__",
 ]
+
+# Resolved by __getattr__ (PEP 562): importing netsim imports numpy.
+_NETSIM_NAMES = frozenset(
+    {
+        "DEFAULT_RADII",
+        "NETSIM_CSV_HEADER",
+        "CellLayout",
+        "NetworkReport",
+        "default_network",
+        "drop_ues",
+        "hex_layout",
+        "network_csv_rows",
+        "optimal_radius",
+        "p_los",
+        "point_in_hex",
+        "power_control",
+        "simulate_network",
+        "sweep_radius",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _NETSIM_NAMES:
+        from . import netsim
+
+        return getattr(netsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _NETSIM_NAMES)

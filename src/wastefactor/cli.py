@@ -21,13 +21,6 @@ from .cascade import (
     consumed_power,
 )
 from .linkbudget import dbm_to_watts, linear_to_db
-from .netsim import (
-    DEFAULT_RADII,
-    NetworkScenario,
-    network_csv_rows,
-    optimal_radius,
-    sweep_radius,
-)
 from .scenario_io import (
     ScenarioParseError,
     apply_overrides,
@@ -44,7 +37,7 @@ from .sweeps import (
     snr_matched_sample,
     sweep,
 )
-from .transceiver import LinkReport, LinkScenario, evaluate_link
+from .transceiver import LinkReport, LinkScenario, NetworkScenario, evaluate_link
 
 __all__ = ["main"]
 
@@ -249,6 +242,9 @@ def cmd_sweep_pa(args, stdout: TextIO) -> int:
 
 
 def cmd_netsim(args, stdout: TextIO) -> int:
+    # Imported here so the link-level commands never load numpy.
+    from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, sweep_radius
+
     scenario = _load_scenario(args, default_preset="subthz-140", network=True)
     updates = {}
     if args.seed is not None:
@@ -391,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa.add_argument("--points", type=_POINTS, default=64)
     p_pa.add_argument(
         "--target-cef",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="GBPJ",
         help="also find the minimum efficiency reaching this CEF",

@@ -41,6 +41,7 @@ from .linkbudget import (
 )
 from .transceiver import (
     BandProfile,
+    NetworkScenario,
     TerminalProfile,
     rx_power_coefficients,
     subthz_140,
@@ -69,54 +70,6 @@ DEFAULT_RADII = (20.0, 35.0, 50.0, 65.0, 80.0, 100.0, 150.0, 250.0, 500.0)
 NETSIM_CSV_HEADER = (
     "radius_m,cells,cef_gbpj,throughput_gbps,power_w,mean_sinr_db,los_fraction,ci_halfwidth"
 )
-
-
-@dataclass(frozen=True)
-class NetworkScenario:
-    """Deployment and simulation parameters for one radius."""
-
-    band: BandProfile
-    bs: TerminalProfile
-    ue: TerminalProfile
-    cell_radius_m: float
-    area_m2: float = 1e6
-    arrays_per_bs: int = 6
-    ues_per_cell: int = 15
-    target_snr_db: float = 20.0
-    los_d1_m: float = 22.0
-    los_d2_m: float = 113.4
-    ple_los: float = 2.0
-    ple_nlos: float = 3.2
-    seed: int = 1
-    drops: int = 50
-    interference: bool = True
-    wraparound: bool = False
-    sidelobe_db: float = 20.0
-    interferer_reach: float = 8.0
-
-    def __post_init__(self) -> None:
-        if not (20.0 <= self.cell_radius_m <= 500.0):
-            raise ValueError("cell radius must lie in the studied 20-500 m range")
-        if not 0.0 < self.area_m2 < math.inf:
-            raise ValueError("area must be positive and finite")
-        # hex_layout places its first centre at y = sqrt(3) r / 2 and keeps
-        # only centres strictly inside the square.
-        if not math.sqrt(3.0) * self.cell_radius_m / 2.0 < math.sqrt(self.area_m2):
-            raise ValueError(
-                f"area {self.area_m2:g} m2 holds no cell of radius {self.cell_radius_m:g} m"
-            )
-        if self.arrays_per_bs < 1 or self.ues_per_cell < 1:
-            raise ValueError("array and UE counts must be >= 1")
-        if self.drops < 1:
-            raise ValueError("drops must be >= 1")
-        if self.los_d1_m <= 0.0 or self.los_d2_m <= 0.0:
-            raise ValueError("LoS model distances must be positive")
-        if self.ple_los <= 0.0 or self.ple_nlos <= 0.0:
-            raise ValueError("path-loss exponents must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.interferer_reach <= 0.0:
-            raise ValueError("interferer reach must be positive")
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ from .cascade import (
     make_passive,
 )
 from .linkbudget import aperture_gain_db, ci_path_loss_db, db_to_linear
-from .netsim import NetworkScenario
 from .transceiver import (
     BandProfile,
     LinkScenario,
+    NetworkScenario,
     TerminalProfile,
     preset_scenario,
 )

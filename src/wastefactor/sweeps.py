@@ -295,8 +295,13 @@ def min_matching_efficiency(
     """Smallest PA efficiency whose CEF reaches the target.
 
     CEF is monotone increasing in PA efficiency (less waste, same rate), so
-    plain bisection suffices; an unreachable target returns found=False.
+    plain bisection suffices; an unreachable target, an infinite one
+    included, returns found=False.  A NaN or non-positive target raises
+    ValueError: NaN fails every comparison, and every efficiency reaches a
+    target of zero or less.
     """
+    if not target_cef_bpj > 0.0:
+        raise ValueError(f"target CEF must be positive, got {target_cef_bpj!r} b/J")
 
     def cef_at(eta: float) -> float:
         return reference_cef(scenario, pa_efficiency=eta)

@@ -1,10 +1,15 @@
 """Tests for cli.py — subcommands, exit codes, CSV outputs."""
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wastefactor
+from wastefactor import netsim, transceiver
 from wastefactor.cli import EXIT_EVAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from wastefactor.scenario_io import PRESET_DIR_ENV, serialize_scenario
 from wastefactor.sweeps import CURVE_CSV_HEADER
@@ -12,6 +17,15 @@ from wastefactor.netsim import NETSIM_CSV_HEADER
 from wastefactor.transceiver import mmwave_28
 
 _GOLDEN = Path(__file__).parent / "golden"
+_SRC = Path(wastefactor.__file__).resolve().parents[1]
+
+# Runs `main(argv)` in a fresh interpreter where any numpy import fails.
+_WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from wastefactor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 _DEMO_CHAIN = """\
 passive mixer loss=6dB
@@ -94,6 +108,9 @@ class TestExitCodes:
             (["netsim", "--threads", "4"], "--threads"),
             (["sweep-bw", "--snr", "nan"], "--snr"),
             (["sweep-pa", "--snr", "inf"], "--snr"),
+            (["sweep-pa", "--target-cef", "nan"], "--target-cef"),
+            (["sweep-pa", "--target-cef", "0"], "--target-cef"),
+            (["sweep-pa", "--target-cef", "-1"], "--target-cef"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
@@ -300,6 +317,53 @@ class TestGoldenOutput:
         code, out = _run(["netsim", *argv])
         assert code == EXIT_OK
         assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+class TestWithoutNumpy:
+    """Link-level commands and the package import never load numpy."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["link"], "link.txt"),
+            (["table1"], "table1.txt"),
+            (["sweep-bw", "--points", "8"], None),
+            (["sweep-pa", "--points", "8", "--target-cef", "1"], None),
+            (["chain", "demo.chain"], None),
+        ],
+    )
+    def test_link_level_command_runs_with_numpy_blocked(self, argv, golden, tmp_path):
+        (tmp_path / "demo.chain").write_text(_DEMO_CHAIN, encoding="utf-8")
+        path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            encoding="utf-8",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        if golden:
+            assert proc.stdout == (_GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_network_scenario_is_one_class(self):
+        assert wastefactor.NetworkScenario is netsim.NetworkScenario
+        assert netsim.NetworkScenario is transceiver.NetworkScenario
+
+    def test_every_public_name_resolves(self):
+        for name in wastefactor.__all__:
+            getattr(wastefactor, name)
+        assert set(wastefactor.__all__) <= set(dir(wastefactor))
+
+    def test_star_import_binds_netsim_names(self):
+        namespace: dict = {}
+        exec("from wastefactor import *", namespace)
+        assert namespace["sweep_radius"] is netsim.sweep_radius
+        assert namespace["DEFAULT_RADII"] is netsim.DEFAULT_RADII
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            wastefactor.no_such_name
 
 
 class TestPresetDirectory:

@@ -190,6 +190,14 @@ class TestEfficiencyMatching:
 
     def test_unreachable_target(self):
         assert not min_matching_efficiency(1e18, _dl_140()).found
+        assert not min_matching_efficiency(math.inf, _dl_140()).found
+
+    @pytest.mark.parametrize("target", [math.nan, 0.0, -1e9])
+    def test_nan_or_non_positive_target_rejected(self, target):
+        # NaN fails every comparison, so bisection would report eta = 1;
+        # a non-positive target would report the lower bound.
+        with pytest.raises(ValueError, match="target CEF"):
+            min_matching_efficiency(target, _dl_140())
 
     def test_trivial_target_returns_floor(self):
         match = min_matching_efficiency(1.0, _dl_140(), lo=0.01)
