@@ -37,7 +37,7 @@ from .sweeps import (
     snr_matched_sample,
     sweep,
 )
-from .transceiver import LinkReport, LinkScenario, NetworkScenario, evaluate_link
+from .transceiver import LinkReport, LinkScenario, NetworkScenario, band_comparison, evaluate_link
 
 __all__ = ["main"]
 
@@ -135,12 +135,8 @@ def _table_cells(args) -> list[tuple[str, str, str, LinkReport]]:
         args.preset = saved
     cells = []
     for base in bases:
-        for direction in ("uplink", "downlink"):
-            for environment in ("los", "nlos"):
-                scenario = replace(base, direction=direction, environment=environment)
-                cells.append(
-                    (base.band.label, direction, environment, evaluate_link(scenario))
-                )
+        reports = band_comparison((base,), base.tx_power_dbm, base.distance_m).reports
+        cells += [(*key, report) for key, report in reports.items()]
     return cells
 
 

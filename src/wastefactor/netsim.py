@@ -45,6 +45,7 @@ from .transceiver import (
     TerminalProfile,
     rx_power_coefficients,
     subthz_140,
+    terminal_power,
     tx_power_coefficients,
 )
 
@@ -55,13 +56,13 @@ __all__ = [
     "DEFAULT_RADII",
     "default_network",
     "hex_layout",
-    "point_in_hex",
     "drop_ues",
     "p_los",
     "power_control",
     "simulate_network",
     "sweep_radius",
     "optimal_radius",
+    "network_csv_rows",
     "NETSIM_CSV_HEADER",
 ]
 
@@ -131,14 +132,6 @@ def hex_layout(area_m2: float, cell_radius_m: float) -> CellLayout:
             row += 1
         col += 1
     return CellLayout(cell_radius_m=r, area_side_m=side, bs_positions=tuple(positions))
-
-
-def point_in_hex(dx, dy, cell_radius_m: float):
-    """Whether offsets from a cell center fall inside its flat-top hexagon."""
-    r = cell_radius_m
-    ax, ay = np.abs(dx), np.abs(dy)
-    s3 = math.sqrt(3.0)
-    return (ax <= r) & (ay <= s3 * r / 2.0) & (s3 * ax + ay <= s3 * r + 1e-12 * r)
 
 
 def _cell_rng(seed: int, cell_idx: int, drop_idx: int) -> np.random.Generator:
@@ -279,7 +272,6 @@ class _RadioConstants:
     sector_power_w: float  # one occupied sector, cooling included
     ue_slope: float
     ue_fixed: float
-    ue_cooling: float
 
 
 def _radio_constants(s: NetworkScenario) -> _RadioConstants:
@@ -287,7 +279,6 @@ def _radio_constants(s: NetworkScenario) -> _RadioConstants:
     gain_bs = s.bs.antenna_gain_db(s.band.carrier_frequency_hz)
     eirp = power_control(s.cell_radius_m, s.band, s.target_snr_db, gain_ue, s.ple_los)
     tx_power_w = dbm_to_watts(eirp - gain_bs)
-    tx_slope, tx_fixed = tx_power_coefficients(s.band, s.bs)
     ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
     return _RadioConstants(
         eirp_dbm=eirp,
@@ -295,10 +286,9 @@ def _radio_constants(s: NetworkScenario) -> _RadioConstants:
         noise_w=dbm_to_watts(thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)),
         gain_ue_db=gain_ue,
         anchor_db=free_space_path_loss_db(s.band.carrier_frequency_hz),
-        sector_power_w=(1.0 + s.bs.cooling_overhead) * (tx_slope * tx_power_w + tx_fixed),
+        sector_power_w=terminal_power(s.bs, *tx_power_coefficients(s.band, s.bs), tx_power_w),
         ue_slope=ue_slope,
         ue_fixed=ue_fixed,
-        ue_cooling=s.ue.cooling_overhead,
     )
 
 
@@ -388,8 +378,7 @@ def _simulate_drop(
     occupancy = np.bincount(slot.ravel(), minlength=n_cells * sectors)
     bandwidth_share = s.band.bandwidth_hz / occupancy[slot]
 
-    arrival_w = dbm_to_watts(arrival_dbm)
-    ue_power = (1.0 + rc.ue_cooling) * (rc.ue_slope * arrival_w + rc.ue_fixed)
+    ue_power = terminal_power(s.ue, rc.ue_slope, rc.ue_fixed, dbm_to_watts(arrival_dbm))
 
     rate = np.sum(bandwidth_share * np.log2(1.0 + sinr), axis=1)
     occupied = np.count_nonzero(occupancy.reshape(n_cells, sectors), axis=1)

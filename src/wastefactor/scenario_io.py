@@ -487,10 +487,6 @@ def _chain_tokens(line: int, tokens: list[str]) -> dict[str, str]:
     return values
 
 
-def _antenna_gain_kind(values: dict[str, str]) -> str:
-    return "gain" if "gain" in values else "area"
-
-
 def parse_chain(text: str, source_power_w: float = 1.0) -> Cascade:
     """Parse the chain description language into a cascade.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable
 
 from .linkbudget import tx_power_for_snr_dbm
 from .transceiver import LinkReport, LinkScenario, evaluate_link
@@ -20,7 +20,7 @@ __all__ = [
     "min_matching_efficiency",
     "reference_cef",
     "snr_matched_sample",
-    "write_curve_csv",
+    "curve_csv_rows",
     "CURVE_CSV_HEADER",
 ]
 
@@ -35,6 +35,7 @@ _BISECT_REL_TOL = 1e-3
 class SweepSpec:
     """One-dimensional sweep description.
 
+    Bandwidth grids are spaced logarithmically, PA-efficiency grids linearly.
     When snr_target_db is set, transmit power is solved analytically at each
     grid point to hold the target (noise scales with bandwidth, so the solved
     power rises 3.01 dB per bandwidth doubling); points whose required EIRP
@@ -46,7 +47,6 @@ class SweepSpec:
     lo: float
     hi: float
     points: int = 64
-    spacing: str = ""  # "" picks log for bandwidth, linear for pa_efficiency
     snr_target_db: float | None = None
     eirp_ceiling_dbm: float = 75.0
 
@@ -59,14 +59,6 @@ class SweepSpec:
             raise ValueError("sweep range must be positive")
         if self.points < 2:
             raise ValueError("grid needs at least 2 points")
-        if self.spacing not in ("", "log", "linear"):
-            raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-
-    @property
-    def effective_spacing(self) -> str:
-        if self.spacing:
-            return self.spacing
-        return "log" if self.parameter == "bandwidth" else "linear"
 
     @property
     def unit(self) -> str:
@@ -124,7 +116,7 @@ class EfficiencyMatch:
 
 def _grid(spec: SweepSpec) -> list[float]:
     n = spec.points
-    if spec.effective_spacing == "log":
+    if spec.parameter == "bandwidth":
         ratio = spec.hi / spec.lo
         return [spec.lo * ratio ** (i / (n - 1)) for i in range(n)]
     step = (spec.hi - spec.lo) / (n - 1)
@@ -322,8 +314,3 @@ def curve_csv_rows(curve: Curve) -> Iterable[str]:
             f"{s.x:.10g},{curve.unit},{s.cef_bpj / 1e9:.10g},{s.rate_bps / 1e9:.10g},"
             f"{s.p_consumed_w:.10g},{s.snr_db:.10g},{'true' if s.feasible else 'false'}"
         )
-
-
-def write_curve_csv(curve: Curve, stream: TextIO) -> None:
-    for row in curve_csv_rows(curve):
-        stream.write(row + "\n")

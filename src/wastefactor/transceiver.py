@@ -53,13 +53,11 @@ __all__ = [
     "BandComparison",
     "mmwave_28",
     "subthz_140",
-    "PRESETS",
     "preset_scenario",
     "build_chain",
     "evaluate_link",
     "band_comparison",
-    "tx_terminal_power",
-    "rx_terminal_power",
+    "terminal_power",
     "tx_power_coefficients",
     "rx_power_coefficients",
 ]
@@ -346,8 +344,18 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    source_power = _source_power_w(band, tx_power_w)
+    if source_power == 0.0:
+        raise ValueError(
+            f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
+        )
     freq = band.carrier_frequency_hz
-    channel_loss = db_to_linear(scenario.path_loss_db())
+    try:
+        channel_loss = db_to_linear(scenario.path_loss_db())
+    except ValueError as exc:
+        raise ValueError(
+            f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}"
+        ) from None
     components = (
         *_transmit_components(band, tx, tx_power_w),
         make_directive("tx-antenna", db_to_linear(tx.antenna_gain_db(freq))),
@@ -355,7 +363,17 @@ def build_chain(scenario: LinkScenario) -> Cascade:
         make_directive("rx-antenna", db_to_linear(rx.antenna_gain_db(freq))),
         *_receive_components(band, rx),
     )
-    return Cascade(components=components, source_power=_source_power_w(band, tx_power_w))
+    return Cascade(components=components, source_power=source_power)
+
+
+def _fixed_draw(band: BandProfile, terminal: TerminalProfile, start: float) -> float:
+    """start + LO + converters + screen, added left to right, in watts."""
+    return (
+        start
+        + dbm_to_watts(band.lo_power_dbm)
+        + band.converter_w_per_hz * band.bandwidth_hz
+        + terminal.screen_power_w
+    )
 
 
 def tx_power_coefficients(
@@ -368,12 +386,7 @@ def tx_power_coefficients(
         source_power=_source_power_w(band, 1.0),
     )
     slope = bookkeeping_oracle(chain).total_consumed
-    fixed = (
-        dbm_to_watts(band.lo_power_dbm)
-        + band.converter_w_per_hz * band.bandwidth_hz
-        + terminal.screen_power_w
-    )
-    return slope, fixed
+    return slope, _fixed_draw(band, terminal, 0.0)
 
 
 def rx_power_coefficients(
@@ -394,34 +407,17 @@ def rx_power_coefficients(
         source_power=1.0,
     )
     ledger = bookkeeping_oracle(chain)
-    slope = sum(ledger.per_stage_dc)
-    fixed = (
-        ledger.total_non_path
-        + dbm_to_watts(band.lo_power_dbm)
-        + band.converter_w_per_hz * band.bandwidth_hz
-        + terminal.screen_power_w
-    )
-    return slope, fixed
+    return sum(ledger.per_stage_dc), _fixed_draw(band, terminal, ledger.total_non_path)
 
 
-def tx_terminal_power(
-    band: BandProfile, terminal: TerminalProfile, tx_power_w: float
-) -> float:
-    """Everything the transmitting terminal draws, cooling included."""
-    if tx_power_w <= 0.0:
-        raise ValueError("transmit power must be positive")
-    slope, fixed = tx_power_coefficients(band, terminal)
-    return (1.0 + terminal.cooling_overhead) * (slope * tx_power_w + fixed)
+def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal_w):
+    """Everything a terminal draws, cooling included, for the (slope, fixed)
+    pair of tx_power_coefficients or rx_power_coefficients.
 
-
-def rx_terminal_power(
-    band: BandProfile, terminal: TerminalProfile, arrival_power_w: float
-) -> float:
-    """Everything the receiving terminal draws, cooling included."""
-    if arrival_power_w < 0.0:
-        raise ValueError("arrival power must be >= 0")
-    slope, fixed = rx_power_coefficients(band, terminal)
-    return (1.0 + terminal.cooling_overhead) * (slope * arrival_power_w + fixed)
+    signal_w is the transmit power or the arrival power, a float or a numpy
+    array; the result has the same shape.
+    """
+    return (1.0 + terminal.cooling_overhead) * (slope * signal_w + fixed)
 
 
 def evaluate_link(scenario: LinkScenario) -> LinkReport:
@@ -447,9 +443,8 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
 
     chain = build_chain(scenario)
     arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
-    consumed = tx_terminal_power(band, tx, tx_power_w) + rx_terminal_power(
-        band, rx, arrival_w
-    )
+    tx_draw = terminal_power(tx, *tx_power_coefficients(band, tx), tx_power_w)
+    consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
 
     return LinkReport(
         waste_figure_db=10.0 * math.log10(cascade_waste_factor(chain)),

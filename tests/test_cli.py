@@ -91,6 +91,12 @@ class TestExitCodes:
         # a finite SNR target whose transmit power overflows names the target
         assert main(["sweep-bw", "--snr", "1e308"]) == EXIT_EVAL
         assert "SNR target 1e+308 dB" in capsys.readouterr().err
+        # a path loss too large for a ratio names the distance
+        assert main(["link", "--set", "link.distance=1e300 m"]) == EXIT_EVAL
+        assert "over 1e+300 m" in capsys.readouterr().err
+        # a transmit power that underflows to 0 W names the transmit power
+        assert main(["link", "--set", "link.tx_power=-5000 dBm"]) == EXIT_EVAL
+        assert "transmit power -5000 dBm" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -349,6 +355,10 @@ class TestWithoutNumpy:
     def test_network_scenario_is_one_class(self):
         assert wastefactor.NetworkScenario is netsim.NetworkScenario
         assert netsim.NetworkScenario is transceiver.NetworkScenario
+
+    def test_lazy_names_are_netsim_all(self):
+        # netsim.__all__ is the list; the package keeps a copy to avoid numpy
+        assert wastefactor._NETSIM_NAMES == set(netsim.__all__) - set(transceiver.__all__)
 
     def test_every_public_name_resolves(self):
         for name in wastefactor.__all__:

@@ -23,7 +23,6 @@ from wastefactor.netsim import (
     network_csv_rows,
     optimal_radius,
     p_los,
-    point_in_hex,
     power_control,
     simulate_network,
     sweep_radius,
@@ -108,7 +107,7 @@ def _simulate_cell(s, rc, positions, neighbors, cell_idx, drop_idx, side, totals
     bandwidth_share = s.band.bandwidth_hz / occupancy[sector]
 
     arrival_w = dbm_to_watts(arrival_dbm)
-    ue_power = (1.0 + rc.ue_cooling) * (rc.ue_slope * arrival_w + rc.ue_fixed)
+    ue_power = (1.0 + s.ue.cooling_overhead) * (rc.ue_slope * arrival_w + rc.ue_fixed)
 
     totals.rate_bps += float(np.sum(bandwidth_share * np.log2(1.0 + sinr)))
     totals.power_w += float(np.count_nonzero(occupancy) * rc.sector_power_w)
@@ -240,6 +239,15 @@ class TestHexLayout:
             hex_layout(0.0, 65.0)
         with pytest.raises(ValueError):
             hex_layout(1e6, 0.0)
+
+
+def point_in_hex(dx, dy, cell_radius_m):
+    """Oracle: whether offsets from a cell centre fall inside its flat-top
+    hexagon (the UE drops must land there)."""
+    r = cell_radius_m
+    ax, ay = np.abs(dx), np.abs(dy)
+    s3 = math.sqrt(3.0)
+    return (ax <= r) & (ay <= s3 * r / 2.0) & (s3 * ax + ay <= s3 * r + 1e-12 * r)
 
 
 class TestPointInHex:

@@ -1,5 +1,4 @@
 """Tests for sweeps.py — grids, crossover refinement, efficiency matching."""
-import io
 import math
 from dataclasses import replace
 
@@ -10,13 +9,13 @@ from wastefactor.sweeps import (
     Curve,
     SweepSample,
     SweepSpec,
+    curve_csv_rows,
     find_crossover,
     find_curve_crossing,
     min_matching_efficiency,
     reference_cef,
     snr_matched_sample,
     sweep,
-    write_curve_csv,
 )
 from wastefactor.transceiver import mmwave_28, subthz_140
 
@@ -55,10 +54,17 @@ class TestSweepSpecValidation:
             SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=0.0, hi=1e9)
 
     def test_spacing_defaults(self):
-        bw = SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=1e8, hi=1e9)
-        eta = SweepSpec(scenario=mmwave_28(), parameter="pa_efficiency", lo=0.05, hi=0.5)
-        assert bw.effective_spacing == "log"
-        assert eta.effective_spacing == "linear"
+        # bandwidth grids are logarithmic, PA-efficiency grids linear
+        bw = sweep(SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=1e8, hi=1e9, points=5))
+        eta = sweep(
+            SweepSpec(scenario=mmwave_28(), parameter="pa_efficiency", lo=0.05, hi=0.5, points=5)
+        )
+        xs = [s.x for s in bw.samples]
+        assert xs[0] == 1e8 and xs[-1] == pytest.approx(1e9, rel=1e-12)
+        assert [b / a for a, b in zip(xs, xs[1:])] == pytest.approx([10 ** 0.25] * 4, rel=1e-12)
+        xs = [s.x for s in eta.samples]
+        assert xs[0] == 0.05 and xs[-1] == pytest.approx(0.5, rel=1e-12)
+        assert [b - a for a, b in zip(xs, xs[1:])] == pytest.approx([0.1125] * 4, rel=1e-12)
 
     def test_curve_requires_increasing_x(self):
         sample = SweepSample(x=1.0, cef_bpj=1.0, rate_bps=1.0, p_consumed_w=1.0,
@@ -220,10 +226,7 @@ class TestEfficiencyMatching:
 
 class TestCurveCsv:
     def test_schema_and_rows(self):
-        curve = sweep(_bandwidth_spec(points=8))
-        stream = io.StringIO()
-        write_curve_csv(curve, stream)
-        lines = stream.getvalue().splitlines()
+        lines = list(curve_csv_rows(sweep(_bandwidth_spec(points=8))))
         assert lines[0] == CURVE_CSV_HEADER
         assert lines[0] == "x_value,unit,cef_gbpj,rate_gbps,p_consumed_w,snr_db,feasible"
         assert len(lines) == 9
@@ -233,7 +236,6 @@ class TestCurveCsv:
         float(first[0]), float(first[2]), float(first[3])  # parseable numerics
 
     def test_deterministic_output(self):
-        a, b = io.StringIO(), io.StringIO()
-        write_curve_csv(sweep(_bandwidth_spec(points=8)), a)
-        write_curve_csv(sweep(_bandwidth_spec(points=8)), b)
-        assert a.getvalue() == b.getvalue()
+        a = list(curve_csv_rows(sweep(_bandwidth_spec(points=8))))
+        b = list(curve_csv_rows(sweep(_bandwidth_spec(points=8))))
+        assert a == b

@@ -3,10 +3,22 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wastefactor.cascade import cascade_gain, cascade_waste_factor, consumed_power
-from wastefactor.linkbudget import dbm_to_watts, thermal_noise_dbm
+from wastefactor.cascade import (
+    Cascade,
+    bookkeeping_oracle,
+    cascade_gain,
+    cascade_waste_factor,
+    consumed_power,
+    make_directive,
+)
+from wastefactor.linkbudget import db_to_linear, dbm_to_watts, thermal_noise_dbm
 from wastefactor.transceiver import (
+    BASE_STATION,
+    USER_EQUIPMENT,
+    BandProfile,
+    TerminalProfile,
     band_comparison,
     build_chain,
     evaluate_link,
@@ -16,6 +28,7 @@ from wastefactor.transceiver import (
     subthz_140,
     tx_power_coefficients,
 )
+from wastefactor.transceiver import _receive_components, _source_power_w, _transmit_components
 
 # Eight-cell reference table, frozen from back-solved device parameters that
 # reproduce the published link budget (rates within 2%, received power within
@@ -211,6 +224,35 @@ class TestLinkReports:
             assert implied_nf == pytest.approx(10.0, abs=0.25)
 
 
+def _bands():
+    return st.builds(
+        BandProfile,
+        label=st.just("drawn"),
+        carrier_frequency_hz=st.floats(1e9, 1e12),
+        bandwidth_hz=st.floats(1e6, 1e10),
+        pa_efficiency=st.floats(0.01, 1.0),
+        lna_fom_per_mw=st.floats(0.1, 100.0),
+        lo_power_dbm=st.floats(-20.0, 30.0),
+        converter_w_per_hz=st.floats(0.0, 1e-9),
+        pa_gain_db=st.floats(0.0, 40.0),
+        lna_gain_db=st.floats(0.0, 40.0),
+        mixer_loss_db=st.floats(0.0, 20.0),
+        phase_shifter_loss_db=st.floats(0.0, 20.0),
+    )
+
+
+def _terminals():
+    return st.builds(
+        TerminalProfile,
+        role=st.sampled_from((BASE_STATION, USER_EQUIPMENT)),
+        aperture_m2=st.floats(1e-5, 1.0),
+        element_count=st.integers(1, 4096),
+        antenna_efficiency=st.floats(0.05, 1.0),
+        cooling_overhead=st.floats(0.0, 1.0),
+        screen_power_w=st.floats(0.0, 2.0),
+    )
+
+
 class TestTerminalPowerModel:
     def test_consumed_decomposes_into_terminal_shares(self):
         # evaluate_link charges tx slope x transmit power + rx slope x arrival
@@ -230,7 +272,31 @@ class TestTerminalPowerModel:
             tx_cool = 1.0 + s.transmitter.cooling_overhead
             rx_cool = 1.0 + s.receiver.cooling_overhead
             expected = tx_cool * (tx_slope * p_t + tx_fixed) + rx_cool * (rx_slope * arrival + rx_fixed)
-            assert report.p_consumed_w == pytest.approx(expected, rel=1e-9)
+            assert report.p_consumed_w == expected
+
+    @given(_bands(), _terminals())
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_match_inline_sums(self, band, terminal):
+        # float for float, the chain ledgers plus LO + converters + screen
+        # added left to right on each side
+        lo_w = dbm_to_watts(band.lo_power_dbm)
+        converters_w = band.converter_w_per_hz * band.bandwidth_hz
+        tx_chain = Cascade(
+            components=_transmit_components(band, terminal, 1.0),
+            source_power=_source_power_w(band, 1.0),
+        )
+        tx_slope = bookkeeping_oracle(tx_chain).total_consumed
+        tx_fixed = lo_w + converters_w + terminal.screen_power_w
+        assert tx_power_coefficients(band, terminal) == (tx_slope, tx_fixed)
+
+        antenna = make_directive(
+            "rx-antenna", db_to_linear(terminal.antenna_gain_db(band.carrier_frequency_hz))
+        )
+        ledger = bookkeeping_oracle(
+            Cascade(components=(antenna, *_receive_components(band, terminal)), source_power=1.0)
+        )
+        rx_fixed = ledger.total_non_path + lo_w + converters_w + terminal.screen_power_w
+        assert rx_power_coefficients(band, terminal) == (sum(ledger.per_stage_dc), rx_fixed)
 
     def test_consumed_power_agrees_with_chain_ledger(self):
         # the scenario-level number must equal cascade accounting plus the
