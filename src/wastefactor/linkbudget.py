@@ -96,8 +96,16 @@ def aperture_gain_db(
         raise ValueError(f"aperture must be positive, got {aperture_m2!r}")
     if not (0.0 < efficiency <= 1.0):
         raise ValueError(f"antenna efficiency must be in (0, 1], got {efficiency!r}")
-    wavelength = SPEED_OF_LIGHT / frequency_hz
-    return linear_to_db(efficiency * 4.0 * math.pi * aperture_m2 / wavelength**2)
+    try:
+        wavelength = SPEED_OF_LIGHT / frequency_hz
+        gain = efficiency * 4.0 * math.pi * aperture_m2 / wavelength**2
+    except (OverflowError, ZeroDivisionError):
+        gain = math.nan
+    if not 0.0 < gain < math.inf:
+        raise ValueError(
+            f"aperture gain of {aperture_m2:g} m2 at frequency {frequency_hz:g} Hz is out of range"
+        )
+    return linear_to_db(gain)
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

@@ -10,6 +10,10 @@ Determinism: every (cell, drop) pair owns an independent substream derived
 from the scenario seed by spawn key, so adding cells or running drops in a
 different order never reshuffles another cell's draws, and results are
 reduced by index.  Identical seeds produce identical reports byte for byte.
+Each stream is the PCG64 generator that NumPy's seed sequence seeds from the
+scenario seed and the spawn key (cell, drop), but a drop hashes the states of
+all its cells in one batch of uint32 array arithmetic and loads them in turn
+into one reused generator.
 
 A drop is whole-array work: cells with the same number of interferers sum
 their interference together, in chunks of bounded size, then the serving
@@ -27,6 +31,7 @@ cells along the seam see a slightly distorted neighbourhood.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -134,9 +139,125 @@ def hex_layout(area_m2: float, cell_radius_m: float) -> CellLayout:
     return CellLayout(cell_radius_m=r, area_side_m=side, bs_positions=tuple(positions))
 
 
-def _cell_rng(seed: int, cell_idx: int, drop_idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, drop_idx))
-    return np.random.default_rng(seq)
+# NumPy's seed-sequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation").
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """32-bit words of a non-negative integer, least significant first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"stream keys must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list[int]:
+    """start and the count constants after it; hashmix call i xors with
+    constant i and multiplies by constant i + 1."""
+    constants = [start]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+# The hash steps run on Python ints, masked, or on uint32 arrays, whose
+# products wrap silently as the hash needs: their constants are uint32 arrays
+# or Python ints below 2**32, which take the array's type.  No step makes a
+# NumPy scalar, whose products would warn on overflow.
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
+    """Mix one entropy word past the first four into each pool word (rows)."""
+    constants = _hash_constants(hash_const, _MULT_A, _POOL_SIZE)
+    a = np.array(constants, dtype=np.uint32)[:, None]
+    return _mix(pool, _hashmix(word, a[:-1], a[1:])), constants[-1]
+
+
+# generate_state(4, np.uint64) hashes eight words, cycling over the pool.
+_STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), np.uint32)[:, None]
+
+
+def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
+    """PCG64's (state, inc) seeded from four generate_state words: inc is
+    2 i + 1, then two steps from state 0 add the seed s."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _Streams:
+    """The random streams of one seed, one per (cell, drop).
+
+    Each stream is the PCG64 generator that NumPy's seed sequence of the seed
+    with spawn key (cell, drop) seeds: the seed's words (at least four), the
+    cell's word and the drop's words are hashed into a pool of four words,
+    which is hashed into PCG64's seed words.  The seed's share of the pool is
+    hashed once; states() hashes the rest for all cells of a drop at once, as
+    uint32 arrays of shape (pool word, cell), and fill() seeds a single reused
+    generator from one cell's words."""
+
+    def __init__(self, seed: int):
+        entropy = _words(seed)
+        entropy += [0] * (_POOL_SIZE - len(entropy))  # as NumPy pads under a spawn key
+        # four hashmix calls fill the pool, then twelve cross-mix it
+        a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+        calls = iter(zip(a, a[1:]))
+        pool = [_hashmix(word, *next(calls)) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
+        pool, hash_const = np.array(pool, dtype=np.uint32)[:, None], a[-1]
+        for word in entropy[_POOL_SIZE:]:
+            pool, hash_const = _absorb(pool, hash_const, word)
+        self._pool = pool
+        self._hash_const = hash_const
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def states(self, cells: np.ndarray, drop: int) -> np.ndarray:
+        """generate_state(4, np.uint64) of each cell's stream in the drop,
+        shape (cells, 4)."""
+        if len(cells) and not (cells.min() >= 0 and cells.max() <= _MASK32):
+            raise ValueError("cell indices must lie in [0, 2**32)")
+        pool, hash_const = self._pool, self._hash_const
+        for key in (cells.astype(np.uint32), *_words(drop)):
+            pool, hash_const = _absorb(pool, hash_const, key)
+        state = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+        return np.ascontiguousarray(state.T, "<u4").view("<u8")
+
+    def fill(self, words: np.ndarray, out: np.ndarray) -> None:
+        """Fill out with uniform doubles from the start of one stream."""
+        state, inc = _pcg64_state(words)
+        self._bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._generator.random(out=out)
 
 
 # Flat-top hexagon vertices, unit circumradius, counterclockwise.
@@ -168,11 +289,12 @@ def drop_ues(layout: CellLayout, ues_per_cell: int, seed: int) -> np.ndarray:
     on (seed, cell index), never on how many cells exist."""
     if ues_per_cell < 1:
         raise ValueError("ues_per_cell must be >= 1")
-    out = np.empty((layout.n_cells, ues_per_cell, 2))
-    for idx, center in enumerate(layout.bs_positions):
-        u = _cell_rng(seed, idx, 0).random((ues_per_cell, 3))
-        out[idx] = np.asarray(center) + _hex_offsets(u, layout.cell_radius_m)
-    return out
+    streams = _Streams(seed)
+    u = np.empty((layout.n_cells, ues_per_cell, 3))
+    for row, state in zip(u, streams.states(np.arange(layout.n_cells), 0)):
+        streams.fill(state, row)
+    centres = np.asarray(layout.bs_positions).reshape(-1, 1, 2)
+    return centres + _hex_offsets(u, layout.cell_radius_m)
 
 
 def p_los(distance_m, d1_m: float = 22.0, d2_m: float = 113.4):
@@ -330,8 +452,8 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _simulate_drop(
-    s: NetworkScenario, rc: _RadioConstants, chunks: list[_Chunk], n_cells: int,
-    drop_idx: int, side: float,
+    s: NetworkScenario, rc: _RadioConstants, streams: _Streams, chunks: list[_Chunk],
+    n_cells: int, drop_idx: int, side: float,
 ) -> tuple[float, float, float, int]:
     """Rate, power, summed SINR (dB) and LoS count of one drop.
 
@@ -344,11 +466,12 @@ def _simulate_drop(
     offsets = np.empty((n_cells, n, 2))
     u_serving = np.empty((n_cells, n))
     interference_w = np.zeros((n_cells, n))
+    states = streams.states(np.arange(n_cells), drop_idx)
     for chunk in chunks:
         c, k = chunk.interferers.shape[1:]
         u = np.empty((c, 4 * n + 2 * n * k))
         for row, cell in zip(u, chunk.cells.tolist()):
-            _cell_rng(s.seed, cell, drop_idx).random(out=row)
+            streams.fill(states[cell], row)
         chunk_offsets = _hex_offsets(u[:, : 3 * n].reshape(c, n, 3), s.cell_radius_m)
         offsets[chunk.cells] = chunk_offsets
         u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
@@ -399,6 +522,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario)
+    streams = _Streams(scenario.seed)
 
     drop_rates = np.empty(scenario.drops)
     drop_powers = np.empty(scenario.drops)
@@ -406,7 +530,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     los_count = 0
     for drop in range(scenario.drops):
         rate, power, sinr_db, los = _simulate_drop(
-            scenario, rc, chunks, layout.n_cells, drop, layout.area_side_m
+            scenario, rc, streams, chunks, layout.n_cells, drop, layout.area_side_m
         )
         drop_rates[drop] = rate
         drop_powers[drop] = power

@@ -97,6 +97,11 @@ class TestExitCodes:
         # a transmit power that underflows to 0 W names the transmit power
         assert main(["link", "--set", "link.tx_power=-5000 dBm"]) == EXIT_EVAL
         assert "transmit power -5000 dBm" in capsys.readouterr().err
+        # a carrier whose wavelength squared underflows or overflows names it
+        assert main(["link", "--set", "band.frequency=1e200 GHz"]) == EXIT_EVAL
+        assert "frequency 1e+209 Hz" in capsys.readouterr().err
+        assert main(["link", "--set", "band.frequency=1e-300 GHz"]) == EXIT_EVAL
+        assert "frequency 1e-291 Hz" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -1,5 +1,6 @@
 """Tests for linkbudget.py — dB arithmetic, path loss, noise, Shannon rate."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,12 @@ class TestApertureGain:
             aperture_gain_db(0.5, 28e9, efficiency=0.0)
         with pytest.raises(ValueError):
             aperture_gain_db(0.5, 28e9, efficiency=1.2)
+
+    @pytest.mark.parametrize("frequency", [1e209, 1e-291, 0.0])
+    def test_gain_out_of_range_names_the_frequency(self, frequency):
+        # the wavelength squared underflows to 0, overflows, or divides by zero
+        with pytest.raises(ValueError, match=re.escape(f"frequency {frequency:g} Hz")):
+            aperture_gain_db(0.5, frequency)
 
 
 class TestThermalNoise:

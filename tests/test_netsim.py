@@ -1,5 +1,6 @@
 """Tests for netsim.py — hex layout, UE drops, LoS model, Monte-Carlo runs."""
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,16 +29,18 @@ from wastefactor.netsim import (
     sweep_radius,
 )
 from wastefactor.netsim import (
-    _cell_rng,
+    _Streams,
     _chunks,
     _hex_offsets,
     _neighbor_lists,
     _path_loss_db,
+    _pcg64_state,
     _radio_constants,
 )
 from wastefactor.transceiver import (
     rx_power_coefficients,
     subthz_140,
+    terminal_power,
     tx_power_coefficients,
 )
 
@@ -57,6 +60,12 @@ _R65_ROW = (85, 5267331228.064204, 10063781964391.06, 1910.6035919616165,
             14.185212155870044, 0.7576313725490196, 33611857.962048545)
 _R500_ROW = (1, 470344911.84475327, 23193662155.75722, 49.3120294738359,
              -3.6066378893943734, 0.04666666666666667, 105621698.67219035)
+
+
+def _cell_rng(seed, cell_idx, drop_idx):
+    """Reference stream of one (cell, drop): NumPy's own spawn-key seeding."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, drop_idx))
+    return np.random.default_rng(seq)
 
 
 # Scalar oracle: simulate_network as a loop over cells, one cell-drop at a
@@ -291,6 +300,15 @@ class TestDropUes:
         assert mean == pytest.approx(_MEAN_CENTER_DISTANCE_R20_SEED3, rel=1e-12)
         assert mean == pytest.approx(_MEAN_CENTER_DISTANCE, rel=1e-2)
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 + 5])
+    def test_matches_per_cell_reference_streams(self, seed):
+        layout = hex_layout(1e5, 35.0)
+        expected = [
+            np.asarray(centre) + _hex_offsets(_cell_rng(seed, idx, 0).random((7, 3)), 35.0)
+            for idx, centre in enumerate(layout.bs_positions)
+        ]
+        assert np.array_equal(drop_ues(layout, 7, seed), np.array(expected))
+
     def test_rejects_zero_ues(self):
         with pytest.raises(ValueError):
             drop_ues(hex_layout(1e5, 35.0), 0, seed=1)
@@ -387,12 +405,24 @@ class TestSimulateNetwork:
         assert wrapped.cef_bpj < plain.cef_bpj
         assert wrapped.mean_sinr_db < plain.mean_sinr_db
 
-    def test_single_cell_run_matches_hand_computation(self):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radius=st.floats(min_value=20.0, max_value=500.0),
+        # squares from just above sqrt(3) r / 2 to 2.2 r a side hold one cell
+        side=st.floats(min_value=0.87, max_value=2.2),
+        ues=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**200),
+        ple=st.floats(min_value=1.5, max_value=4.0),
+    )
+    @example(radius=65.0, side=100.0 / 65.0, ues=15, seed=1, ple=2.0)
+    def test_single_cell_run_matches_hand_computation(self, radius, side, ues, seed, ple):
         # Shrink to one all-LoS cell with no interference so every quantity
-        # can be rebuilt from the public pieces: controlled EIRP, CI path
-        # loss, per-sector TDMA shares, and the two terminal power models.
+        # can be rebuilt from the public pieces at the drop_ues positions:
+        # controlled EIRP, CI path loss, per-sector TDMA shares, and the
+        # terminal power of the sectors and the UEs.
         scenario = default_network(
-            65.0, area_m2=1e4, drops=1, los_d1_m=1e9, interference=False
+            radius, area_m2=(side * radius) ** 2, drops=1, los_d1_m=1e9,
+            interference=False, ues_per_cell=ues, seed=seed, ple_los=ple,
         )
         layout = hex_layout(scenario.area_m2, scenario.cell_radius_m)
         assert layout.n_cells == 1
@@ -402,18 +432,13 @@ class TestSimulateNetwork:
         band, bs, ue = scenario.band, scenario.bs, scenario.ue
         gain_ue = ue.antenna_gain_db(band.carrier_frequency_hz)
         gain_bs = bs.antenna_gain_db(band.carrier_frequency_hz)
-        eirp = power_control(
-            scenario.cell_radius_m, band, scenario.target_snr_db, gain_ue, scenario.ple_los
-        )
+        eirp = power_control(radius, band, scenario.target_snr_db, gain_ue, ple)
         noise_w = dbm_to_watts(thermal_noise_dbm(band.bandwidth_hz, band.noise_figure_db))
 
-        offsets = (
-            drop_ues(layout, scenario.ues_per_cell, scenario.seed)[0]
-            - np.asarray(layout.bs_positions[0])
-        )
+        offsets = drop_ues(layout, ues, seed)[0] - np.asarray(layout.bs_positions[0])
         distance = np.hypot(offsets[:, 0], offsets[:, 1])
         path_loss = free_space_path_loss_db(band.carrier_frequency_hz) + (
-            10.0 * scenario.ple_los * np.log10(np.maximum(distance, 1.0))
+            10.0 * ple * np.log10(np.maximum(distance, 1.0))
         )
         arrival_dbm = eirp - path_loss
         sinr = dbm_to_watts(arrival_dbm + gain_ue) / noise_w
@@ -426,16 +451,13 @@ class TestSimulateNetwork:
             band.bandwidth_hz / occupancy[sector] * np.log2(1.0 + sinr)
         ))
 
-        tx_slope, tx_fixed = tx_power_coefficients(band, bs)
-        ue_slope, ue_fixed = rx_power_coefficients(band, ue)
-        sector_power = (1.0 + bs.cooling_overhead) * (
-            tx_slope * dbm_to_watts(eirp - gain_bs) + tx_fixed
+        sector_power = terminal_power(
+            bs, *tx_power_coefficients(band, bs), dbm_to_watts(eirp - gain_bs)
         )
-        ue_power = float(np.sum(
-            (1.0 + ue.cooling_overhead)
-            * (ue_slope * dbm_to_watts(arrival_dbm) + ue_fixed)
-        ))
-        power = int(np.count_nonzero(occupancy)) * sector_power + ue_power
+        ue_power = terminal_power(
+            ue, *rx_power_coefficients(band, ue), dbm_to_watts(arrival_dbm)
+        )
+        power = int(np.count_nonzero(occupancy)) * sector_power + float(np.sum(ue_power))
 
         assert report.throughput_bps == pytest.approx(rate, rel=1e-9)
         assert report.power_w == pytest.approx(power, rel=1e-9)
@@ -583,6 +605,73 @@ class TestScalarOracle:
             assert np.array_equal(chunk.centres, positions[chunk.cells].T)
             for i, c in enumerate(chunk.cells):
                 assert np.array_equal(chunk.interferers[:, i, :], positions[neighbors[c]].T)
+
+
+def _numpy_state(seed, cell, drop):
+    state = _cell_rng(seed, cell, drop).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _numpy_words(seed, cell, drop):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
+    return seq.generate_state(4, np.uint64).tolist()
+
+
+class TestStreams:
+    """The batched stream seeding against NumPy's SeedSequence, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**200),
+        cells=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=8),
+        drop=st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=2**32 - 2, max_value=2**32 + 2),
+            st.integers(min_value=0, max_value=2**80),
+        ),
+    )
+    @example(seed=0, cells=[0], drop=0)
+    @example(seed=1, cells=[3], drop=1)  # a single cell
+    @example(seed=2**200, cells=[2**32 - 1, 0], drop=2**70)
+    @example(seed=2**128 - 1, cells=[7], drop=2**32 + 7)
+    def test_states_match_numpy(self, seed, cells, drop):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = _Streams(seed).states(np.array(cells), drop)
+            states = [_pcg64_state(row) for row in words]
+        assert words.tolist() == [_numpy_words(seed, cell, drop) for cell in cells]
+        assert states == [_numpy_state(seed, cell, drop) for cell in cells]
+
+    def test_fill_draws_the_reference_stream(self):
+        streams = _Streams(5)
+        out = np.empty((4, 33))
+        for row, state in zip(out, streams.states(np.arange(4), 9)):
+            streams.fill(state, row)
+        expected = [_cell_rng(5, cell, 9).random(33) for cell in range(4)]
+        assert np.array_equal(out, np.array(expected))
+
+    def test_no_cells(self):
+        assert _Streams(1).states(np.arange(0), 0).shape == (0, 4)
+
+    @pytest.mark.parametrize("cells", [[2**32], [0, 2**32 + 1], [-1]])
+    def test_cell_index_out_of_range_raises(self, cells):
+        with pytest.raises(ValueError, match="cell indices"):
+            _Streams(1).states(np.array(cells), 0)
+
+    def test_negative_seed_or_drop_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _Streams(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _Streams(1).states(np.arange(3), -2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**200])
+    def test_drops_raise_no_numpy_warnings(self, seed):
+        # the hash relies on uint32 arrays wrapping silently; a scalar
+        # product would warn, and this turns the warning into a failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_network(default_network(65.0, area_m2=0.1e6, drops=2, seed=seed))
+            drop_ues(hex_layout(0.1e6, 65.0), 5, seed)
 
 
 class TestRadiusSweep:
