@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: link, table1, sweep-bw, sweep-pa, netsim, chain.  Every
-subcommand accepts --preset/--scenario/--set/--seed/--out; --set applies
-`section.key=value` overrides with the same unit syntax as scenario files.
+subcommand accepts --out; all but chain load a scenario and accept
+--preset/--scenario/--set, where --set applies `section.key=value`
+overrides with the same unit syntax as scenario files; netsim alone takes
+--seed.
 Exit codes: 0 success, 1 usage error, 2 scenario/chain parse error,
 3 evaluation failure.
 """
@@ -24,6 +26,7 @@ from .linkbudget import dbm_to_watts, linear_to_db
 from .scenario_io import (
     ScenarioParseError,
     apply_overrides,
+    as_network,
     load_scenario_file,
     parse_chain,
     resolve_preset,
@@ -81,21 +84,19 @@ def _emit(rows: Iterable[str], out_path: str | None, stream: TextIO) -> None:
         stream.write(text)
 
 
-def _load_scenario(args, default_preset: str, network: bool = False):
-    """Resolve --scenario/--preset/--set into a scenario; parse errors only."""
+def _load_scenario(
+    path: str | None, preset: str, overrides: Sequence[str], network: bool = False
+):
+    """The scenario file at path, else the preset, with overrides applied;
+    parse errors only."""
     try:
-        if args.scenario:
-            scenario = load_scenario_file(args.scenario)
-        else:
-            scenario = resolve_preset(args.preset or default_preset)
-        if network and isinstance(scenario, LinkScenario):
-            scenario = NetworkScenario(
-                band=scenario.band, bs=scenario.bs, ue=scenario.ue, cell_radius_m=65.0
-            )
-        if not network and isinstance(scenario, NetworkScenario):
+        scenario = load_scenario_file(path) if path else resolve_preset(preset)
+        if network:
+            scenario = as_network(scenario)
+        elif isinstance(scenario, NetworkScenario):
             raise _ParseFailure("this command needs a link scenario, not a network one")
-        if args.overrides:
-            scenario = apply_overrides(scenario, args.overrides)
+        if overrides:
+            scenario = apply_overrides(scenario, overrides)
     except (ScenarioParseError, OSError, ValueError) as exc:
         raise _ParseFailure(str(exc)) from exc
     return scenario
@@ -110,7 +111,7 @@ def _metric_csv(report: LinkReport) -> str:
 
 
 def cmd_link(args, stdout: TextIO) -> int:
-    scenario = _load_scenario(args, default_preset="mmwave-28")
+    scenario = _load_scenario(args.scenario, args.preset or "mmwave-28", args.overrides)
     report = evaluate_link(scenario)
     stdout.write(
         f"{scenario.band.label} {scenario.direction} {scenario.environment}"
@@ -125,16 +126,12 @@ def cmd_link(args, stdout: TextIO) -> int:
 
 def _table_cells(args) -> list[tuple[str, str, str, LinkReport]]:
     if args.scenario or (args.preset and args.preset != "both"):
-        bases = [_load_scenario(args, default_preset="mmwave-28")]
+        presets = [args.preset or "mmwave-28"]
     else:
-        saved = args.preset
-        bases = []
-        for name in ("mmwave-28", "subthz-140"):
-            args.preset = name
-            bases.append(_load_scenario(args, default_preset=name))
-        args.preset = saved
+        presets = ["mmwave-28", "subthz-140"]
     cells = []
-    for base in bases:
+    for preset in presets:
+        base = _load_scenario(args.scenario, preset, args.overrides)
         reports = band_comparison((base,), base.tx_power_dbm, base.distance_m).reports
         cells += [(*key, report) for key, report in reports.items()]
     return cells
@@ -176,7 +173,7 @@ def cmd_table1(args, stdout: TextIO) -> int:
 
 def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Curve]:
     """The scenario turned to --direction, and its curve over [lo, hi]."""
-    base = _load_scenario(args, default_preset="subthz-140")
+    base = _load_scenario(args.scenario, args.preset or "subthz-140", args.overrides)
     base = replace(base, direction=_direction(args.direction))
     spec = SweepSpec(
         scenario=base, parameter=parameter, lo=lo, hi=hi, points=args.points, snr_target_db=args.snr
@@ -187,10 +184,7 @@ def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Cu
 def cmd_sweep_bw(args, stdout: TextIO) -> int:
     base, curve = _swept(args, "bandwidth", args.lo_ghz * 1e9, args.hi_ghz * 1e9)
 
-    ref_args = argparse.Namespace(
-        scenario=None, preset=args.reference_preset, overrides=args.overrides
-    )
-    reference = _load_scenario(ref_args, default_preset="mmwave-28")
+    reference = _load_scenario(None, args.reference_preset or "mmwave-28", args.overrides)
     reference = replace(reference, direction=_direction(args.direction))
     ref_sample = snr_matched_sample(reference, snr_target_db=args.snr)
 
@@ -241,7 +235,9 @@ def cmd_netsim(args, stdout: TextIO) -> int:
     # Imported here so the link-level commands never load numpy.
     from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, sweep_radius
 
-    scenario = _load_scenario(args, default_preset="subthz-140", network=True)
+    scenario = _load_scenario(
+        args.scenario, args.preset or "subthz-140", args.overrides, network=True
+    )
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -268,9 +264,13 @@ def cmd_chain(args, stdout: TextIO) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-        cascade = parse_chain(text, source_power_w=dbm_to_watts(args.source_dbm))
+        source_w = dbm_to_watts(args.source_dbm)  # an overflow fails before parsing
+        cascade = parse_chain(text)
     except (ScenarioParseError, OSError) as exc:
         raise _ParseFailure(str(exc)) from exc
+    if source_w == 0.0:
+        raise ValueError(f"source power {args.source_dbm:g} dBm is too small to express in watts")
+    cascade = replace(cascade, source_power=source_w)
     w = cascade_waste_factor(cascade)
     gain = cascade_gain(cascade)
     consumed = consumed_power(cascade)
@@ -330,18 +330,24 @@ def _check_order(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--{lo.replace('_', '-')} must be below --{hi.replace('_', '-')}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
-    parser.add_argument("--scenario", metavar="FILE", help="scenario file to load")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-        help="override one scenario value, unit included (band.bandwidth=1 GHz)",
-    )
-    parser.add_argument("--seed", type=_SEED, help="simulation seed (netsim only)")
+def _add_common(
+    parser: argparse.ArgumentParser, scenario: bool = True, seed: bool = False
+) -> None:
+    """Each command takes only the flags it reads: the scenario flags where
+    it loads a scenario, --seed where it simulates, --out everywhere."""
+    if scenario:
+        parser.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
+        parser.add_argument("--scenario", metavar="FILE", help="scenario file to load")
+        parser.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="SECTION.KEY=VALUE",
+            help="override one scenario value, unit included (band.bandwidth=1 GHz)",
+        )
+    if seed:
+        parser.add_argument("--seed", type=_SEED, help="simulation seed")
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
 
 
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa.set_defaults(func=cmd_sweep_pa)
 
     p_net = sub.add_parser("netsim", help="hexagonal-network radius sweep")
-    _add_common(p_net)
+    _add_common(p_net, seed=True)
     p_net.add_argument(
         "--radius",
         type=_RADIUS,
@@ -405,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.set_defaults(func=cmd_netsim)
 
     p_chain = sub.add_parser("chain", help="evaluate a chain description file")
-    _add_common(p_chain)
+    _add_common(p_chain, scenario=False)
     p_chain.add_argument("file", help="chain description file")
-    p_chain.add_argument("--source-dbm", type=float, default=0.0)
+    p_chain.add_argument("--source-dbm", type=_FINITE, default=0.0)
     p_chain.set_defaults(func=cmd_chain)
 
     return parser

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import replace
-from importlib import resources
 from typing import Callable, Iterable
 
 from .cascade import (
@@ -47,12 +46,11 @@ __all__ = [
     "apply_overrides",
     "load_scenario_file",
     "resolve_preset",
+    "as_network",
     "PRESET_DIR_ENV",
 ]
 
 PRESET_DIR_ENV = "WASTEFACTOR_PRESET_DIR"
-
-_SECTIONS = ("band", "bs", "ue", "link", "network")
 
 
 class ScenarioParseError(ValueError):
@@ -61,7 +59,6 @@ class ScenarioParseError(ValueError):
     def __init__(self, line: int, message: str, source: str = "line") -> None:
         super().__init__(f"{source} {line}: {message}")
         self.line = line
-        self.raw_message = message
         self.source = source
 
 
@@ -88,50 +85,51 @@ _DB_UNITS: dict[str, tuple[tuple[str, float], ...]] = {
 }
 
 
-def _parse_number(line: int, text: str) -> tuple[float, str | None]:
+def _parse_number(line: int, text: str, source: str) -> tuple[float, str | None]:
     match = _QUANTITY_RE.match(text.strip())
     if match is None:
-        raise ScenarioParseError(line, f"malformed quantity {text!r}")
+        raise ScenarioParseError(line, f"malformed quantity {text!r}", source)
     try:
         value = float(match.group(1))
     except ValueError:
-        raise ScenarioParseError(line, f"malformed number in {text!r}") from None
+        raise ScenarioParseError(line, f"malformed number in {text!r}", source) from None
     return value, match.group(2)
 
 
-def parse_quantity(line: int, text: str, kind: str) -> float:
-    """Parse one unit-carrying value to its base unit (Hz, W, m, m2, dB*)."""
-    value, unit = _parse_number(line, text)
+def parse_quantity(line: int, text: str, kind: str, source: str = "line") -> float:
+    """Parse one unit-carrying value to its base unit (Hz, W, m, m2, dB*);
+    errors name `source line`, as in "line 3" or "override 1"."""
+    value, unit = _parse_number(line, text, source)
     if kind == "bare":
         if unit is not None:
-            raise ScenarioParseError(line, f"dimensionless value must not carry a unit, got {text!r}")
+            raise ScenarioParseError(
+                line, f"dimensionless value must not carry a unit, got {text!r}", source
+            )
         return value
     if kind == "fraction":
         if unit == "%":
             return value / 100.0
         if unit is None:
             return value
-        raise ScenarioParseError(line, f"expected a bare fraction or %, got {text!r}")
+        raise ScenarioParseError(line, f"expected a bare fraction or %, got {text!r}", source)
     if kind in _LINEAR_UNITS:
         table = _LINEAR_UNITS[kind] + _INPUT_ONLY_UNITS.get(kind, ())
+        names = "/".join(u for u, _ in table)
         if unit is None:
-            raise ScenarioParseError(
-                line, f"{text!r} needs a unit ({'/'.join(u for u, _ in table)})"
-            )
+            raise ScenarioParseError(line, f"{text!r} needs a unit ({names})", source)
         for name, scale in table:
             if unit == name:
                 return value * scale
-        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {'/'.join(u for u, _ in table)}")
+        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {names}", source)
     if kind in _DB_UNITS:
         table = _DB_UNITS[kind]
+        names = "/".join(u for u, _ in table)
         if unit is None:
-            raise ScenarioParseError(
-                line, f"{text!r} needs a unit ({'/'.join(u for u, _ in table)})"
-            )
+            raise ScenarioParseError(line, f"{text!r} needs a unit ({names})", source)
         for name, offset in table:
             if unit == name:
                 return value + offset
-        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {'/'.join(u for u, _ in table)}")
+        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {names}", source)
     raise ValueError(f"unknown quantity kind {kind!r}")
 
 
@@ -169,26 +167,30 @@ def _format_quantity(value: float, kind: str) -> str:
     raise ValueError(f"unknown quantity kind {kind!r}")
 
 
-def _parse_int(line: int, text: str, key: str) -> int:
-    value = parse_quantity(line, text, "bare")
+def _parse_int(line: int, text: str, key: str, source: str = "line") -> int:
+    value = parse_quantity(line, text, "bare", source)
     if value != int(value):
-        raise ScenarioParseError(line, f"{key} must be an integer, got {text!r}")
+        raise ScenarioParseError(line, f"{key} must be an integer, got {text!r}", source)
     return int(value)
 
 
-def _parse_bool(line: int, text: str, key: str) -> bool:
+def _parse_bool(line: int, text: str, key: str, source: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("on", "true", "yes", "1"):
         return True
     if lowered in ("off", "false", "no", "0"):
         return False
-    raise ScenarioParseError(line, f"{key} must be on/off, got {text!r}")
+    raise ScenarioParseError(line, f"{key} must be on/off, got {text!r}", source)
 
 
-def _parse_word(line: int, text: str, key: str, allowed: tuple[str, ...] | None = None) -> str:
+def _parse_word(
+    line: int, text: str, key: str, allowed: tuple[str, ...] | None = None, source: str = "line"
+) -> str:
     word = text.strip().strip("\"'")
     if allowed is not None and word not in allowed:
-        raise ScenarioParseError(line, f"{key} must be one of {'/'.join(allowed)}, got {word!r}")
+        raise ScenarioParseError(
+            line, f"{key} must be one of {'/'.join(allowed)}, got {word!r}", source
+        )
     return word
 
 
@@ -241,17 +243,33 @@ _NETWORK_KEYS: dict[str, tuple[str, str]] = {
     "interferer_reach": ("bare", "interferer_reach"),
 }
 
+# Section name -> (key table, scenario attribute, or None for the scenario
+# itself), in canonical order: the order files are applied and serialized.
+# [link] and [network] are the two scenario-level sections; a scenario has
+# exactly the one named by _scenario_kind.
+_SECTIONS: dict[str, tuple[dict[str, tuple[str, str]], str | None]] = {
+    "band": (_BAND_KEYS, "band"),
+    "bs": (_TERMINAL_KEYS, "bs"),
+    "ue": (_TERMINAL_KEYS, "ue"),
+    "link": (_LINK_KEYS, None),
+    "network": (_NETWORK_KEYS, None),
+}
 
-def _parse_value(line: int, text: str, kind: str, key: str):
+
+def _scenario_kind(scenario: LinkScenario | NetworkScenario) -> str:
+    return "network" if isinstance(scenario, NetworkScenario) else "link"
+
+
+def _parse_value(line: int, text: str, kind: str, key: str, source: str):
     if kind == "int":
-        return _parse_int(line, text, key)
+        return _parse_int(line, text, key, source)
     if kind == "bool":
-        return _parse_bool(line, text, key)
+        return _parse_bool(line, text, key, source)
     if kind == "word":
-        return _parse_word(line, text, key)
+        return _parse_word(line, text, key, source=source)
     if kind.startswith("word:"):
-        return _parse_word(line, text, key, tuple(kind[5:].split("/")))
-    return parse_quantity(line, text, kind)
+        return _parse_word(line, text, key, tuple(kind[5:].split("/")), source)
+    return parse_quantity(line, text, kind, source)
 
 
 def _strip_comment(raw: str) -> str:
@@ -297,25 +315,46 @@ def _collect_sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
-def _apply_section(
-    obj,
-    entries: dict[str, tuple[int, str]],
-    table: dict[str, tuple[str, str]],
-    section: str,
-):
-    updates = {}
-    for key, (lineno, raw) in entries.items():
-        if key not in table:
-            raise ScenarioParseError(lineno, f"unknown key {key!r} in [{section}]")
-        kind, field_name = table[key]
-        updates[field_name] = _parse_value(lineno, raw, kind, key)
-    if not updates:
-        return obj
-    try:
-        return replace(obj, **updates)
-    except ValueError as exc:
-        first_line = min(lineno for lineno, _ in entries.values())
-        raise ScenarioParseError(first_line, f"invalid [{section}] values: {exc}") from exc
+def _apply_sections(
+    scenario: LinkScenario | NetworkScenario,
+    sections: Iterable[tuple[str, dict[str, tuple[int, str]]]],
+    source: str,
+) -> LinkScenario | NetworkScenario:
+    """Apply (section, {key: (position, raw value)}) pairs in the order given;
+    errors name `source position`, the line of a file or the index of an
+    override."""
+    kind = _scenario_kind(scenario)
+    for section, entries in sections:
+        table, attr = _SECTIONS[section]
+        if attr is None and section != kind:
+            first = min(position for position, _ in entries.values())
+            raise ScenarioParseError(
+                first, f"{section} keys do not apply to a {kind} scenario", source
+            )
+        updates = {}
+        for key, (position, raw) in entries.items():
+            if key not in table:
+                raise ScenarioParseError(position, f"unknown key {key!r} in [{section}]", source)
+            value_kind, field_name = table[key]
+            updates[field_name] = _parse_value(position, raw, value_kind, key, source)
+        if not updates:
+            continue
+        target = scenario if attr is None else getattr(scenario, attr)
+        try:
+            target = replace(target, **updates)
+        except ValueError as exc:
+            first = min(position for position, _ in entries.values())
+            raise ScenarioParseError(first, f"invalid [{section}] values: {exc}", source) from exc
+        scenario = target if attr is None else replace(scenario, **{attr: target})
+    return scenario
+
+
+def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
+    """A network scenario as is; a link scenario's band and terminals in a
+    network of the default 65 m cells."""
+    if isinstance(scenario, NetworkScenario):
+        return scenario
+    return NetworkScenario(band=scenario.band, bs=scenario.bs, ue=scenario.ue, cell_radius_m=65.0)
 
 
 def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
@@ -326,53 +365,44 @@ def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
         raise ScenarioParseError(lineno, "a scenario cannot have both [link] and [network]")
 
     is_network = "network" in sections
-    band_entries = dict(sections.get("band", {}))
     preset_name = "subthz-140" if is_network else "mmwave-28"
-    if "preset" in band_entries:
-        lineno, raw = band_entries.pop("preset")
+    if "preset" in sections.get("band", {}):
+        lineno, raw = sections["band"].pop("preset")
         preset_name = _parse_word(lineno, raw, "preset")
         try:
             preset_scenario(preset_name)
         except ValueError as exc:
             raise ScenarioParseError(lineno, str(exc)) from exc
     base = preset_scenario(preset_name)
-
-    band = _apply_section(base.band, band_entries, _BAND_KEYS, "band")
-    bs = _apply_section(base.bs, sections.get("bs", {}), _TERMINAL_KEYS, "bs")
-    ue = _apply_section(base.ue, sections.get("ue", {}), _TERMINAL_KEYS, "ue")
-
     if is_network:
-        scenario = NetworkScenario(band=band, bs=bs, ue=ue, cell_radius_m=65.0)
-        return _apply_section(scenario, sections["network"], _NETWORK_KEYS, "network")
-    link = replace(base, band=band, bs=bs, ue=ue)
-    return _apply_section(link, sections.get("link", {}), _LINK_KEYS, "link")
+        base = as_network(base)
+    return _apply_sections(
+        base, ((name, sections[name]) for name in _SECTIONS if name in sections), "line"
+    )
 
 
-def _serialize_section(name: str, obj, table: dict[str, tuple[str, str]]) -> list[str]:
+def _serialize_section(name: str, obj, table: dict[str, tuple[str, str]]) -> str:
     lines = [f"[{name}]"]
     for key, (kind, field_name) in table.items():
         value = getattr(obj, field_name)
-        if kind == "int":
-            lines.append(f"{key} = {value}")
-        elif kind == "bool":
+        if kind == "bool":
             lines.append(f"{key} = {'on' if value else 'off'}")
-        elif kind == "word" or kind.startswith("word:"):
+        elif kind == "int" or kind.startswith("word"):
             lines.append(f"{key} = {value}")
         else:
             lines.append(f"{key} = {_format_quantity(value, kind)}")
-    return lines
+    return "\n".join(lines)
 
 
 def serialize_scenario(scenario: LinkScenario | NetworkScenario) -> str:
     """Canonical text form; parse(serialize(s)) reconstructs s exactly."""
-    lines = _serialize_section("band", scenario.band, _BAND_KEYS)
-    lines += [""] + _serialize_section("bs", scenario.bs, _TERMINAL_KEYS)
-    lines += [""] + _serialize_section("ue", scenario.ue, _TERMINAL_KEYS)
-    if isinstance(scenario, NetworkScenario):
-        lines += [""] + _serialize_section("network", scenario, _NETWORK_KEYS)
-    else:
-        lines += [""] + _serialize_section("link", scenario, _LINK_KEYS)
-    return "\n".join(lines) + "\n"
+    kind = _scenario_kind(scenario)
+    blocks = [
+        _serialize_section(name, scenario if attr is None else getattr(scenario, attr), table)
+        for name, (table, attr) in _SECTIONS.items()
+        if attr is not None or name == kind
+    ]
+    return "\n\n".join(blocks) + "\n"
 
 
 def apply_overrides(
@@ -404,41 +434,8 @@ def apply_overrides(
                 index, f"duplicate override for {section}.{key}", source="override"
             )
         entries[key] = (index, value.strip())
-
-    is_network = isinstance(scenario, NetworkScenario)
-    tables = {
-        "band": (_BAND_KEYS, "band"),
-        "bs": (_TERMINAL_KEYS, "bs"),
-        "ue": (_TERMINAL_KEYS, "ue"),
-        "link": (_LINK_KEYS, None),
-        "network": (_NETWORK_KEYS, None),
-    }
-    try:
-        for section, entries in grouped.items():
-            if section == "link" and is_network:
-                raise ScenarioParseError(
-                    min(i for i, _ in entries.values()),
-                    "link keys do not apply to a network scenario",
-                    source="override",
-                )
-            if section == "network" and not is_network:
-                raise ScenarioParseError(
-                    min(i for i, _ in entries.values()),
-                    "network keys do not apply to a link scenario",
-                    source="override",
-                )
-            table, attr = tables[section]
-            if attr is None:
-                scenario = _apply_section(scenario, entries, table, section)
-            else:
-                scenario = replace(
-                    scenario, **{attr: _apply_section(getattr(scenario, attr), entries, table, section)}
-                )
-    except ScenarioParseError as exc:
-        if exc.source == "override":
-            raise
-        raise ScenarioParseError(exc.line, exc.raw_message, source="override") from None
-    return scenario
+    # Sections apply in the order each was first given, not file order.
+    return _apply_sections(scenario, grouped.items(), "override")
 
 
 def load_scenario_file(path: str) -> LinkScenario | NetworkScenario:
@@ -448,7 +445,7 @@ def load_scenario_file(path: str) -> LinkScenario | NetworkScenario:
 
 def resolve_preset(name: str) -> LinkScenario | NetworkScenario:
     """Preset by name: built-in first, then <name>.scenario in the directory
-    named by WASTEFACTOR_PRESET_DIR, then the bundled preset files."""
+    named by WASTEFACTOR_PRESET_DIR."""
     try:
         return preset_scenario(name)
     except ValueError:
@@ -459,9 +456,6 @@ def resolve_preset(name: str) -> LinkScenario | NetworkScenario:
         candidate = os.path.join(env_dir, filename)
         if os.path.exists(candidate):
             return load_scenario_file(candidate)
-    bundle = resources.files("wastefactor") / "presets" / filename
-    if bundle.is_file():
-        return parse_scenario(bundle.read_text(encoding="utf-8"))
     raise ValueError(f"unknown preset {name!r} and no {filename} found")
 
 

@@ -30,6 +30,9 @@ CURVE_CSV_HEADER = "x_value,unit,cef_gbpj,rate_gbps,p_consumed_w,snr_db,feasible
 
 _BISECT_REL_TOL = 1e-3
 
+# Sample points whose EIRP exceeds this are evaluated but flagged infeasible.
+_EIRP_CEILING_DBM = 75.0
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -39,7 +42,7 @@ class SweepSpec:
     When snr_target_db is set, transmit power is solved analytically at each
     grid point to hold the target (noise scales with bandwidth, so the solved
     power rises 3.01 dB per bandwidth doubling); points whose required EIRP
-    exceeds eirp_ceiling_dbm are evaluated anyway but flagged infeasible.
+    exceeds 75 dBm are evaluated anyway but flagged infeasible.
     """
 
     scenario: LinkScenario
@@ -48,7 +51,6 @@ class SweepSpec:
     hi: float
     points: int = 64
     snr_target_db: float | None = None
-    eirp_ceiling_dbm: float = 75.0
 
     def __post_init__(self) -> None:
         if self.parameter not in SWEEPABLE:
@@ -89,10 +91,8 @@ class Curve:
     samples: tuple[SweepSample, ...]
     band_label: str
     direction: str
+    evaluator: Callable[[float], SweepSample] = field(compare=False, repr=False)
     snr_target_db: float | None = None
-    evaluator: Callable[[float], SweepSample] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         xs = [s.x for s in self.samples]
@@ -129,9 +129,7 @@ def _apply(scenario: LinkScenario, parameter: str, x: float) -> LinkScenario:
     return replace(scenario, band=replace(scenario.band, pa_efficiency=x))
 
 
-def _evaluate_point(
-    scenario: LinkScenario, x: float, snr_target_db: float | None, eirp_ceiling_dbm: float
-) -> SweepSample:
+def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | None) -> SweepSample:
     """Evaluate a scenario already set to x, solving transmit power for the
     SNR target when one is given."""
     feasible = True
@@ -148,7 +146,7 @@ def _evaluate_point(
             rx_gain,
         )
         scenario = replace(scenario, tx_power_dbm=tx_power)
-        feasible = tx_power + tx_gain <= eirp_ceiling_dbm
+        feasible = tx_power + tx_gain <= _EIRP_CEILING_DBM
     try:
         report: LinkReport = evaluate_link(scenario)
     except ValueError as exc:
@@ -157,7 +155,7 @@ def _evaluate_point(
         # the transmit power was derived from the target, so name the target
         raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     if snr_target_db is None:
-        feasible = report.eirp_dbm <= eirp_ceiling_dbm
+        feasible = report.eirp_dbm <= _EIRP_CEILING_DBM
     return SweepSample(
         x=x,
         cef_bpj=report.cef_bpj,
@@ -173,7 +171,7 @@ def sweep(spec: SweepSpec) -> Curve:
 
     def evaluate(x: float) -> SweepSample:
         scenario = _apply(spec.scenario, spec.parameter, x)
-        return _evaluate_point(scenario, x, spec.snr_target_db, spec.eirp_ceiling_dbm)
+        return _evaluate_point(scenario, x, spec.snr_target_db)
 
     return Curve(
         parameter=spec.parameter,
@@ -202,45 +200,28 @@ def _refine(
 
 
 def _crossing(
-    curve: Curve,
-    on_grid: Callable[[int], bool],
-    between: Callable[[float], bool] | None,
-    fallback: Callable[[int], CrossoverResult],
+    curve: Curve, on_grid: Callable[[int], bool], between: Callable[[float], bool]
 ) -> CrossoverResult:
     """Smallest x where a test first holds along `curve`: on_grid(i) on grid
-    sample i finds the bracket, `between` (the test at any x) bisects it, and
-    fallback(i) answers from the grid when there is no `between`."""
+    sample i finds the bracket and `between` (the test at any x) bisects it."""
     samples = curve.samples
     first = next((i for i in range(len(samples)) if on_grid(i)), None)
     if first is None:
         return CrossoverResult(found=False)
     if first == 0:
         return CrossoverResult(found=True, x=samples[0].x, cef_bpj=samples[0].cef_bpj)
-    if between is None:
-        return fallback(first)
     x = _refine(samples[first - 1].x, samples[first].x, between)
     return CrossoverResult(found=True, x=x, cef_bpj=curve.evaluator(x).cef_bpj)
 
 
 def find_crossover(curve: Curve, reference_cef_bpj: float) -> CrossoverResult:
-    """Smallest x where the curve reaches the reference CEF.
-
-    Grid points bracket the crossing; when the curve carries an evaluator the
-    bracket is refined by bisection, otherwise CEF is interpolated linearly
-    in x between the two bracketing samples.
-    """
+    """Smallest x where the curve reaches the reference CEF: grid points
+    bracket the crossing and the curve's evaluator bisects the bracket."""
     samples, evaluator = curve.samples, curve.evaluator
-
-    def interpolate(i: int) -> CrossoverResult:
-        lo, hi = samples[i - 1], samples[i]
-        frac = (reference_cef_bpj - lo.cef_bpj) / (hi.cef_bpj - lo.cef_bpj)
-        return CrossoverResult(found=True, x=lo.x + frac * (hi.x - lo.x), cef_bpj=reference_cef_bpj)
-
     return _crossing(
         curve,
         lambda i: samples[i].cef_bpj >= reference_cef_bpj,
-        None if evaluator is None else lambda v: evaluator(v).cef_bpj >= reference_cef_bpj,
-        interpolate,
+        lambda v: evaluator(v).cef_bpj >= reference_cef_bpj,
     )
 
 
@@ -250,23 +231,17 @@ def find_curve_crossing(a: Curve, b: Curve) -> CrossoverResult:
         sa.x != sb.x for sa, sb in zip(a.samples, b.samples)
     ):
         raise ValueError("curves must share the same grid")
-    ea, eb = a.evaluator, b.evaluator
     return _crossing(
         a,
         lambda i: a.samples[i].cef_bpj >= b.samples[i].cef_bpj,
-        None if ea is None or eb is None else lambda v: ea(v).cef_bpj >= eb(v).cef_bpj,
-        lambda i: CrossoverResult(found=True, x=a.samples[i].x, cef_bpj=a.samples[i].cef_bpj),
+        lambda v: a.evaluator(v).cef_bpj >= b.evaluator(v).cef_bpj,
     )
 
 
-def snr_matched_sample(
-    scenario: LinkScenario,
-    snr_target_db: float | None = None,
-    eirp_ceiling_dbm: float = 75.0,
-) -> SweepSample:
+def snr_matched_sample(scenario: LinkScenario, snr_target_db: float | None = None) -> SweepSample:
     """Evaluate a scenario at its own bandwidth with the same power-solving
     rules a sweep uses, so crossover references and curves stay comparable."""
-    return _evaluate_point(scenario, scenario.band.bandwidth_hz, snr_target_db, eirp_ceiling_dbm)
+    return _evaluate_point(scenario, scenario.band.bandwidth_hz, snr_target_db)
 
 
 def reference_cef(scenario: LinkScenario, pa_efficiency: float | None = None) -> float:

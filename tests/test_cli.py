@@ -36,6 +36,14 @@ antenna horn gain=15.17dBi
 lna front gain=20dB fom=24.83 count=8
 """
 
+# Golden stdout files and the argv each was recorded from.
+_GOLDEN_ARGV = {
+    "link": ["link"],
+    "table1": ["table1"],
+    "sweep-bw": ["sweep-bw", "--points", "8"],
+    "sweep-pa": ["sweep-pa", "--points", "8", "--target-cef", "1"],
+}
+
 
 def _run(argv):
     stream = io.StringIO()
@@ -82,7 +90,7 @@ class TestExitCodes:
         assert main(["chain", str(path)]) == EXIT_PARSE
         assert "line 1" in capsys.readouterr().err
 
-    def test_evaluation_failure(self, capsys):
+    def test_evaluation_failure(self, tmp_path, capsys):
         # parses, but 4000 dBm overflows the watts conversion
         assert main(["link", "--set", "link.tx_power=4000 dBm"]) == EXIT_EVAL
         err = capsys.readouterr().err
@@ -102,6 +110,11 @@ class TestExitCodes:
         assert "frequency 1e+209 Hz" in capsys.readouterr().err
         assert main(["link", "--set", "band.frequency=1e-300 GHz"]) == EXIT_EVAL
         assert "frequency 1e-291 Hz" in capsys.readouterr().err
+        # a chain source power that underflows to 0 W names the dBm value
+        chain = tmp_path / "demo.chain"
+        chain.write_text(_DEMO_CHAIN, encoding="utf-8")
+        assert main(["chain", str(chain), "--source-dbm=-1e308"]) == EXIT_EVAL
+        assert "source power -1e+308 dBm" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -122,9 +135,29 @@ class TestExitCodes:
             (["sweep-pa", "--target-cef", "nan"], "--target-cef"),
             (["sweep-pa", "--target-cef", "0"], "--target-cef"),
             (["sweep-pa", "--target-cef", "-1"], "--target-cef"),
+            (["chain", "demo.chain", "--source-dbm", "nan"], "--source-dbm"),
+            (["chain", "demo.chain", "--source-dbm", "inf"], "--source-dbm"),
+            (["chain", "demo.chain", "--source-dbm=-inf"], "--source-dbm"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chain", "demo.chain", "--preset", "mmwave-28"], "--preset"),
+            (["chain", "demo.chain", "--set", "band.bandwidth=1 GHz"], "--set"),
+            (["chain", "demo.chain", "--scenario", "x.scenario"], "--scenario"),
+            (["chain", "demo.chain", "--seed", "1"], "--seed"),
+            (["link", "--seed", "1"], "--seed"),
+            (["table1", "--seed", "1"], "--seed"),
+            (["sweep-bw", "--seed", "1"], "--seed"),
+            (["sweep-pa", "--seed", "1"], "--seed"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, flag, capsys):
         assert main(argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
@@ -294,11 +327,20 @@ class TestChainCommand:
 class TestGoldenOutput:
     """Byte-for-byte reports for the default presets, recorded in tests/golden."""
 
-    @pytest.mark.parametrize("command", ["link", "table1"])
+    @pytest.mark.parametrize("command", list(_GOLDEN_ARGV))
     def test_stdout_matches_golden(self, command):
-        code, out = _run([command])
+        code, out = _run(_GOLDEN_ARGV[command])
         assert code == EXIT_OK
         assert out == (_GOLDEN / f"{command}.txt").read_text(encoding="utf-8")
+
+    def test_chain_matches_golden(self, tmp_path):
+        chain = tmp_path / "demo.chain"
+        chain.write_text(_DEMO_CHAIN, encoding="utf-8")
+        path = tmp_path / "chain.csv"
+        code, out = _run(["chain", str(chain), "--out", str(path)])
+        assert code == EXIT_OK
+        assert out == (_GOLDEN / "chain.txt").read_text(encoding="utf-8")
+        assert path.read_bytes() == (_GOLDEN / "chain.csv").read_bytes()
 
     def test_link_csv_matches_golden(self, tmp_path):
         path = tmp_path / "link.csv"
@@ -338,9 +380,9 @@ class TestWithoutNumpy:
         [
             (["link"], "link.txt"),
             (["table1"], "table1.txt"),
-            (["sweep-bw", "--points", "8"], None),
-            (["sweep-pa", "--points", "8", "--target-cef", "1"], None),
-            (["chain", "demo.chain"], None),
+            (["sweep-bw", "--points", "8"], "sweep-bw.txt"),
+            (["sweep-pa", "--points", "8", "--target-cef", "1"], "sweep-pa.txt"),
+            (["chain", "demo.chain"], "chain.txt"),
         ],
     )
     def test_link_level_command_runs_with_numpy_blocked(self, argv, golden, tmp_path):
@@ -354,8 +396,7 @@ class TestWithoutNumpy:
             encoding="utf-8",
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        if golden:
-            assert proc.stdout == (_GOLDEN / golden).read_text(encoding="utf-8")
+        assert proc.stdout == (_GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_network_scenario_is_one_class(self):
         assert wastefactor.NetworkScenario is netsim.NetworkScenario

@@ -1,7 +1,6 @@
 """Tests for scenario_io.py — scenario files, overrides, presets, chain DSL."""
 import math
 from dataclasses import replace
-from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -268,18 +267,48 @@ class TestOverrides:
         with pytest.raises(ScenarioParseError):
             apply_overrides(mmwave_28(), ["band.bandwidth=1 GHz", "band.bandwidth=2 GHz"])
 
+    def test_overrides_apply_in_the_order_given(self):
+        with pytest.raises(ScenarioParseError) as err:
+            apply_overrides(mmwave_28(), ["link.environment=indoor", "band.pa_efficiency=1.2"])
+        assert str(err.value) == "override 1: environment must be one of los/nlos, got 'indoor'"
+        with pytest.raises(ScenarioParseError) as err:
+            apply_overrides(mmwave_28(), ["ue.aperture=-1 m2", "bs.aperture=-2 m2"])
+        assert str(err.value) == "override 1: invalid [ue] values: aperture must be positive"
+
+    def test_file_sections_apply_in_canonical_order(self):
+        text = "[link]\nenvironment = indoor\n[band]\npa_efficiency = 1.2\n"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert str(err.value) == (
+            "line 4: invalid [band] values: mmwave-28: PA efficiency must be in (0, 1]"
+        )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("band", "bandwidth", "1 furlong"),
+            ("bs", "elements", "2.5"),
+            ("link", "environment", "indoor"),
+            ("network", "interference", "maybe"),
+            ("band", "pa_efficiency", "1.2"),
+        ],
+    )
+    def test_file_and_override_messages_agree(self, section, key, value):
+        with pytest.raises(ScenarioParseError) as from_file:
+            parse_scenario(f"[{section}]\n{key} = {value}\n")
+        base = parse_scenario("[network]\n") if section == "network" else mmwave_28()
+        with pytest.raises(ScenarioParseError) as from_override:
+            apply_overrides(base, [f"{section}.{key}={value}"])
+        file_message, override_message = str(from_file.value), str(from_override.value)
+        assert file_message.startswith("line 2: ")
+        assert override_message.startswith("override 1: ")
+        assert file_message.removeprefix("line 2: ") == override_message.removeprefix("override 1: ")
+
 
 class TestPresets:
     def test_builtin_names(self):
         assert resolve_preset("mmwave-28") == mmwave_28()
         assert resolve_preset("subthz-140") == subthz_140()
-
-    def test_bundled_files_match_code(self):
-        for name, factory in (("mmwave-28", mmwave_28), ("subthz-140", subthz_140)):
-            text = (resources.files("wastefactor") / "presets" / f"{name}.scenario").read_text(
-                encoding="utf-8"
-            )
-            assert parse_scenario(text) == factory()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             Curve(parameter="bandwidth", unit="Hz",
                   samples=(sample, replace(sample, x=0.5)),
-                  band_label="x", direction="uplink")
+                  band_label="x", direction="uplink", evaluator=lambda x: sample)
 
 
 class TestSweepEvaluation:
@@ -103,13 +103,14 @@ class TestSweepEvaluation:
         assert all(a < b for a, b in zip(powers, powers[1:]))
 
     def test_eirp_ceiling_flags_infeasible(self):
+        # 60 dB needs more than the 75 dBm EIRP ceiling at the wide channels
         scenario = _dl_140()
         spec = SweepSpec(
             scenario=scenario, parameter="bandwidth", lo=0.1e9, hi=10e9,
-            points=16, snr_target_db=20.0, eirp_ceiling_dbm=40.0,
+            points=16, snr_target_db=60.0,
         )
         curve = sweep(spec)
-        assert any(not s.feasible for s in curve.samples)
+        assert sum(not s.feasible for s in curve.samples) == 6
         assert all(math.isfinite(s.cef_bpj) for s in curve.samples)
 
     def test_evaluator_consistent_with_grid(self):
