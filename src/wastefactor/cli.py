@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: link, table1, sweep-bw, sweep-pa, netsim, chain.  Every
-subcommand accepts --out; all but chain load a scenario and accept
---preset/--scenario/--set, where --set applies `section.key=value`
+subcommand accepts --out; all but chain load a scenario and accept --preset
+or --scenario (not both) and --set, where --set applies `section.key=value`
 overrides with the same unit syntax as scenario files; netsim alone takes
---seed.
+--seed.  A negative flag value may take the exponent form (--snr -1e1).
 Exit codes: 0 success, 1 usage error, 2 scenario/chain parse error,
 3 evaluation failure.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence, TextIO
@@ -26,7 +27,6 @@ from .linkbudget import dbm_to_watts, linear_to_db
 from .scenario_io import (
     ScenarioParseError,
     apply_overrides,
-    as_network,
     load_scenario_file,
     parse_chain,
     resolve_preset,
@@ -40,7 +40,14 @@ from .sweeps import (
     snr_matched_sample,
     sweep,
 )
-from .transceiver import LinkReport, LinkScenario, NetworkScenario, band_comparison, evaluate_link
+from .transceiver import (
+    LinkReport,
+    LinkScenario,
+    NetworkScenario,
+    as_network,
+    band_comparison,
+    evaluate_link,
+)
 
 __all__ = ["main"]
 
@@ -321,6 +328,7 @@ _RADIUS = _checked(float, lambda v: 20.0 <= v <= 500.0, "within the studied 20-5
 _DROPS = _checked(int, lambda n: n >= 1, "at least 1")
 _SEED = _checked(int, lambda n: n >= 0, "non-negative")
 _FINITE = _checked(float, math.isfinite, "finite")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _check_order(parser: argparse.ArgumentParser, args) -> None:
@@ -336,8 +344,9 @@ def _add_common(
     """Each command takes only the flags it reads: the scenario flags where
     it loads a scenario, --seed where it simulates, --out everywhere."""
     if scenario:
-        parser.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
-        parser.add_argument("--scenario", metavar="FILE", help="scenario file to load")
+        source = parser.add_mutually_exclusive_group()
+        source.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
+        source.add_argument("--scenario", metavar="FILE", help="scenario file to load")
         parser.add_argument(
             "--set",
             dest="overrides",
@@ -416,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--source-dbm", type=_FINITE, default=0.0)
     p_chain.set_defaults(func=cmd_chain)
 
+    # argparse reads only the -12 and -1.5 forms as negative numbers, and
+    # any other word after a dash as an unknown flag; no flag here looks
+    # like a number, so "--snr -1e1" can read the exponent form too.
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -47,7 +47,7 @@ from .linkbudget import (
 from .transceiver import (
     BandProfile,
     NetworkScenario,
-    TerminalProfile,
+    as_network,
     rx_power_coefficients,
     subthz_140,
     terminal_power,
@@ -108,14 +108,7 @@ class NetworkReport:
 
 def default_network(cell_radius_m: float, **overrides) -> NetworkScenario:
     """Scenario with the 140 GHz band defaults."""
-    base = subthz_140()
-    return NetworkScenario(
-        band=base.band,
-        bs=base.bs,
-        ue=base.ue,
-        cell_radius_m=cell_radius_m,
-        **overrides,
-    )
+    return replace(as_network(subthz_140()), cell_radius_m=cell_radius_m, **overrides)
 
 
 def hex_layout(area_m2: float, cell_radius_m: float) -> CellLayout:
@@ -174,17 +167,17 @@ def _hash_constants(start: int, mult: int, count: int) -> list[int]:
     return constants
 
 
-# The hash steps run on Python ints, masked, or on uint32 arrays, whose
-# products wrap silently as the hash needs: their constants are uint32 arrays
-# or Python ints below 2**32, which take the array's type.  No step makes a
-# NumPy scalar, whose products would warn on overflow.
+# The hash steps run on uint32 arrays, whose products wrap silently as the
+# hash needs: their other operands are uint32 arrays or Python ints below
+# 2**32, which take the array's type.  No step makes a NumPy scalar, whose
+# products would warn on overflow.
 def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult & _MASK32
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
     return value ^ value >> 16
 
 
@@ -214,26 +207,17 @@ class _Streams:
     with spawn key (cell, drop) seeds: the seed's words (at least four), the
     cell's word and the drop's words are hashed into a pool of four words,
     which is hashed into PCG64's seed words.  The seed's share of the pool is
-    hashed once; states() hashes the rest for all cells of a drop at once, as
-    uint32 arrays of shape (pool word, cell), and fill() seeds a single reused
-    generator from one cell's words."""
+    NumPy's own SeedSequence(seed).pool; states() hashes the rest for all
+    cells of a drop at once, as uint32 arrays of shape (pool word, cell), and
+    fill() seeds a single reused generator from one cell's words."""
 
     def __init__(self, seed: int):
-        entropy = _words(seed)
-        entropy += [0] * (_POOL_SIZE - len(entropy))  # as NumPy pads under a spawn key
-        # four hashmix calls fill the pool, then twelve cross-mix it
-        a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-        calls = iter(zip(a, a[1:]))
-        pool = [_hashmix(word, *next(calls)) for word in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-        pool, hash_const = np.array(pool, dtype=np.uint32)[:, None], a[-1]
-        for word in entropy[_POOL_SIZE:]:
-            pool, hash_const = _absorb(pool, hash_const, word)
-        self._pool = pool
-        self._hash_const = hash_const
+        # That pool took four hash constants per pool word, then four per
+        # seed word past the fourth; the spawn key's words take the next.
+        extra = max(0, len(_words(seed)) - _POOL_SIZE)  # raises on a negative seed
+        self._pool = np.random.SeedSequence(seed).pool[:, None]
+        count = _POOL_SIZE * (_POOL_SIZE + extra)
+        self._hash_const = _hash_constants(_INIT_A, _MULT_A, count)[-1]
         self._bit_generator = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bit_generator)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import replace
+from operator import add, mul, sub, truediv
 from typing import Callable, Iterable
 
 from .cascade import (
@@ -31,10 +32,9 @@ from .cascade import (
 )
 from .linkbudget import aperture_gain_db, ci_path_loss_db, db_to_linear
 from .transceiver import (
-    BandProfile,
     LinkScenario,
     NetworkScenario,
-    TerminalProfile,
+    as_network,
     preset_scenario,
 )
 
@@ -46,7 +46,6 @@ __all__ = [
     "apply_overrides",
     "load_scenario_file",
     "resolve_preset",
-    "as_network",
     "PRESET_DIR_ENV",
 ]
 
@@ -64,134 +63,99 @@ class ScenarioParseError(ValueError):
 
 _QUANTITY_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z%][A-Za-z0-9^/-]*)?$")
 
-# Unit tables per kind, ordered largest first; serialization picks the
-# first unit that reproduces the stored float exactly.
-_LINEAR_UNITS: dict[str, tuple[tuple[str, float], ...]] = {
-    "frequency": (("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3), ("Hz", 1.0)),
-    "power": (("W", 1.0), ("mW", 1e-3)),
-    "distance": (("m", 1.0), ("km", 1e3)),
-    "area": (("m2", 1.0), ("cm2", 1e-4)),
+# The quantity kinds: (apply, written units, read-only units, error for a
+# unit on a kind that takes none).  A unit is (name, k), None naming the bare
+# number, and n in it is apply(n, k) in the base unit: Hz, W, m, m2, W/Hz,
+# dB, dBm or a bare number.  A product keeps the sign of a zero and a dB sum
+# drops it, so "-0 W" is -0.0 and "-0 dBm" is 0.0.  Writing picks the
+# shortest text, over the written units (the first on a tie), that reads back
+# to the same float; "1 km2" is shorter than "1e+06 m2", so a written km2
+# would change every serialized network scenario.
+_KINDS: dict[str, tuple[Callable, tuple, tuple, str | None]] = {
+    "bare": (truediv, ((None, 1.0),), (), "dimensionless value must not carry a unit"),
+    "fraction": (truediv, ((None, 1.0),), (("%", 100.0),), "expected a bare fraction or %"),
+    "frequency": (mul, (("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3), ("Hz", 1.0)), (), None),
+    "power": (mul, (("W", 1.0), ("mW", 1e-3)), (), None),
+    "distance": (mul, (("m", 1.0), ("km", 1e3)), (), None),
+    "area": (mul, (("m2", 1.0), ("cm2", 1e-4)), (("km2", 1e6),), None),
     # Converter density is quoted per GHz of bandwidth; stored as W/Hz.
     # The explicit W/Hz form exists so any float state serializes exactly.
-    "power_per_ghz": (("W", 1e-9), ("mW", 1e-12), ("W/Hz", 1.0)),
+    "power_per_ghz": (mul, (("W", 1e-9), ("mW", 1e-12), ("W/Hz", 1.0)), (), None),
+    "db": (add, (("dB", 0.0),), (), None),
+    "dbm": (add, (("dBm", 0.0),), (("dBW", 30.0),), None),
+    "dbi": (add, (("dBi", 0.0),), (), None),
 }
-# Units read but never written: "1 km2" is shorter than "1e+06 m2", so as a
-# table entry km2 would change every serialized network scenario.
-_INPUT_ONLY_UNITS: dict[str, tuple[tuple[str, float], ...]] = {"area": (("km2", 1e6),)}
-_DB_UNITS: dict[str, tuple[tuple[str, float], ...]] = {
-    "db": (("dB", 0.0),),
-    "dbm": (("dBm", 0.0), ("dBW", 30.0)),
-    "dbi": (("dBi", 0.0),),
-}
+_INVERSE = {truediv: mul, mul: truediv, add: sub}
+_TRUE, _FALSE = ("on", "true", "yes", "1"), ("off", "false", "no", "0")
 
 
-def _parse_number(line: int, text: str, source: str) -> tuple[float, str | None]:
+def parse_quantity(
+    line: int, text: str, kind: str | tuple[str, ...], source: str = "line", key: str = "value"
+):
+    """Parse one value: a quantity of a _KINDS kind to its base unit, or an
+    "int", a "bool", a "word", or one of a tuple of words.  Errors name
+    `source line`, as in "line 3" or "override 1", and the key where the
+    kind has no unit to name."""
+    if kind == "bool":
+        lowered = text.strip().lower()
+        if lowered in _TRUE or lowered in _FALSE:
+            return lowered in _TRUE
+        raise ScenarioParseError(line, f"{key} must be on/off, got {text!r}", source)
+    if kind == "word" or isinstance(kind, tuple):
+        word = text.strip().strip("\"'")
+        if kind != "word" and word not in kind:
+            raise ScenarioParseError(
+                line, f"{key} must be one of {'/'.join(kind)}, got {word!r}", source
+            )
+        return word
     match = _QUANTITY_RE.match(text.strip())
     if match is None:
         raise ScenarioParseError(line, f"malformed quantity {text!r}", source)
     try:
-        value = float(match.group(1))
+        number = float(match.group(1))
     except ValueError:
         raise ScenarioParseError(line, f"malformed number in {text!r}", source) from None
-    return value, match.group(2)
-
-
-def parse_quantity(line: int, text: str, kind: str, source: str = "line") -> float:
-    """Parse one unit-carrying value to its base unit (Hz, W, m, m2, dB*);
-    errors name `source line`, as in "line 3" or "override 1"."""
-    value, unit = _parse_number(line, text, source)
-    if kind == "bare":
-        if unit is not None:
-            raise ScenarioParseError(
-                line, f"dimensionless value must not carry a unit, got {text!r}", source
-            )
+    unit = match.group(2)
+    apply, written, read_only, unit_error = _KINDS["bare" if kind == "int" else kind]
+    scale = next((k for name, k in written + read_only if name == unit), None)
+    if scale is None:
+        if unit_error:
+            raise ScenarioParseError(line, f"{unit_error}, got {text!r}", source)
+        names = "/".join(name for name, _ in written + read_only)
+        if unit is None:
+            raise ScenarioParseError(line, f"{text!r} needs a unit ({names})", source)
+        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {names}", source)
+    value = apply(number, scale)
+    if kind != "int":
         return value
-    if kind == "fraction":
-        if unit == "%":
-            return value / 100.0
-        if unit is None:
-            return value
-        raise ScenarioParseError(line, f"expected a bare fraction or %, got {text!r}", source)
-    if kind in _LINEAR_UNITS:
-        table = _LINEAR_UNITS[kind] + _INPUT_ONLY_UNITS.get(kind, ())
-        names = "/".join(u for u, _ in table)
-        if unit is None:
-            raise ScenarioParseError(line, f"{text!r} needs a unit ({names})", source)
-        for name, scale in table:
-            if unit == name:
-                return value * scale
-        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {names}", source)
-    if kind in _DB_UNITS:
-        table = _DB_UNITS[kind]
-        names = "/".join(u for u, _ in table)
-        if unit is None:
-            raise ScenarioParseError(line, f"{text!r} needs a unit ({names})", source)
-        for name, offset in table:
-            if unit == name:
-                return value + offset
-        raise ScenarioParseError(line, f"unit {unit!r} is not valid here; expected {names}", source)
-    raise ValueError(f"unknown quantity kind {kind!r}")
-
-
-def _shortest_exact(scaled: float, scale: float, value: float) -> str | None:
-    """Shortest decimal string for scaled such that parsing it and scaling
-    reproduces value bit-exactly; None if no precision up to repr manages."""
-    best: str | None = None
-    for digits in range(1, 18):
-        text = f"{scaled:.{digits}g}"
-        if float(text) * scale == value and (best is None or len(text) < len(best)):
-            best = text
-    return best
-
-
-def _format_quantity(value: float, kind: str) -> str:
-    if kind in ("bare", "fraction"):
-        return _shortest_exact(value, 1.0, value) or repr(value)
-    if kind in _LINEAR_UNITS:
-        table = _LINEAR_UNITS[kind]
-        best: tuple[str, str] | None = None
-        for name, scale in table:
-            text = _shortest_exact(value / scale, scale, value)
-            if text is not None and (best is None or len(text) < len(best[0])):
-                best = (text, name)
-        if best is not None:
-            return f"{best[0]} {best[1]}"
-        # scale 1.0 units always round-trip, so only tables without a base
-        # unit can reach this; emit the last unit at full precision.
-        name, scale = table[-1]
-        return f"{value / scale!r} {name}"
-    if kind in _DB_UNITS:
-        # The first unit of every dB table has offset 0, so no arithmetic.
-        name, _ = _DB_UNITS[kind][0]
-        return f"{_shortest_exact(value, 1.0, value) or repr(value)} {name}"
-    raise ValueError(f"unknown quantity kind {kind!r}")
-
-
-def _parse_int(line: int, text: str, key: str, source: str = "line") -> int:
-    value = parse_quantity(line, text, "bare", source)
-    if value != int(value):
+    if not value.is_integer():
         raise ScenarioParseError(line, f"{key} must be an integer, got {text!r}", source)
     return int(value)
 
 
-def _parse_bool(line: int, text: str, key: str, source: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ScenarioParseError(line, f"{key} must be on/off, got {text!r}", source)
-
-
-def _parse_word(
-    line: int, text: str, key: str, allowed: tuple[str, ...] | None = None, source: str = "line"
-) -> str:
-    word = text.strip().strip("\"'")
-    if allowed is not None and word not in allowed:
-        raise ScenarioParseError(
-            line, f"{key} must be one of {'/'.join(allowed)}, got {word!r}", source
-        )
-    return word
+def _format_value(value, kind: str | tuple[str, ...]) -> str:
+    """Canonical text of a value; parse_quantity reads it back exactly."""
+    if kind == "bool":
+        return "on" if value else "off"
+    if kind not in _KINDS:
+        return f"{value}"
+    apply, written, _, _ = _KINDS[kind]
+    best: tuple[str, str | None] | None = None
+    for name, scale in written:
+        scaled = _INVERSE[apply](value, scale)
+        for digits in range(1, 18):
+            number = f"{scaled:.{digits}g}"
+            if apply(float(number), scale) == value and (
+                best is None or len(number) < len(best[0])
+            ):
+                best = (number, name)
+    if best is None:
+        # every kind has a unit of scale 1.0, which a 17-digit number always
+        # reproduces, so only NaN gets here: the last unit at full precision
+        name, scale = written[-1]
+        best = (repr(_INVERSE[apply](value, scale)), name)
+    number, name = best
+    return number if name is None else f"{number} {name}"
 
 
 # Section tables: key -> (kind, dataclass field).  "kind" drives both parsing
@@ -217,10 +181,10 @@ _TERMINAL_KEYS: dict[str, tuple[str, str]] = {
     "cooling_overhead": ("fraction", "cooling_overhead"),
     "screen_power": ("power", "screen_power_w"),
 }
-_LINK_KEYS: dict[str, tuple[str, str]] = {
+_LINK_KEYS: dict[str, tuple[str | tuple[str, ...], str]] = {
     "distance": ("distance", "distance_m"),
-    "environment": ("word:los/nlos", "environment"),
-    "direction": ("word:uplink/downlink", "direction"),
+    "environment": (("los", "nlos"), "environment"),
+    "direction": (("uplink", "downlink"), "direction"),
     "tx_power": ("dbm", "tx_power_dbm"),
     "ple_los": ("bare", "ple_los"),
     "ple_nlos": ("bare", "ple_nlos"),
@@ -258,18 +222,6 @@ _SECTIONS: dict[str, tuple[dict[str, tuple[str, str]], str | None]] = {
 
 def _scenario_kind(scenario: LinkScenario | NetworkScenario) -> str:
     return "network" if isinstance(scenario, NetworkScenario) else "link"
-
-
-def _parse_value(line: int, text: str, kind: str, key: str, source: str):
-    if kind == "int":
-        return _parse_int(line, text, key, source)
-    if kind == "bool":
-        return _parse_bool(line, text, key, source)
-    if kind == "word":
-        return _parse_word(line, text, key, source=source)
-    if kind.startswith("word:"):
-        return _parse_word(line, text, key, tuple(kind[5:].split("/")), source)
-    return parse_quantity(line, text, kind, source)
 
 
 def _strip_comment(raw: str) -> str:
@@ -336,7 +288,7 @@ def _apply_sections(
             if key not in table:
                 raise ScenarioParseError(position, f"unknown key {key!r} in [{section}]", source)
             value_kind, field_name = table[key]
-            updates[field_name] = _parse_value(position, raw, value_kind, key, source)
+            updates[field_name] = parse_quantity(position, raw, value_kind, source, key)
         if not updates:
             continue
         target = scenario if attr is None else getattr(scenario, attr)
@@ -347,14 +299,6 @@ def _apply_sections(
             raise ScenarioParseError(first, f"invalid [{section}] values: {exc}", source) from exc
         scenario = target if attr is None else replace(scenario, **{attr: target})
     return scenario
-
-
-def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
-    """A network scenario as is; a link scenario's band and terminals in a
-    network of the default 65 m cells."""
-    if isinstance(scenario, NetworkScenario):
-        return scenario
-    return NetworkScenario(band=scenario.band, bs=scenario.bs, ue=scenario.ue, cell_radius_m=65.0)
 
 
 def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
@@ -368,7 +312,7 @@ def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
     preset_name = "subthz-140" if is_network else "mmwave-28"
     if "preset" in sections.get("band", {}):
         lineno, raw = sections["band"].pop("preset")
-        preset_name = _parse_word(lineno, raw, "preset")
+        preset_name = parse_quantity(lineno, raw, "word", key="preset")
         try:
             preset_scenario(preset_name)
         except ValueError as exc:
@@ -381,16 +325,10 @@ def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
     )
 
 
-def _serialize_section(name: str, obj, table: dict[str, tuple[str, str]]) -> str:
+def _serialize_section(name: str, obj, table: dict[str, tuple]) -> str:
     lines = [f"[{name}]"]
     for key, (kind, field_name) in table.items():
-        value = getattr(obj, field_name)
-        if kind == "bool":
-            lines.append(f"{key} = {'on' if value else 'off'}")
-        elif kind == "int" or kind.startswith("word"):
-            lines.append(f"{key} = {value}")
-        else:
-            lines.append(f"{key} = {_format_quantity(value, kind)}")
+        lines.append(f"{key} = {_format_value(getattr(obj, field_name), kind)}")
     return "\n".join(lines)
 
 
@@ -461,13 +399,15 @@ def resolve_preset(name: str) -> LinkScenario | NetworkScenario:
 
 # --- chain description language ---------------------------------------------
 
-_CHAIN_FORMS: dict[str, tuple[set[str], ...]] = {
-    "passive": ({"loss"},),
-    "amp": ({"gain", "eta"},),
-    "lna": ({"gain", "fom", "count"},),
-    "antenna": ({"gain"}, {"area", "eff"}),
-    "channel": ({"pl"}, {"ci", "f", "d", "n"}),
+# Component -> its forms, each a field -> kind table; `ci` is a bare selector.
+_CHAIN_FORMS: dict[str, tuple[dict[str, str | None], ...]] = {
+    "passive": ({"loss": "db"},),
+    "amp": ({"gain": "db", "eta": "fraction"},),
+    "lna": ({"gain": "db", "fom": "bare", "count": "int"},),
+    "antenna": ({"gain": "dbi"}, {"area": "area", "eff": "fraction"}),
+    "channel": ({"pl": "db"}, {"ci": None, "f": "frequency", "d": "distance", "n": "bare"}),
 }
+
 
 def _chain_tokens(line: int, tokens: list[str]) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -489,7 +429,7 @@ def parse_chain(text: str, source_power_w: float = 1.0) -> Cascade:
     antenna needs the carrier frequency, so it requires a `channel ci` line
     somewhere in the same file; at most one channel line is allowed.
     """
-    parsed: list[tuple[int, str, str, dict[str, str]]] = []
+    parsed: list[tuple[int, str, str, dict[str, str], dict[str, str | None]]] = []
     channel_line: int | None = None
     channel_freq: float | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -517,7 +457,8 @@ def parse_chain(text: str, source_power_w: float = 1.0) -> Cascade:
         if kind == "channel" and "ci" in tokens:
             fields["ci"] = "ci"
         allowed = _CHAIN_FORMS[kind]
-        if not any(set(fields) == form for form in allowed):
+        form = next((f for f in allowed if fields.keys() == f.keys()), None)
+        if form is None:
             expected = " or ".join("{" + ", ".join(sorted(f)) + "}" for f in allowed)
             raise ScenarioParseError(
                 lineno, f"{kind} takes fields {expected}, got {{{', '.join(sorted(fields))}}}"
@@ -527,14 +468,14 @@ def parse_chain(text: str, source_power_w: float = 1.0) -> Cascade:
                 raise ScenarioParseError(lineno, "duplicate channel line")
             channel_line = lineno
             if "ci" in fields:
-                channel_freq = parse_quantity(lineno, fields["f"], "frequency")
-        parsed.append((lineno, kind, name, fields))
+                channel_freq = parse_quantity(lineno, fields["f"], form["f"])
+        parsed.append((lineno, kind, name, fields, form))
 
     components: list[Component] = []
-    for lineno, kind, name, fields in parsed:
+    for lineno, kind, name, fields, form in parsed:
         try:
             components.append(
-                _build_chain_component(lineno, kind, name, fields, channel_freq)
+                _build_chain_component(lineno, kind, name, fields, form, channel_freq)
             )
         except ScenarioParseError:
             raise
@@ -550,37 +491,42 @@ def _build_chain_component(
     kind: str,
     name: str,
     fields: dict[str, str],
+    form: dict[str, str | None],
     channel_freq: float | None,
 ) -> Component:
-    value: Callable[[str, str], float] = lambda key, k: parse_quantity(lineno, fields[key], k)
+    # Each field is parsed where it is first needed below, so a line's
+    # errors come in the order the fields are read.
+    field: Callable[[str], float] = lambda key: parse_quantity(
+        lineno, fields[key], form[key], key=key
+    )
     if kind == "passive":
-        loss_db = value("loss", "db")
+        loss_db = field("loss")
         if loss_db < 0.0:
             raise ScenarioParseError(lineno, f"passive loss must be >= 0 dB, got {loss_db}")
         return make_passive(name, db_to_linear(loss_db))
     if kind == "amp":
-        return make_amplifier(name, db_to_linear(value("gain", "db")), value("eta", "fraction"))
+        return make_amplifier(name, db_to_linear(field("gain")), field("eta"))
     if kind == "lna":
-        gain = db_to_linear(value("gain", "db"))
-        fom = value("fom", "bare")
-        count = _parse_int(lineno, fields["count"], "count")
+        gain = db_to_linear(field("gain"))
+        fom = field("fom")
+        count = field("count")
         if fom <= 0.0 or count < 1:
             raise ScenarioParseError(lineno, "lna needs fom > 0 and count >= 1")
         return make_fixed_overhead(name, gain, count * gain / fom * 1e-3)
     if kind == "antenna":
         if "gain" in fields:
-            return make_directive(name, db_to_linear(parse_quantity(lineno, fields["gain"], "dbi")))
+            return make_directive(name, db_to_linear(field("gain")))
         if channel_freq is None:
             raise ScenarioParseError(
                 lineno, "aperture-form antenna needs a `channel ci` line to fix the frequency"
             )
-        gain_db = aperture_gain_db(value("area", "area"), channel_freq, value("eff", "fraction"))
+        gain_db = aperture_gain_db(field("area"), channel_freq, field("eff"))
         return make_directive(name, db_to_linear(gain_db))
     # channel
     if "pl" in fields:
-        pl_db = value("pl", "db")
+        pl_db = field("pl")
     else:
-        pl_db = ci_path_loss_db(channel_freq, value("d", "distance"), value("n", "bare"))
+        pl_db = ci_path_loss_db(channel_freq, field("d"), field("n"))
     if pl_db < 0.0:
         raise ScenarioParseError(lineno, f"channel path loss must be >= 0 dB, got {pl_db}")
     return make_passive(name, db_to_linear(pl_db))

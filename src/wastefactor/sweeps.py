@@ -132,21 +132,17 @@ def _apply(scenario: LinkScenario, parameter: str, x: float) -> LinkScenario:
 def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | None) -> SweepSample:
     """Evaluate a scenario already set to x, solving transmit power for the
     SNR target when one is given."""
-    feasible = True
     if snr_target_db is not None:
         freq = scenario.band.carrier_frequency_hz
-        tx_gain = scenario.transmitter.antenna_gain_db(freq)
-        rx_gain = scenario.receiver.antenna_gain_db(freq)
         tx_power = tx_power_for_snr_dbm(
             snr_target_db,
             scenario.band.bandwidth_hz,
             scenario.band.noise_figure_db,
             scenario.path_loss_db(),
-            tx_gain,
-            rx_gain,
+            scenario.transmitter.antenna_gain_db(freq),
+            scenario.receiver.antenna_gain_db(freq),
         )
         scenario = replace(scenario, tx_power_dbm=tx_power)
-        feasible = tx_power + tx_gain <= _EIRP_CEILING_DBM
     try:
         report: LinkReport = evaluate_link(scenario)
     except ValueError as exc:
@@ -154,15 +150,13 @@ def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | Non
             raise
         # the transmit power was derived from the target, so name the target
         raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
-    if snr_target_db is None:
-        feasible = report.eirp_dbm <= _EIRP_CEILING_DBM
     return SweepSample(
         x=x,
         cef_bpj=report.cef_bpj,
         rate_bps=report.rate_bps,
         p_consumed_w=report.p_consumed_w,
         snr_db=report.snr_db,
-        feasible=feasible,
+        feasible=report.eirp_dbm <= _EIRP_CEILING_DBM,
     )
 
 

@@ -27,11 +27,11 @@ from .cascade import (
     Component,
     bookkeeping_oracle,
     cascade_gain,
-    cascade_waste_factor,
     make_amplifier,
     make_directive,
     make_fixed_overhead,
     make_passive,
+    waste_figure_db,
 )
 from .linkbudget import (
     aperture_gain_db,
@@ -41,7 +41,6 @@ from .linkbudget import (
     received_power_dbm,
     shannon_rate_bps,
     thermal_noise_dbm,
-    watts_to_dbm,
 )
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "TerminalProfile",
     "LinkScenario",
     "NetworkScenario",
+    "as_network",
     "LinkReport",
     "BandComparison",
     "mmwave_28",
@@ -218,6 +218,14 @@ class NetworkScenario:
             raise ValueError("seed must be non-negative")
         if self.interferer_reach <= 0.0:
             raise ValueError("interferer reach must be positive")
+
+
+def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
+    """A network scenario as is; a link scenario's band and terminals in a
+    network of the default 65 m cells."""
+    if isinstance(scenario, NetworkScenario):
+        return scenario
+    return NetworkScenario(band=scenario.band, bs=scenario.bs, ue=scenario.ue, cell_radius_m=65.0)
 
 
 @dataclass(frozen=True)
@@ -447,7 +455,7 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
 
     return LinkReport(
-        waste_figure_db=10.0 * math.log10(cascade_waste_factor(chain)),
+        waste_figure_db=waste_figure_db(chain),
         cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
         p_received_dbw=p_received - 30.0,
         snr_db=snr,

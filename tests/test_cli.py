@@ -161,6 +161,69 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["link", "table1", "sweep-bw", "sweep-pa", "netsim"])
+    def test_preset_beside_scenario_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "sub.scenario"
+        path.write_text("[band]\npreset = subthz-140\n", encoding="utf-8")
+        assert main([command, "--scenario", str(path), "--preset", "mmwave-28"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--preset" in err and "--scenario" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-pa", "--points", "4", "--snr", "{}"],
+            ["sweep-bw", "--points", "4", "--snr", "{}"],
+        ],
+        ids=["sweep-pa", "sweep-bw"],
+    )
+    def test_negative_flag_value_in_exponent_form(self, argv):
+        code, out = _run([a.format("-1e1") for a in argv])
+        assert code == EXIT_OK
+        assert (code, out) == _run([a.format("-10") for a in argv])
+
+    def test_negative_source_dbm_in_exponent_form(self, tmp_path, capsys):
+        chain = tmp_path / "demo.chain"
+        chain.write_text(_DEMO_CHAIN, encoding="utf-8")
+        assert main(["chain", str(chain), "--source-dbm", "-1e308"]) == EXIT_EVAL
+        assert "source power -1e+308 dBm" in capsys.readouterr().err
+        code, out = _run(["chain", str(chain), "--source-dbm", "-1e1"])
+        assert code == EXIT_OK
+        assert "source -10 dBm" in out
+
+    @pytest.mark.parametrize(
+        "argv, file, message",
+        [
+            (
+                ["netsim", "--set", "network.seed=1e309"],
+                None,
+                "override 1: seed must be an integer, got '1e309'",
+            ),
+            (
+                ["link", "--set", "ue.elements=-1e309"],
+                None,
+                "override 1: elements must be an integer, got '-1e309'",
+            ),
+            (
+                ["link", "--scenario", "{}"],
+                "[ue]\nelements = 1e999\n",
+                "line 2: elements must be an integer, got '1e999'",
+            ),
+            (
+                ["chain", "{}"],
+                "amp pa gain=30dB eta=0.28\nlna front gain=20dB fom=24.83 count=1e309\n",
+                "line 2: count must be an integer, got '1e309'",
+            ),
+        ],
+        ids=["set-seed", "set-elements", "scenario-file", "chain-file"],
+    )
+    def test_overflowing_integer_is_parse_error(self, argv, file, message, tmp_path, capsys):
+        path = tmp_path / "input"
+        if file is not None:
+            path.write_text(file, encoding="utf-8")
+        assert main([a.format(path) for a in argv]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err

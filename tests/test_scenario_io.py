@@ -1,6 +1,7 @@
 """Tests for scenario_io.py — scenario files, overrides, presets, chain DSL."""
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from wastefactor.scenario_io import (
     PRESET_DIR_ENV,
     ScenarioParseError,
     apply_overrides,
+    as_network,
     load_scenario_file,
     parse_chain,
     parse_quantity,
@@ -23,7 +25,15 @@ from wastefactor.scenario_io import (
     resolve_preset,
     serialize_scenario,
 )
-from wastefactor.transceiver import LinkScenario, build_chain, mmwave_28, subthz_140
+from wastefactor.transceiver import (
+    LinkScenario,
+    build_chain,
+    mmwave_28,
+    preset_scenario,
+    subthz_140,
+)
+
+_GOLDEN = Path(__file__).parent / "golden"
 
 _MESSY_SCENARIO = """\
 # demo file: comments, blank lines, and unit variety
@@ -90,6 +100,97 @@ class TestParseQuantity:
     def test_malformed_number(self):
         with pytest.raises(ScenarioParseError):
             parse_quantity(1, "fast", "frequency")
+
+
+class TestGrammarTable:
+    """Every unit of every quantity kind, pinned to the exact float (sign of
+    zero included) or the exact message."""
+
+    @pytest.mark.parametrize(
+        "text, kind, expected",
+        [
+            ("2.5", "bare", 2.5),
+            ("-0", "bare", -0.0),
+            ("2 m", "bare", "line 1: dimensionless value must not carry a unit, got '2 m'"),
+            ("0.2", "fraction", 0.2),
+            ("57 %", "fraction", 0.57),  # 57 / 100; 57 * 0.01 is one ulp above
+            ("57%", "fraction", 0.57),
+            ("-0", "fraction", -0.0),
+            ("-0 %", "fraction", -0.0),
+            ("0.2 dB", "fraction", "line 1: expected a bare fraction or %, got '0.2 dB'"),
+            ("28 GHz", "frequency", 28e9),
+            ("400 MHz", "frequency", 4e8),
+            ("2.5 kHz", "frequency", 2500.0),
+            ("7 Hz", "frequency", 7.0),
+            ("-0 GHz", "frequency", -0.0),
+            ("1e999 GHz", "frequency", math.inf),
+            ("0.4", "frequency", "line 1: '0.4' needs a unit (GHz/MHz/kHz/Hz)"),
+            ("3 m", "frequency", "line 1: unit 'm' is not valid here; expected GHz/MHz/kHz/Hz"),
+            ("1 W", "power", 1.0),
+            ("750 mW", "power", 0.75),
+            ("-0 W", "power", -0.0),
+            ("1", "power", "line 1: '1' needs a unit (W/mW)"),
+            ("1 dBm", "power", "line 1: unit 'dBm' is not valid here; expected W/mW"),
+            ("100 m", "distance", 100.0),
+            ("0.2 km", "distance", 200.0),
+            ("-0 m", "distance", -0.0),
+            ("5", "distance", "line 1: '5' needs a unit (m/km)"),
+            ("5 m2", "distance", "line 1: unit 'm2' is not valid here; expected m/km"),
+            ("0.5 m2", "area", 0.5),
+            ("5 cm2", "area", 0.0005),
+            ("2.5 km2", "area", 2.5e6),
+            ("-0 km2", "area", -0.0),
+            ("1", "area", "line 1: '1' needs a unit (m2/cm2/km2)"),
+            ("1 m", "area", "line 1: unit 'm' is not valid here; expected m2/cm2/km2"),
+            ("1 W", "power_per_ghz", 1e-9),
+            ("250 mW", "power_per_ghz", 2.5e-10),
+            ("2.5e-10 W/Hz", "power_per_ghz", 2.5e-10),
+            ("-0 W/Hz", "power_per_ghz", -0.0),
+            ("1", "power_per_ghz", "line 1: '1' needs a unit (W/mW/W/Hz)"),
+            ("1 GHz", "power_per_ghz", "line 1: unit 'GHz' is not valid here; expected W/mW/W/Hz"),
+            ("6 dB", "db", 6.0),
+            ("-0 dB", "db", 0.0),
+            ("6", "db", "line 1: '6' needs a unit (dB)"),
+            ("6 dBm", "db", "line 1: unit 'dBm' is not valid here; expected dB"),
+            ("10 dBm", "dbm", 10.0),
+            ("-30 dBW", "dbm", 0.0),
+            ("-0 dBm", "dbm", 0.0),
+            ("-0 dBW", "dbm", 30.0),
+            ("10", "dbm", "line 1: '10' needs a unit (dBm/dBW)"),
+            ("1 W", "dbm", "line 1: unit 'W' is not valid here; expected dBm/dBW"),
+            ("15 dBi", "dbi", 15.0),
+            ("-0 dBi", "dbi", 0.0),
+            ("15", "dbi", "line 1: '15' needs a unit (dBi)"),
+            ("15 dB", "dbi", "line 1: unit 'dB' is not valid here; expected dBi"),
+            ("fast", "frequency", "line 1: malformed quantity 'fast'"),
+            ("1.2.3 GHz", "frequency", "line 1: malformed number in '1.2.3 GHz'"),
+        ],
+    )
+    def test_parse(self, text, kind, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ScenarioParseError) as err:
+                parse_quantity(1, text, kind)
+            assert str(err.value) == expected
+        else:
+            value = parse_quantity(1, text, kind)
+            assert value == expected
+            assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+    def test_errors_name_their_source(self):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_quantity(2, "6", "db", "override")
+        assert str(err.value) == "override 2: '6' needs a unit (dB)"
+
+    @pytest.mark.parametrize("name", ["mmwave-28", "subthz-140"])
+    @pytest.mark.parametrize("network", [False, True], ids=["link", "network"])
+    def test_serialized_presets_match_golden(self, name, network):
+        scenario = preset_scenario(name)
+        suffix = "-network" if network else ""
+        if network:
+            scenario = as_network(scenario)
+        golden = (_GOLDEN / f"{name}{suffix}.scenario").read_text(encoding="utf-8")
+        assert serialize_scenario(scenario) == golden
+        assert parse_scenario(golden) == scenario
 
 
 class TestParseScenario:
@@ -401,6 +502,33 @@ class TestChainDsl:
 
     def test_empty_chain(self):
         assert "no components" in self._error("# nothing here\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a channel's frequency is read before any component is built
+            (
+                "amp a gain=10dB eta=2x\nchannel ci f=bad d=1m n=2\n",
+                "line 2: malformed quantity 'bad'",
+            ),
+            # the missing channel is reported before the aperture fields are read
+            (
+                "antenna x area=bad eff=0.5\n",
+                "line 1: aperture-form antenna needs a `channel ci` line to fix the frequency",
+            ),
+            # a gain too large for a ratio is reported before the later fields are read
+            (
+                "amp a gain=4000dB eta=bad\n",
+                "line 1: 4000.0 dB is too large to express as a ratio",
+            ),
+            (
+                "lna l gain=4000dB fom=bad count=x\n",
+                "line 1: 4000.0 dB is too large to express as a ratio",
+            ),
+        ],
+    )
+    def test_error_order(self, text, message):
+        assert self._error(text) == message
 
     def test_gain_form_antenna(self):
         chain = parse_chain("antenna x gain=15dBi\n")
