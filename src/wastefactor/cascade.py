@@ -54,8 +54,7 @@ class Component:
     directive: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"{self.label}: gain must be positive and finite, got {self.gain!r}")
+        _require_gain(self.label, self.gain)
         if not math.isfinite(self.waste_factor):
             raise ValueError(f"{self.label}: waste factor must be finite, got {self.waste_factor!r}")
         if self.waste_factor < 1.0:
@@ -67,6 +66,11 @@ class Component:
             )
         if not (math.isfinite(self.non_path_power) and self.non_path_power >= 0.0):
             raise ValueError(f"{self.label}: non-path power must be >= 0 W")
+
+
+def _require_gain(label: str, gain: float) -> None:
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ValueError(f"{label}: gain must be positive and finite, got {gain!r}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,7 @@ def make_directive(label: str, gain: float) -> Component:
 
     A sub-unity directive gain degenerates to a lossy passive.
     """
+    _require_gain(label, gain)
     waste = 1.0 if gain >= 1.0 else 1.0 / gain
     return Component(label=label, gain=gain, waste_factor=waste, directive=True)
 

@@ -19,6 +19,7 @@ numpy; `netsim` runs it and re-exports it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +66,10 @@ __all__ = [
 BASE_STATION = "base-station"
 USER_EQUIPMENT = "user-equipment"
 
+# Entries held by each terminal-power slope cache.  A PA-efficiency grid over
+# four element counts needs 256 transmit keys; each bisection adds a few more.
+_SLOPE_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class BandProfile:
@@ -102,7 +107,11 @@ class BandProfile:
     @property
     def lna_dc_w(self) -> float:
         """Supply draw of one LNA: gain_linear / FoM, in watts."""
-        return db_to_linear(self.lna_gain_db) / self.lna_fom_per_mw * 1e-3
+        return _lna_dc_w(self.lna_gain_db, self.lna_fom_per_mw)
+
+
+def _lna_dc_w(lna_gain_db: float, lna_fom_per_mw: float) -> float:
+    return db_to_linear(lna_gain_db) / lna_fom_per_mw * 1e-3
 
 
 @dataclass(frozen=True)
@@ -310,8 +319,41 @@ def preset_scenario(name: str) -> LinkScenario:
         ) from None
 
 
+def _tx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
+    """The fields the transmit chain reads: the arguments of
+    _transmit_components before the transmit power, and the key of the
+    transmit slope cache."""
+    return (
+        band.mixer_loss_db,
+        band.phase_shifter_loss_db,
+        band.pa_gain_db,
+        band.pa_efficiency,
+        terminal.element_count,
+    )
+
+
+def _rx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
+    """The fields the receive chain reads: the arguments of
+    _receive_components, and the key of the receive slope cache."""
+    return (
+        band.carrier_frequency_hz,
+        band.lna_gain_db,
+        band.lna_fom_per_mw,
+        band.phase_shifter_loss_db,
+        band.mixer_loss_db,
+        terminal.aperture_m2,
+        terminal.antenna_efficiency,
+        terminal.element_count,
+    )
+
+
 def _transmit_components(
-    band: BandProfile, terminal: TerminalProfile, tx_power_w: float
+    mixer_loss_db: float,
+    phase_shifter_loss_db: float,
+    pa_gain_db: float,
+    pa_efficiency: float,
+    element_count: int,
+    tx_power_w: float,
 ) -> tuple[Component, ...]:
     """Mixer, phase shifter, and PA bank, sized so the PA emits tx_power_w.
 
@@ -320,31 +362,45 @@ def _transmit_components(
     are charged on the PA's non-path ledger so the bank's total supply draw
     is element_count * tx_power / efficiency.
     """
-    pa_gain = db_to_linear(band.pa_gain_db)
-    bank_extra = (terminal.element_count - 1) * tx_power_w / band.pa_efficiency
+    pa_gain = db_to_linear(pa_gain_db)
+    bank_extra = (element_count - 1) * tx_power_w / pa_efficiency
     return (
-        make_passive("mixer", db_to_linear(band.mixer_loss_db)),
-        make_passive("phase-shifter", db_to_linear(band.phase_shifter_loss_db)),
-        make_amplifier("pa-bank", pa_gain, band.pa_efficiency, non_path_power=bank_extra),
+        make_passive("mixer", db_to_linear(mixer_loss_db)),
+        make_passive("phase-shifter", db_to_linear(phase_shifter_loss_db)),
+        make_amplifier("pa-bank", pa_gain, pa_efficiency, non_path_power=bank_extra),
     )
 
 
 def _receive_components(
-    band: BandProfile, terminal: TerminalProfile
+    carrier_frequency_hz: float,
+    lna_gain_db: float,
+    lna_fom_per_mw: float,
+    phase_shifter_loss_db: float,
+    mixer_loss_db: float,
+    aperture_m2: float,
+    antenna_efficiency: float,
+    element_count: int,
 ) -> tuple[Component, ...]:
-    lna_gain = db_to_linear(band.lna_gain_db)
+    """Receive antenna, LNA bank, phase shifter, and mixer."""
+    antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
+    lna_gain = db_to_linear(lna_gain_db)
     return (
-        make_fixed_overhead("lna-bank", lna_gain, terminal.element_count * band.lna_dc_w),
-        make_passive("phase-shifter", db_to_linear(band.phase_shifter_loss_db)),
-        make_passive("mixer", db_to_linear(band.mixer_loss_db)),
+        make_directive("rx-antenna", db_to_linear(antenna_gain_db)),
+        make_fixed_overhead(
+            "lna-bank", lna_gain, element_count * _lna_dc_w(lna_gain_db, lna_fom_per_mw)
+        ),
+        make_passive("phase-shifter", db_to_linear(phase_shifter_loss_db)),
+        make_passive("mixer", db_to_linear(mixer_loss_db)),
     )
 
 
-def _source_power_w(band: BandProfile, tx_power_w: float) -> float:
+def _source_power_w(
+    mixer_loss_db: float, phase_shifter_loss_db: float, pa_gain_db: float, tx_power_w: float
+) -> float:
     # The chain starts at the upconverter input; losses ahead of the PA and
     # the PA gain cancel so the PA output is exactly the radiated power.
-    losses = db_to_linear(band.mixer_loss_db) * db_to_linear(band.phase_shifter_loss_db)
-    return tx_power_w * losses / db_to_linear(band.pa_gain_db)
+    losses = db_to_linear(mixer_loss_db) * db_to_linear(phase_shifter_loss_db)
+    return tx_power_w * losses / db_to_linear(pa_gain_db)
 
 
 def build_chain(scenario: LinkScenario) -> Cascade:
@@ -352,7 +408,9 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power = _source_power_w(band, tx_power_w)
+    source_power = _source_power_w(
+        band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
+    )
     if source_power == 0.0:
         raise ValueError(
             f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
@@ -365,11 +423,10 @@ def build_chain(scenario: LinkScenario) -> Cascade:
             f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}"
         ) from None
     components = (
-        *_transmit_components(band, tx, tx_power_w),
+        *_transmit_components(*_tx_fields(band, tx), tx_power_w),
         make_directive("tx-antenna", db_to_linear(tx.antenna_gain_db(freq))),
         make_passive("channel", channel_loss),
-        make_directive("rx-antenna", db_to_linear(rx.antenna_gain_db(freq))),
-        *_receive_components(band, rx),
+        *_receive_components(*_rx_fields(band, rx)),
     )
     return Cascade(components=components, source_power=source_power)
 
@@ -384,17 +441,63 @@ def _fixed_draw(band: BandProfile, terminal: TerminalProfile, start: float) -> f
     )
 
 
+@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
+def _tx_slope(
+    mixer_loss_db: float,
+    phase_shifter_loss_db: float,
+    pa_gain_db: float,
+    pa_efficiency: float,
+    element_count: int,
+) -> float:
+    """Ledger total of the transmit chain sized for 1 W radiated."""
+    chain = Cascade(
+        components=_transmit_components(
+            mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count, 1.0
+        ),
+        source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
+    )
+    return bookkeeping_oracle(chain).total_consumed
+
+
+@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
+def _rx_slope_and_bank(
+    carrier_frequency_hz: float,
+    lna_gain_db: float,
+    lna_fom_per_mw: float,
+    phase_shifter_loss_db: float,
+    mixer_loss_db: float,
+    aperture_m2: float,
+    antenna_efficiency: float,
+    element_count: int,
+) -> tuple[float, float]:
+    """(signal-path draw, non-path draw) of the receive chain fed 1 W at its
+    antenna input."""
+    components = _receive_components(
+        carrier_frequency_hz,
+        lna_gain_db,
+        lna_fom_per_mw,
+        phase_shifter_loss_db,
+        mixer_loss_db,
+        aperture_m2,
+        antenna_efficiency,
+        element_count,
+    )
+    ledger = bookkeeping_oracle(Cascade(components=components, source_power=1.0))
+    return sum(ledger.per_stage_dc), ledger.total_non_path
+
+
 def tx_power_coefficients(
     band: BandProfile, terminal: TerminalProfile
 ) -> tuple[float, float]:
     """(slope, fixed) such that the transmit terminal draws
-    slope * tx_power_w + fixed watts before its cooling multiplier."""
-    chain = Cascade(
-        components=_transmit_components(band, terminal, 1.0),
-        source_power=_source_power_w(band, 1.0),
-    )
-    slope = bookkeeping_oracle(chain).total_consumed
-    return slope, _fixed_draw(band, terminal, 0.0)
+    slope * tx_power_w + fixed watts before its cooling multiplier.
+
+    The slope depends only on the band's mixer and phase-shifter losses,
+    PA gain and PA efficiency and the terminal's element count, and is
+    cached on those five fields.  The fixed part (LO, converters x
+    bandwidth, screen) is added per call.
+    """
+    return _tx_slope(*_tx_fields(band, terminal)), _fixed_draw(band, terminal, 0.0)
 
 
 def rx_power_coefficients(
@@ -406,16 +509,15 @@ def rx_power_coefficients(
     arrival_power_w is the RF power at the antenna input (after path loss,
     before the receive antenna gain); it is not charged to the terminal,
     only the signal-path DC it induces downstream is.
+
+    The slope and the LNA bank's draw depend only on the band's carrier
+    frequency, LNA gain, LNA figure of merit, phase-shifter and mixer
+    losses and the terminal's aperture, antenna efficiency and element
+    count, and are cached on those eight fields.  LO, converters x
+    bandwidth and screen are added per call.
     """
-    antenna = make_directive(
-        "rx-antenna", db_to_linear(terminal.antenna_gain_db(band.carrier_frequency_hz))
-    )
-    chain = Cascade(
-        components=(antenna, *_receive_components(band, terminal)),
-        source_power=1.0,
-    )
-    ledger = bookkeeping_oracle(chain)
-    return sum(ledger.per_stage_dc), _fixed_draw(band, terminal, ledger.total_non_path)
+    slope, bank = _rx_slope_and_bank(*_rx_fields(band, terminal))
+    return slope, _fixed_draw(band, terminal, bank)
 
 
 def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal_w):

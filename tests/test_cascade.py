@@ -102,6 +102,11 @@ class TestConstructors:
         assert antenna.waste_factor == 1.0
         assert antenna.non_path_power == 0.0
 
+    def test_directive_rejects_zero_gain(self):
+        # a dB gain that underflows to a 0 ratio, checked before 1 / gain
+        with pytest.raises(ValueError, match="horn: gain must be positive and finite, got 0.0"):
+            make_directive("horn", gain=0.0)
+
 
 class TestCascadeFormula:
     def test_single_component(self):

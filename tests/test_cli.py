@@ -224,6 +224,20 @@ class TestExitCodes:
         assert main([a.format(path) for a in argv]) == EXIT_PARSE
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("amp a gain=-1e9dB eta=0.5", "line 1: a: gain must be positive, got 0.0"),
+            ("antenna a gain=-1.4e9dBi", "line 1: a: gain must be positive and finite, got 0.0"),
+        ],
+        ids=["amp", "antenna"],
+    )
+    def test_underflowing_chain_gain_is_parse_error(self, line, message, tmp_path, capsys):
+        path = tmp_path / "under.chain"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["chain", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err

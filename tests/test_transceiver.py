@@ -1,6 +1,6 @@
 """Tests for transceiver.py — preset chains, link evaluation, terminal power."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,8 @@ from wastefactor.cascade import (
     cascade_gain,
     cascade_waste_factor,
     consumed_power,
-    make_directive,
 )
-from wastefactor.linkbudget import db_to_linear, dbm_to_watts, thermal_noise_dbm
+from wastefactor.linkbudget import dbm_to_watts, thermal_noise_dbm
 from wastefactor.transceiver import (
     BASE_STATION,
     USER_EQUIPMENT,
@@ -253,6 +252,132 @@ def _terminals():
     )
 
 
+def _ledger_coefficients(band, terminal):
+    """Both (slope, fixed) pairs rebuilt uncached: float for float, the chain
+    ledgers plus LO + converters + screen added left to right on each side."""
+    lo_w = dbm_to_watts(band.lo_power_dbm)
+    converters_w = band.converter_w_per_hz * band.bandwidth_hz
+    tx_chain = Cascade(
+        components=_transmit_components(
+            band.mixer_loss_db,
+            band.phase_shifter_loss_db,
+            band.pa_gain_db,
+            band.pa_efficiency,
+            terminal.element_count,
+            1.0,
+        ),
+        source_power=_source_power_w(
+            band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, 1.0
+        ),
+    )
+    tx_slope = bookkeeping_oracle(tx_chain).total_consumed
+    tx_fixed = lo_w + converters_w + terminal.screen_power_w
+
+    receive = _receive_components(
+        band.carrier_frequency_hz,
+        band.lna_gain_db,
+        band.lna_fom_per_mw,
+        band.phase_shifter_loss_db,
+        band.mixer_loss_db,
+        terminal.aperture_m2,
+        terminal.antenna_efficiency,
+        terminal.element_count,
+    )
+    ledger = bookkeeping_oracle(Cascade(components=receive, source_power=1.0))
+    rx_fixed = ledger.total_non_path + lo_w + converters_w + terminal.screen_power_w
+    return (tx_slope, tx_fixed), (sum(ledger.per_stage_dc), rx_fixed)
+
+
+def _coefficients(band, terminal):
+    return tx_power_coefficients(band, terminal), rx_power_coefficients(band, terminal)
+
+
+# The fields the coefficient caches are keyed on, and the fields they are not.
+_BAND_KEYS = (
+    "carrier_frequency_hz",
+    "pa_efficiency",
+    "lna_fom_per_mw",
+    "pa_gain_db",
+    "lna_gain_db",
+    "mixer_loss_db",
+    "phase_shifter_loss_db",
+)
+_TERMINAL_KEYS = ("aperture_m2", "element_count", "antenna_efficiency")
+_BAND_OTHERS = ("label", "bandwidth_hz", "lo_power_dbm", "converter_w_per_hz", "noise_figure_db")
+_TERMINAL_OTHERS = ("role", "cooling_overhead", "screen_power_w")
+_DB_KEYS = ("pa_gain_db", "lna_gain_db", "mixer_loss_db", "phase_shifter_loss_db")
+
+
+def _take(target, source, names):
+    return replace(target, **{name: getattr(source, name) for name in names})
+
+
+class TestCoefficientCache:
+    """The slopes are cached on the fields they read: a hit must return what
+    an uncached rebuild gives, whatever was evaluated before it."""
+
+    def test_every_field_is_key_or_not(self):
+        assert sorted(_BAND_KEYS + _BAND_OTHERS) == sorted(f.name for f in fields(BandProfile))
+        assert sorted(_TERMINAL_KEYS + _TERMINAL_OTHERS) == sorted(
+            f.name for f in fields(TerminalProfile)
+        )
+
+    @given(_bands(), _terminals(), _bands(), _terminals())
+    @settings(max_examples=200, deadline=None)
+    def test_hit_across_non_key_fields(self, band, terminal, other_band, other_terminal):
+        _coefficients(band, terminal)
+        copy_band = _take(band, other_band, _BAND_OTHERS)
+        copy_terminal = _take(terminal, other_terminal, _TERMINAL_OTHERS)
+        assert _coefficients(copy_band, copy_terminal) == _ledger_coefficients(
+            copy_band, copy_terminal
+        )
+
+    @given(_bands(), _terminals(), _bands(), _terminals())
+    @settings(max_examples=300, deadline=None)
+    def test_every_key_field_reaches_the_key(self, band, terminal, other_band, other_terminal):
+        _coefficients(band, terminal)
+        for name in _BAND_KEYS:
+            changed = _take(band, other_band, (name,))
+            assert _coefficients(changed, terminal) == _ledger_coefficients(changed, terminal), name
+        for name in _TERMINAL_KEYS:
+            changed = _take(terminal, other_terminal, (name,))
+            assert _coefficients(band, changed) == _ledger_coefficients(band, changed), name
+
+    @given(_bands(), _terminals(), st.sampled_from(_DB_KEYS), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_signed_zero_db(self, band, terminal, name, negative_first):
+        zeros = (-0.0, 0.0) if negative_first else (0.0, -0.0)
+        for zero in zeros:
+            zeroed = replace(band, **{name: zero})
+            assert _coefficients(zeroed, terminal) == _ledger_coefficients(zeroed, terminal)
+
+    @given(
+        _bands(),
+        _terminals(),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pa_efficiency_sequence_with_repeats(self, band, terminal, efficiencies, rng):
+        sequence = efficiencies + efficiencies
+        rng.shuffle(sequence)
+        for eta in sequence:
+            drawn = replace(band, pa_efficiency=eta)
+            assert _coefficients(drawn, terminal) == _ledger_coefficients(drawn, terminal)
+
+    @given(_bands(), _terminals(), st.integers(2**1024, 2**1100))
+    @settings(max_examples=50, deadline=None)
+    def test_raising_input_raises_on_every_call(self, band, terminal, count):
+        # (count - 1) / eta and count x the LNA draw overflow a float
+        huge = replace(terminal, element_count=count)
+        for _ in range(3):
+            with pytest.raises((OverflowError, ValueError)):
+                tx_power_coefficients(band, huge)
+            with pytest.raises((OverflowError, ValueError)):
+                rx_power_coefficients(band, huge)
+        assert _coefficients(band, terminal) == _ledger_coefficients(band, terminal)
+
+
 class TestTerminalPowerModel:
     def test_consumed_decomposes_into_terminal_shares(self):
         # evaluate_link charges tx slope x transmit power + rx slope x arrival
@@ -277,26 +402,7 @@ class TestTerminalPowerModel:
     @given(_bands(), _terminals())
     @settings(max_examples=200, deadline=None)
     def test_coefficients_match_inline_sums(self, band, terminal):
-        # float for float, the chain ledgers plus LO + converters + screen
-        # added left to right on each side
-        lo_w = dbm_to_watts(band.lo_power_dbm)
-        converters_w = band.converter_w_per_hz * band.bandwidth_hz
-        tx_chain = Cascade(
-            components=_transmit_components(band, terminal, 1.0),
-            source_power=_source_power_w(band, 1.0),
-        )
-        tx_slope = bookkeeping_oracle(tx_chain).total_consumed
-        tx_fixed = lo_w + converters_w + terminal.screen_power_w
-        assert tx_power_coefficients(band, terminal) == (tx_slope, tx_fixed)
-
-        antenna = make_directive(
-            "rx-antenna", db_to_linear(terminal.antenna_gain_db(band.carrier_frequency_hz))
-        )
-        ledger = bookkeeping_oracle(
-            Cascade(components=(antenna, *_receive_components(band, terminal)), source_power=1.0)
-        )
-        rx_fixed = ledger.total_non_path + lo_w + converters_w + terminal.screen_power_w
-        assert rx_power_coefficients(band, terminal) == (sum(ledger.per_stage_dc), rx_fixed)
+        assert _coefficients(band, terminal) == _ledger_coefficients(band, terminal)
 
     def test_consumed_power_agrees_with_chain_ledger(self):
         # the scenario-level number must equal cascade accounting plus the
