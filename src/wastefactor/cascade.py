@@ -11,6 +11,7 @@ output through the gain of everything downstream of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -196,28 +197,15 @@ def consumption_view(cascade: Cascade) -> Cascade:
         return c.directive or abs(c.waste_factor * c.gain - 1.0) <= _RECIPROCAL_SLACK
 
     merged: list[Component] = []
-    run: list[Component] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        if any(c.directive for c in run):
+    for free, group in itertools.groupby(comps, consumption_free):
+        run = tuple(group)
+        if free and any(c.directive for c in run):
             gain = 1.0
             for c in run:
                 gain *= c.gain
-            label = "+".join(c.label for c in run)
-            merged.append(make_directive(label, gain))
+            merged.append(make_directive("+".join(c.label for c in run), gain))
         else:
             merged.extend(run)
-        run.clear()
-
-    for comp in comps:
-        if consumption_free(comp):
-            run.append(comp)
-        else:
-            flush()
-            merged.append(comp)
-    flush()
     return replace(cascade, components=tuple(merged))
 
 

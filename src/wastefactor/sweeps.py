@@ -86,13 +86,9 @@ class Curve:
     samples and takes no part in equality or representation.
     """
 
-    parameter: str
     unit: str
     samples: tuple[SweepSample, ...]
-    band_label: str
-    direction: str
     evaluator: Callable[[float], SweepSample] = field(compare=False, repr=False)
-    snr_target_db: float | None = None
 
     def __post_init__(self) -> None:
         xs = [s.x for s in self.samples]
@@ -168,13 +164,7 @@ def sweep(spec: SweepSpec) -> Curve:
         return _evaluate_point(scenario, x, spec.snr_target_db)
 
     return Curve(
-        parameter=spec.parameter,
-        unit=spec.unit,
-        samples=tuple(evaluate(x) for x in _grid(spec)),
-        band_label=spec.scenario.band.label,
-        direction=spec.scenario.direction,
-        snr_target_db=spec.snr_target_db,
-        evaluator=evaluate,
+        unit=spec.unit, samples=tuple(evaluate(x) for x in _grid(spec)), evaluator=evaluate
     )
 
 

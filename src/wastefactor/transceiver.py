@@ -66,7 +66,7 @@ __all__ = [
 BASE_STATION = "base-station"
 USER_EQUIPMENT = "user-equipment"
 
-# Entries held by each terminal-power slope cache.  A PA-efficiency grid over
+# Entries held by each terminal-side cache.  A PA-efficiency grid over
 # four element counts needs 256 transmit keys; each bisection adds a few more.
 _SLOPE_CACHE_SIZE = 1024
 
@@ -89,20 +89,28 @@ class BandProfile:
     noise_figure_db: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.carrier_frequency_hz <= 0.0:
-            raise ValueError(f"{self.label}: carrier frequency must be positive")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError(f"{self.label}: bandwidth must be positive")
+        if not 0.0 < self.carrier_frequency_hz < math.inf:
+            raise ValueError(f"{self.label}: carrier frequency must be positive and finite")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"{self.label}: bandwidth must be positive and finite")
         if not (0.0 < self.pa_efficiency <= 1.0):
             raise ValueError(f"{self.label}: PA efficiency must be in (0, 1]")
-        if self.lna_fom_per_mw <= 0.0:
-            raise ValueError(f"{self.label}: LNA figure of merit must be positive")
-        if self.converter_w_per_hz < 0.0:
-            raise ValueError(f"{self.label}: converter power density must be >= 0")
-        if self.mixer_loss_db < 0.0 or self.phase_shifter_loss_db < 0.0:
-            raise ValueError(f"{self.label}: insertion losses must be >= 0 dB")
-        if self.noise_figure_db < 0.0:
-            raise ValueError(f"{self.label}: noise figure must be >= 0 dB")
+        if not 0.0 < self.lna_fom_per_mw < math.inf:
+            raise ValueError(f"{self.label}: LNA figure of merit must be positive and finite")
+        if not math.isfinite(self.lo_power_dbm):
+            raise ValueError(f"{self.label}: LO power must be finite")
+        if not 0.0 <= self.converter_w_per_hz < math.inf:
+            raise ValueError(f"{self.label}: converter power density must be >= 0 and finite")
+        if not math.isfinite(self.pa_gain_db):
+            raise ValueError(f"{self.label}: PA gain must be finite")
+        if not math.isfinite(self.lna_gain_db):
+            raise ValueError(f"{self.label}: LNA gain must be finite")
+        if not (
+            0.0 <= self.mixer_loss_db < math.inf and 0.0 <= self.phase_shifter_loss_db < math.inf
+        ):
+            raise ValueError(f"{self.label}: insertion losses must be >= 0 dB and finite")
+        if not 0.0 <= self.noise_figure_db < math.inf:
+            raise ValueError(f"{self.label}: noise figure must be >= 0 dB and finite")
 
     @property
     def lna_dc_w(self) -> float:
@@ -128,14 +136,14 @@ class TerminalProfile:
     def __post_init__(self) -> None:
         if self.role not in (BASE_STATION, USER_EQUIPMENT):
             raise ValueError(f"unknown terminal role {self.role!r}")
-        if self.aperture_m2 <= 0.0:
-            raise ValueError("aperture must be positive")
+        if not 0.0 < self.aperture_m2 < math.inf:
+            raise ValueError("aperture must be positive and finite")
         if self.element_count < 1:
             raise ValueError("element count must be >= 1")
         if not (0.0 < self.antenna_efficiency <= 1.0):
             raise ValueError("antenna efficiency must be in (0, 1]")
-        if self.cooling_overhead < 0.0 or self.screen_power_w < 0.0:
-            raise ValueError("cooling overhead and screen power must be >= 0")
+        if not (0.0 <= self.cooling_overhead < math.inf and 0.0 <= self.screen_power_w < math.inf):
+            raise ValueError("cooling overhead and screen power must be >= 0 and finite")
 
     def antenna_gain_db(self, frequency_hz: float) -> float:
         return aperture_gain_db(self.aperture_m2, frequency_hz, self.antenna_efficiency)
@@ -219,14 +227,18 @@ class NetworkScenario:
             raise ValueError("array and UE counts must be >= 1")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
-        if self.los_d1_m <= 0.0 or self.los_d2_m <= 0.0:
-            raise ValueError("LoS model distances must be positive")
-        if self.ple_los <= 0.0 or self.ple_nlos <= 0.0:
-            raise ValueError("path-loss exponents must be positive")
+        if not math.isfinite(self.target_snr_db):
+            raise ValueError("target SNR must be finite")
+        if not (0.0 < self.los_d1_m < math.inf and 0.0 < self.los_d2_m < math.inf):
+            raise ValueError("LoS model distances must be positive and finite")
+        if not (0.0 < self.ple_los < math.inf and 0.0 < self.ple_nlos < math.inf):
+            raise ValueError("path-loss exponents must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.interferer_reach <= 0.0:
-            raise ValueError("interferer reach must be positive")
+        if not math.isfinite(self.sidelobe_db):
+            raise ValueError("sidelobe level must be finite")
+        if not 0.0 < self.interferer_reach < math.inf:
+            raise ValueError("interferer reach must be positive and finite")
 
 
 def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
@@ -333,8 +345,8 @@ def _tx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
 
 
 def _rx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
-    """The fields the receive chain reads: the arguments of
-    _receive_components, and the key of the receive slope cache."""
+    """The fields the receive chain reads: the arguments of _receive_side,
+    and so the key of its cache."""
     return (
         band.carrier_frequency_hz,
         band.lna_gain_db,
@@ -371,29 +383,6 @@ def _transmit_components(
     )
 
 
-def _receive_components(
-    carrier_frequency_hz: float,
-    lna_gain_db: float,
-    lna_fom_per_mw: float,
-    phase_shifter_loss_db: float,
-    mixer_loss_db: float,
-    aperture_m2: float,
-    antenna_efficiency: float,
-    element_count: int,
-) -> tuple[Component, ...]:
-    """Receive antenna, LNA bank, phase shifter, and mixer."""
-    antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
-    lna_gain = db_to_linear(lna_gain_db)
-    return (
-        make_directive("rx-antenna", db_to_linear(antenna_gain_db)),
-        make_fixed_overhead(
-            "lna-bank", lna_gain, element_count * _lna_dc_w(lna_gain_db, lna_fom_per_mw)
-        ),
-        make_passive("phase-shifter", db_to_linear(phase_shifter_loss_db)),
-        make_passive("mixer", db_to_linear(mixer_loss_db)),
-    )
-
-
 def _source_power_w(
     mixer_loss_db: float, phase_shifter_loss_db: float, pa_gain_db: float, tx_power_w: float
 ) -> float:
@@ -426,7 +415,7 @@ def build_chain(scenario: LinkScenario) -> Cascade:
         *_transmit_components(*_tx_fields(band, tx), tx_power_w),
         make_directive("tx-antenna", db_to_linear(tx.antenna_gain_db(freq))),
         make_passive("channel", channel_loss),
-        *_receive_components(*_rx_fields(band, rx)),
+        *_receive_side(*_rx_fields(band, rx))[0],
     )
     return Cascade(components=components, source_power=source_power)
 
@@ -460,7 +449,7 @@ def _tx_slope(
 
 
 @functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _rx_slope_and_bank(
+def _receive_side(
     carrier_frequency_hz: float,
     lna_gain_db: float,
     lna_fom_per_mw: float,
@@ -469,21 +458,22 @@ def _rx_slope_and_bank(
     aperture_m2: float,
     antenna_efficiency: float,
     element_count: int,
-) -> tuple[float, float]:
-    """(signal-path draw, non-path draw) of the receive chain fed 1 W at its
-    antenna input."""
-    components = _receive_components(
-        carrier_frequency_hz,
-        lna_gain_db,
-        lna_fom_per_mw,
-        phase_shifter_loss_db,
-        mixer_loss_db,
-        aperture_m2,
-        antenna_efficiency,
-        element_count,
+) -> tuple[tuple[Component, ...], float, float]:
+    """Receive antenna, LNA bank, phase shifter and mixer, with the
+    signal-path and non-path draws of those stages fed 1 W at the antenna
+    input.  The stages are frozen, so build_chain shares the cached tuple."""
+    antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
+    lna_gain = db_to_linear(lna_gain_db)
+    stages = (
+        make_directive("rx-antenna", db_to_linear(antenna_gain_db)),
+        make_fixed_overhead(
+            "lna-bank", lna_gain, element_count * _lna_dc_w(lna_gain_db, lna_fom_per_mw)
+        ),
+        make_passive("phase-shifter", db_to_linear(phase_shifter_loss_db)),
+        make_passive("mixer", db_to_linear(mixer_loss_db)),
     )
-    ledger = bookkeeping_oracle(Cascade(components=components, source_power=1.0))
-    return sum(ledger.per_stage_dc), ledger.total_non_path
+    ledger = bookkeeping_oracle(Cascade(components=stages, source_power=1.0))
+    return stages, sum(ledger.per_stage_dc), ledger.total_non_path
 
 
 def tx_power_coefficients(
@@ -516,7 +506,7 @@ def rx_power_coefficients(
     count, and are cached on those eight fields.  LO, converters x
     bandwidth and screen are added per call.
     """
-    slope, bank = _rx_slope_and_bank(*_rx_fields(band, terminal))
+    _, slope, bank = _receive_side(*_rx_fields(band, terminal))
     return slope, _fixed_draw(band, terminal, bank)
 
 

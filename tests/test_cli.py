@@ -238,6 +238,27 @@ class TestExitCodes:
         assert main(["chain", str(path)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["link", "--set", "band.bandwidth=1e999 Hz"], "bandwidth"),
+            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.target_snr=1e999 dB"],
+             "target SNR"),
+            (["link", "--set", "band.lo_power=1e999 dBm"], "LO power"),
+            (["link", "--set", "ue.screen_power=1e999 W"], "screen power"),
+            (["link", "--set", "band.converter_power_per_ghz=1e999 W"], "converter power"),
+            (["link", "--set", "band.pa_gain=1e999 dB"], "PA gain"),
+        ],
+        ids=["bandwidth", "target-snr", "lo-power", "screen-power", "converter-power", "pa-gain"],
+    )
+    def test_overflowing_value_is_parse_error(self, argv, field, capsys):
+        # 1e999 reads as inf: the scenario check names the field instead of
+        # printing nan or inf, or failing later on a derived value
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and "finite" in captured.err
+
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err

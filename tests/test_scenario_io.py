@@ -374,7 +374,9 @@ class TestOverrides:
         assert str(err.value) == "override 1: environment must be one of los/nlos, got 'indoor'"
         with pytest.raises(ScenarioParseError) as err:
             apply_overrides(mmwave_28(), ["ue.aperture=-1 m2", "bs.aperture=-2 m2"])
-        assert str(err.value) == "override 1: invalid [ue] values: aperture must be positive"
+        assert str(err.value) == (
+            "override 1: invalid [ue] values: aperture must be positive and finite"
+        )
 
     def test_file_sections_apply_in_canonical_order(self):
         text = "[link]\nenvironment = indoor\n[band]\npa_efficiency = 1.2\n"

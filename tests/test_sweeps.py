@@ -70,9 +70,7 @@ class TestSweepSpecValidation:
         sample = SweepSample(x=1.0, cef_bpj=1.0, rate_bps=1.0, p_consumed_w=1.0,
                              snr_db=0.0, feasible=True)
         with pytest.raises(ValueError):
-            Curve(parameter="bandwidth", unit="Hz",
-                  samples=(sample, replace(sample, x=0.5)),
-                  band_label="x", direction="uplink", evaluator=lambda x: sample)
+            Curve(unit="Hz", samples=(sample, replace(sample, x=0.5)), evaluator=lambda x: sample)
 
 
 class TestSweepEvaluation:

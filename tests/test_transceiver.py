@@ -17,6 +17,7 @@ from wastefactor.transceiver import (
     BASE_STATION,
     USER_EQUIPMENT,
     BandProfile,
+    LinkScenario,
     TerminalProfile,
     band_comparison,
     build_chain,
@@ -27,7 +28,7 @@ from wastefactor.transceiver import (
     subthz_140,
     tx_power_coefficients,
 )
-from wastefactor.transceiver import _receive_components, _source_power_w, _transmit_components
+from wastefactor.transceiver import _receive_side, _source_power_w, _transmit_components
 
 # Eight-cell reference table, frozen from back-solved device parameters that
 # reproduce the published link budget (rates within 2%, received power within
@@ -253,8 +254,9 @@ def _terminals():
 
 
 def _ledger_coefficients(band, terminal):
-    """Both (slope, fixed) pairs rebuilt uncached: float for float, the chain
-    ledgers plus LO + converters + screen added left to right on each side."""
+    """The receive stages and both (slope, fixed) pairs rebuilt uncached:
+    float for float, the chain ledgers plus LO + converters + screen added
+    left to right on each side."""
     lo_w = dbm_to_watts(band.lo_power_dbm)
     converters_w = band.converter_w_per_hz * band.bandwidth_hz
     tx_chain = Cascade(
@@ -273,7 +275,7 @@ def _ledger_coefficients(band, terminal):
     tx_slope = bookkeeping_oracle(tx_chain).total_consumed
     tx_fixed = lo_w + converters_w + terminal.screen_power_w
 
-    receive = _receive_components(
+    receive, _, _ = _receive_side.__wrapped__(
         band.carrier_frequency_hz,
         band.lna_gain_db,
         band.lna_fom_per_mw,
@@ -285,11 +287,23 @@ def _ledger_coefficients(band, terminal):
     )
     ledger = bookkeeping_oracle(Cascade(components=receive, source_power=1.0))
     rx_fixed = ledger.total_non_path + lo_w + converters_w + terminal.screen_power_w
-    return (tx_slope, tx_fixed), (sum(ledger.per_stage_dc), rx_fixed)
+    return receive, (tx_slope, tx_fixed), (sum(ledger.per_stage_dc), rx_fixed)
+
+
+def _receiving(band, terminal):
+    """An uplink from the 28 GHz handset to terminal, which runs the receive
+    chain."""
+    return LinkScenario(band=band, bs=terminal, ue=mmwave_28().ue)
 
 
 def _coefficients(band, terminal):
-    return tx_power_coefficients(band, terminal), rx_power_coefficients(band, terminal)
+    """The receive stages build_chain splices in, read from the cache first,
+    then both (slope, fixed) pairs."""
+    return (
+        build_chain(_receiving(band, terminal)).components[-4:],
+        tx_power_coefficients(band, terminal),
+        rx_power_coefficients(band, terminal),
+    )
 
 
 # The fields the coefficient caches are keyed on, and the fields they are not.
@@ -313,8 +327,9 @@ def _take(target, source, names):
 
 
 class TestCoefficientCache:
-    """The slopes are cached on the fields they read: a hit must return what
-    an uncached rebuild gives, whatever was evaluated before it."""
+    """The receive stages and the slopes are cached on the fields they read:
+    a hit must return what an uncached rebuild gives, whatever was evaluated
+    before it."""
 
     def test_every_field_is_key_or_not(self):
         assert sorted(_BAND_KEYS + _BAND_OTHERS) == sorted(f.name for f in fields(BandProfile))
@@ -375,6 +390,8 @@ class TestCoefficientCache:
                 tx_power_coefficients(band, huge)
             with pytest.raises((OverflowError, ValueError)):
                 rx_power_coefficients(band, huge)
+            with pytest.raises((OverflowError, ValueError)):
+                build_chain(_receiving(band, huge))
         assert _coefficients(band, terminal) == _ledger_coefficients(band, terminal)
 
 
