@@ -65,13 +65,22 @@ class Component:
                 f"{self.label}: waste factor {self.waste_factor} below 1/gain "
                 "would imply a negative DC draw"
             )
-        if not (math.isfinite(self.non_path_power) and self.non_path_power >= 0.0):
-            raise ValueError(f"{self.label}: non-path power must be >= 0 W")
+        _require_non_path(self.label, self.non_path_power)
 
 
 def _require_gain(label: str, gain: float) -> None:
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"{label}: gain must be positive and finite, got {gain!r}")
+
+
+def _require_non_path(label: str, power: float) -> None:
+    if not (math.isfinite(power) and power >= 0.0):
+        raise ValueError(f"{label}: non-path power must be >= 0 W")
+
+
+def _require_source(power: float) -> None:
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"source power must be positive, got {power!r}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,7 @@ class Cascade:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        if not (math.isfinite(self.source_power) and self.source_power > 0.0):
-            raise ValueError(f"source power must be positive, got {self.source_power!r}")
+        _require_source(self.source_power)
 
 
 @dataclass(frozen=True)
@@ -144,12 +152,32 @@ def _require_components(cascade: Cascade) -> tuple[Component, ...]:
     return cascade.components
 
 
+def _walk(pairs: tuple[tuple[float, float], ...]) -> tuple[float, float]:
+    """(waste factor, gain) of a chain given as (gain, waste factor) pairs,
+    source first.
+
+    The gain is the product of the gains, source to sink.  The waste factor
+    walks back from the sink: each stage's excess waste (W_i - 1) is divided
+    by the gain of every stage downstream of it.
+    """
+    gain = 1.0
+    for stage_gain, _ in pairs:
+        gain *= stage_gain
+    total = pairs[-1][1]
+    downstream = 1.0
+    for (follower_gain, _), (_, waste) in zip(reversed(pairs), reversed(pairs[:-1])):
+        downstream *= follower_gain
+        total += (waste - 1.0) / downstream
+    return total, gain
+
+
+def _pairs(cascade: Cascade) -> tuple[tuple[float, float], ...]:
+    return tuple((c.gain, c.waste_factor) for c in _require_components(cascade))
+
+
 def cascade_gain(cascade: Cascade) -> float:
     """Product of component gains, source to sink."""
-    gain = 1.0
-    for comp in _require_components(cascade):
-        gain *= comp.gain
-    return gain
+    return _walk(_pairs(cascade))[1]
 
 
 def cascade_waste_factor(cascade: Cascade) -> float:
@@ -159,13 +187,7 @@ def cascade_waste_factor(cascade: Cascade) -> float:
     stage downstream of it, so losses near the sink cost far more than the
     same losses near the source.  Reordering components changes the result.
     """
-    comps = _require_components(cascade)
-    total = comps[-1].waste_factor
-    downstream = 1.0
-    for follower, comp in zip(reversed(comps), reversed(comps[:-1])):
-        downstream *= follower.gain
-        total += (comp.waste_factor - 1.0) / downstream
-    return total
+    return _walk(_pairs(cascade))[0]
 
 
 def waste_figure_db(cascade: Cascade) -> float:
@@ -217,8 +239,8 @@ def consumed_power(cascade: Cascade) -> float:
     stages is exactly sink_power * cascade_waste_factor(cascade).
     """
     view = consumption_view(cascade)
-    sink_power = view.source_power * cascade_gain(view)
-    signal_path = sink_power * cascade_waste_factor(view)
+    waste, gain = _walk(_pairs(view))
+    signal_path = view.source_power * gain * waste
     non_path = sum(c.non_path_power for c in cascade.components)
     return signal_path + non_path
 

@@ -128,7 +128,9 @@ def _apply(scenario: LinkScenario, parameter: str, x: float) -> LinkScenario:
 def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | None) -> SweepSample:
     """Evaluate a scenario already set to x, solving transmit power for the
     SNR target when one is given."""
-    if snr_target_db is not None:
+    if snr_target_db is None:
+        report: LinkReport = evaluate_link(scenario)
+    else:
         freq = scenario.band.carrier_frequency_hz
         tx_power = tx_power_for_snr_dbm(
             snr_target_db,
@@ -138,14 +140,11 @@ def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | Non
             scenario.transmitter.antenna_gain_db(freq),
             scenario.receiver.antenna_gain_db(freq),
         )
-        scenario = replace(scenario, tx_power_dbm=tx_power)
-    try:
-        report: LinkReport = evaluate_link(scenario)
-    except ValueError as exc:
-        if snr_target_db is None:
-            raise
-        # the transmit power was derived from the target, so name the target
-        raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
+        try:
+            report = evaluate_link(replace(scenario, tx_power_dbm=tx_power))
+        except ValueError as exc:
+            # the transmit power was derived from the target, so name the target
+            raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     return SweepSample(
         x=x,
         cef_bpj=report.cef_bpj,

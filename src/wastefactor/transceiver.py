@@ -26,13 +26,14 @@ from dataclasses import dataclass, field, replace
 from .cascade import (
     Cascade,
     Component,
+    _require_non_path,
+    _require_source,
+    _walk,
     bookkeeping_oracle,
-    cascade_gain,
     make_amplifier,
     make_directive,
     make_fixed_overhead,
     make_passive,
-    waste_figure_db,
 )
 from .linkbudget import (
     aperture_gain_db,
@@ -97,18 +98,19 @@ class BandProfile:
             raise ValueError(f"{self.label}: PA efficiency must be in (0, 1]")
         if not 0.0 < self.lna_fom_per_mw < math.inf:
             raise ValueError(f"{self.label}: LNA figure of merit must be positive and finite")
-        if not math.isfinite(self.lo_power_dbm):
-            raise ValueError(f"{self.label}: LO power must be finite")
+        _require_linear(self.label, "LO power", self.lo_power_dbm, "dBm", dbm_to_watts)
         if not 0.0 <= self.converter_w_per_hz < math.inf:
             raise ValueError(f"{self.label}: converter power density must be >= 0 and finite")
-        if not math.isfinite(self.pa_gain_db):
-            raise ValueError(f"{self.label}: PA gain must be finite")
-        if not math.isfinite(self.lna_gain_db):
-            raise ValueError(f"{self.label}: LNA gain must be finite")
+        _require_linear(self.label, "PA gain", self.pa_gain_db, "dB", db_to_linear)
+        _require_linear(self.label, "LNA gain", self.lna_gain_db, "dB", db_to_linear)
         if not (
             0.0 <= self.mixer_loss_db < math.inf and 0.0 <= self.phase_shifter_loss_db < math.inf
         ):
             raise ValueError(f"{self.label}: insertion losses must be >= 0 dB and finite")
+        _require_linear(self.label, "mixer loss", self.mixer_loss_db, "dB", db_to_linear)
+        _require_linear(
+            self.label, "phase-shifter loss", self.phase_shifter_loss_db, "dB", db_to_linear
+        )
         if not 0.0 <= self.noise_figure_db < math.inf:
             raise ValueError(f"{self.label}: noise figure must be >= 0 dB and finite")
 
@@ -116,6 +118,18 @@ class BandProfile:
     def lna_dc_w(self) -> float:
         """Supply draw of one LNA: gain_linear / FoM, in watts."""
         return _lna_dc_w(self.lna_gain_db, self.lna_fom_per_mw)
+
+
+def _require_linear(label: str, name: str, value: float, unit: str, to_linear) -> None:
+    """A dB or dBm value must convert to a positive, finite ratio or wattage."""
+    try:
+        linear = to_linear(value)
+    except ValueError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(
+            f"{label}: {name} {value!r} {unit} must convert to a positive, finite linear value"
+        )
 
 
 def _lna_dc_w(lna_gain_db: float, lna_fom_per_mw: float) -> float:
@@ -168,10 +182,12 @@ class LinkScenario:
             raise ValueError(f"environment must be 'los' or 'nlos', got {self.environment!r}")
         if self.direction not in ("uplink", "downlink"):
             raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
-        if self.distance_m < 1.0:
-            raise ValueError("distance must be >= 1 m (close-in model reference)")
-        if self.ple_los <= 0.0 or self.ple_nlos <= 0.0:
-            raise ValueError("path-loss exponents must be positive")
+        if not 1.0 <= self.distance_m < math.inf:
+            raise ValueError("distance must be >= 1 m (close-in model reference) and finite")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError("transmit power must be finite")
+        if not (0.0 < self.ple_los < math.inf and 0.0 < self.ple_nlos < math.inf):
+            raise ValueError("path-loss exponents must be positive and finite")
 
     @property
     def ple(self) -> float:
@@ -333,8 +349,8 @@ def preset_scenario(name: str) -> LinkScenario:
 
 def _tx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
     """The fields the transmit chain reads: the arguments of
-    _transmit_components before the transmit power, and the key of the
-    transmit slope cache."""
+    _transmit_components before the transmit power, and so the key of
+    _transmit_side's cache."""
     return (
         band.mixer_loss_db,
         band.phase_shifter_loss_db,
@@ -375,12 +391,17 @@ def _transmit_components(
     is element_count * tx_power / efficiency.
     """
     pa_gain = db_to_linear(pa_gain_db)
-    bank_extra = (element_count - 1) * tx_power_w / pa_efficiency
+    bank_extra = _bank_extra(pa_efficiency, element_count, tx_power_w)
     return (
         make_passive("mixer", db_to_linear(mixer_loss_db)),
         make_passive("phase-shifter", db_to_linear(phase_shifter_loss_db)),
         make_amplifier("pa-bank", pa_gain, pa_efficiency, non_path_power=bank_extra),
     )
+
+
+def _bank_extra(pa_efficiency: float, element_count: int, tx_power_w: float) -> float:
+    """Supply drawn by the element_count - 1 PA branches off the signal path."""
+    return (element_count - 1) * tx_power_w / pa_efficiency
 
 
 def _source_power_w(
@@ -392,11 +413,25 @@ def _source_power_w(
     return tx_power_w * losses / db_to_linear(pa_gain_db)
 
 
-def build_chain(scenario: LinkScenario) -> Cascade:
-    """Full source-to-sink cascade: TX chain, antennas, channel, RX chain."""
+def _call_stages(
+    scenario: LinkScenario,
+    tx_power_w: float,
+    path_loss_db: float | None = None,
+    tx_gain_db: float | None = None,
+) -> tuple:
+    """The part of a link's chain that depends on the call, with every check
+    build_chain makes, in its order: a source power that underflows to zero,
+    a path loss that overflows, the transmit side's stage checks and the PA
+    bank's non-path draw at tx_power_w, the transmit-antenna and channel
+    stages, the receive side, and a source power that is not finite.
+
+    Returns (source power, transmit side entry, transmit-antenna stage,
+    channel stage, receive side entry).  evaluate_link passes the path loss
+    and transmit-antenna gain it has already computed; build_chain leaves
+    them to be computed where it has always computed them.
+    """
     band = scenario.band
-    tx, rx = scenario.transmitter, scenario.receiver
-    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    tx = scenario.transmitter
     source_power = _source_power_w(
         band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
     )
@@ -406,16 +441,38 @@ def build_chain(scenario: LinkScenario) -> Cascade:
         )
     freq = band.carrier_frequency_hz
     try:
-        channel_loss = db_to_linear(scenario.path_loss_db())
+        channel_loss = db_to_linear(
+            scenario.path_loss_db() if path_loss_db is None else path_loss_db
+        )
     except ValueError as exc:
         raise ValueError(
             f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}"
         ) from None
+    transmit = _transmit_side(*_tx_fields(band, tx))
+    _require_non_path("pa-bank", _bank_extra(band.pa_efficiency, tx.element_count, tx_power_w))
+    if tx_gain_db is None:
+        tx_gain_db = tx.antenna_gain_db(freq)
+    antenna = make_directive("tx-antenna", db_to_linear(tx_gain_db))
+    channel = make_passive("channel", channel_loss)
+    receive = _receive_side(*_rx_fields(band, scenario.receiver))
+    _require_source(source_power)
+    return source_power, transmit, antenna, channel, receive
+
+
+def build_chain(scenario: LinkScenario) -> Cascade:
+    """Full source-to-sink cascade: TX chain, antennas, channel, RX chain.
+
+    evaluate_link reads the (gain, waste) pairs of these stages from the
+    terminal-side caches without building the chain; this is the inspectable
+    view of the same stages.
+    """
+    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    source_power, _, antenna, channel, receive = _call_stages(scenario, tx_power_w)
     components = (
-        *_transmit_components(*_tx_fields(band, tx), tx_power_w),
-        make_directive("tx-antenna", db_to_linear(tx.antenna_gain_db(freq))),
-        make_passive("channel", channel_loss),
-        *_receive_side(*_rx_fields(band, rx))[0],
+        *_transmit_components(*_tx_fields(scenario.band, scenario.transmitter), tx_power_w),
+        antenna,
+        channel,
+        *receive[0],
     )
     return Cascade(components=components, source_power=source_power)
 
@@ -431,21 +488,33 @@ def _fixed_draw(band: BandProfile, terminal: TerminalProfile, start: float) -> f
 
 
 @functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _tx_slope(
+def _transmit_side(
     mixer_loss_db: float,
     phase_shifter_loss_db: float,
     pa_gain_db: float,
     pa_efficiency: float,
     element_count: int,
-) -> float:
-    """Ledger total of the transmit chain sized for 1 W radiated."""
-    chain = Cascade(
-        components=_transmit_components(
-            mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count, 1.0
-        ),
-        source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
-    )
-    return bookkeeping_oracle(chain).total_consumed
+) -> tuple[tuple[tuple[float, float], ...], float | str]:
+    """The (gain, waste) pairs of the mixer, phase shifter and PA bank, and
+    the transmit slope: the ledger total of those stages sized for 1 W
+    radiated.
+
+    The pairs do not depend on the transmit power.  The stages are checked
+    at 0 W, which runs every stage check but the PA bank's non-path draw;
+    that one depends on the power and runs per call.  If the 1 W chain fails its
+    own checks, the slope is the failure's message and tx_power_coefficients
+    raises it, so that evaluate_link raises it where it always has.
+    """
+    fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
+    pairs = tuple((c.gain, c.waste_factor) for c in _transmit_components(*fields, 0.0))
+    try:
+        chain = Cascade(
+            components=_transmit_components(*fields, 1.0),
+            source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
+        )
+    except ValueError as exc:
+        return pairs, str(exc)
+    return pairs, bookkeeping_oracle(chain).total_consumed
 
 
 @functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
@@ -458,10 +527,11 @@ def _receive_side(
     aperture_m2: float,
     antenna_efficiency: float,
     element_count: int,
-) -> tuple[tuple[Component, ...], float, float]:
-    """Receive antenna, LNA bank, phase shifter and mixer, with the
-    signal-path and non-path draws of those stages fed 1 W at the antenna
-    input.  The stages are frozen, so build_chain shares the cached tuple."""
+) -> tuple[tuple[Component, ...], tuple[tuple[float, float], ...], float, float]:
+    """Receive antenna, LNA bank, phase shifter and mixer, their (gain,
+    waste) pairs, and the signal-path and non-path draws of those stages fed
+    1 W at the antenna input.  The stages are frozen, so build_chain shares
+    the cached tuple."""
     antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
     lna_gain = db_to_linear(lna_gain_db)
     stages = (
@@ -473,7 +543,8 @@ def _receive_side(
         make_passive("mixer", db_to_linear(mixer_loss_db)),
     )
     ledger = bookkeeping_oracle(Cascade(components=stages, source_power=1.0))
-    return stages, sum(ledger.per_stage_dc), ledger.total_non_path
+    pairs = tuple((c.gain, c.waste_factor) for c in stages)
+    return stages, pairs, sum(ledger.per_stage_dc), ledger.total_non_path
 
 
 def tx_power_coefficients(
@@ -487,7 +558,10 @@ def tx_power_coefficients(
     cached on those five fields.  The fixed part (LO, converters x
     bandwidth, screen) is added per call.
     """
-    return _tx_slope(*_tx_fields(band, terminal)), _fixed_draw(band, terminal, 0.0)
+    slope = _transmit_side(*_tx_fields(band, terminal))[1]
+    if isinstance(slope, str):
+        raise ValueError(slope)
+    return slope, _fixed_draw(band, terminal, 0.0)
 
 
 def rx_power_coefficients(
@@ -506,7 +580,7 @@ def rx_power_coefficients(
     count, and are cached on those eight fields.  LO, converters x
     bandwidth and screen are added per call.
     """
-    _, slope, bank = _receive_side(*_rx_fields(band, terminal))
+    _, _, slope, bank = _receive_side(*_rx_fields(band, terminal))
     return slope, _fixed_draw(band, terminal, bank)
 
 
@@ -523,8 +597,11 @@ def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal
 def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
-    The waste figure comes from the full cascade; consumed power is split
-    per terminal so cooling and the screen land on the correct side.
+    The waste figure and cascade gain come from one walk over the (gain,
+    waste) pairs of the full source-to-sink chain: the terminal sides' pairs
+    are cached, and only the transmit-antenna and channel stages are built
+    per call.  Consumed power is split per terminal so cooling and the
+    screen land on the correct side.
     """
     band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
@@ -541,14 +618,24 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     snr = p_received - noise
     rate = shannon_rate_bps(band.bandwidth_hz, snr)
 
-    chain = build_chain(scenario)
+    _, (tx_pairs, _), antenna, channel, (_, rx_pairs, _, _) = _call_stages(
+        scenario, tx_power_w, path_loss, gain_tx
+    )
     arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
     tx_draw = terminal_power(tx, *tx_power_coefficients(band, tx), tx_power_w)
     consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    waste, gain = _walk(
+        (
+            *tx_pairs,
+            (antenna.gain, antenna.waste_factor),
+            (channel.gain, channel.waste_factor),
+            *rx_pairs,
+        )
+    )
 
     return LinkReport(
-        waste_figure_db=waste_figure_db(chain),
-        cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
+        waste_figure_db=10.0 * math.log10(waste),
+        cascade_gain_db=10.0 * math.log10(gain),
         p_received_dbw=p_received - 30.0,
         snr_db=snr,
         rate_bps=rate,

@@ -259,6 +259,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert field in captured.err and "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "setting, field",
+        [
+            ("link.distance=1e999 m", "distance"),
+            ("link.tx_power=1e999 dBm", "transmit power"),
+            ("link.ple_los=1e999", "path-loss exponents"),
+            ("link.ple_nlos=1e999", "path-loss exponents"),
+            ("band.pa_gain=-4000 dB", "PA gain -4000.0 dB"),
+            ("band.pa_gain=4000 dB", "PA gain 4000.0 dB"),
+            ("band.mixer_loss=4000 dB", "mixer loss 4000.0 dB"),
+            ("band.phase_shifter_loss=4000 dB", "phase-shifter loss 4000.0 dB"),
+            ("band.lna_gain=4000 dB", "LNA gain 4000.0 dB"),
+            ("band.lna_gain=-4000 dB", "LNA gain -4000.0 dB"),
+            ("band.lo_power=4000 dBm", "LO power 4000.0 dBm"),
+        ],
+    )
+    def test_value_out_of_float_range_is_parse_error(self, setting, field, capsys):
+        # [link] values that overflow to inf, and band dB values whose linear
+        # ratio or wattage overflows or underflows, fail the scenario check
+        # naming the field instead of failing evaluation on a derived value
+        assert main(["link", "--set", setting]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and "finite" in captured.err
+
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err

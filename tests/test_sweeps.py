@@ -85,6 +85,21 @@ class TestSweepEvaluation:
         for sample in curve.samples:
             assert sample.snr_db == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (math.inf, "SNR target inf dB: transmit power must be finite"),
+            (1e308, "SNR target 1e+308 dB: power 1e+308 dBm is too large to express in watts"),
+        ],
+        ids=["inf", "1e308"],
+    )
+    def test_unusable_solved_power_names_the_target(self, target, message):
+        # the solved transmit power fails the scenario check (inf) or the
+        # watts conversion (1e308 dBm); either way the target is named
+        with pytest.raises(ValueError) as info:
+            snr_matched_sample(_dl_140(), snr_target_db=target)
+        assert str(info.value) == message
+
     def test_rate_doubles_with_bandwidth_at_fixed_snr(self):
         scenario = _dl_140()
         b0 = scenario.band.bandwidth_hz

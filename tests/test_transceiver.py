@@ -11,12 +11,22 @@ from wastefactor.cascade import (
     cascade_gain,
     cascade_waste_factor,
     consumed_power,
+    make_directive,
+    make_passive,
+    waste_figure_db,
 )
-from wastefactor.linkbudget import dbm_to_watts, thermal_noise_dbm
+from wastefactor.linkbudget import (
+    db_to_linear,
+    dbm_to_watts,
+    received_power_dbm,
+    shannon_rate_bps,
+    thermal_noise_dbm,
+)
 from wastefactor.transceiver import (
     BASE_STATION,
     USER_EQUIPMENT,
     BandProfile,
+    LinkReport,
     LinkScenario,
     TerminalProfile,
     band_comparison,
@@ -26,8 +36,10 @@ from wastefactor.transceiver import (
     preset_scenario,
     rx_power_coefficients,
     subthz_140,
+    terminal_power,
     tx_power_coefficients,
 )
+from wastefactor import transceiver
 from wastefactor.transceiver import _receive_side, _source_power_w, _transmit_components
 
 # Eight-cell reference table, frozen from back-solved device parameters that
@@ -253,13 +265,11 @@ def _terminals():
     )
 
 
-def _ledger_coefficients(band, terminal):
-    """The receive stages and both (slope, fixed) pairs rebuilt uncached:
-    float for float, the chain ledgers plus LO + converters + screen added
-    left to right on each side."""
-    lo_w = dbm_to_watts(band.lo_power_dbm)
-    converters_w = band.converter_w_per_hz * band.bandwidth_hz
-    tx_chain = Cascade(
+def _ledger_tx_coefficients(band, terminal):
+    """tx_power_coefficients rebuilt uncached: the ledger of the transmit
+    chain sized for 1 W radiated, and LO + converters + screen added left
+    to right."""
+    chain = Cascade(
         components=_transmit_components(
             band.mixer_loss_db,
             band.phase_shifter_loss_db,
@@ -272,10 +282,17 @@ def _ledger_coefficients(band, terminal):
             band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, 1.0
         ),
     )
-    tx_slope = bookkeeping_oracle(tx_chain).total_consumed
-    tx_fixed = lo_w + converters_w + terminal.screen_power_w
+    fixed = (
+        dbm_to_watts(band.lo_power_dbm)
+        + band.converter_w_per_hz * band.bandwidth_hz
+        + terminal.screen_power_w
+    )
+    return bookkeeping_oracle(chain).total_consumed, fixed
 
-    receive, _, _ = _receive_side.__wrapped__(
+
+def _uncached_receive(band, terminal):
+    """The receive stages, built without the cache."""
+    return _receive_side.__wrapped__(
         band.carrier_frequency_hz,
         band.lna_gain_db,
         band.lna_fom_per_mw,
@@ -284,10 +301,26 @@ def _ledger_coefficients(band, terminal):
         terminal.aperture_m2,
         terminal.antenna_efficiency,
         terminal.element_count,
-    )
+    )[0]
+
+
+def _ledger_coefficients(band, terminal):
+    """The receive stages and both (slope, fixed) pairs rebuilt uncached:
+    float for float, the chain ledgers plus LO + converters + screen added
+    left to right on each side."""
+    receive = _uncached_receive(band, terminal)
     ledger = bookkeeping_oracle(Cascade(components=receive, source_power=1.0))
-    rx_fixed = ledger.total_non_path + lo_w + converters_w + terminal.screen_power_w
-    return receive, (tx_slope, tx_fixed), (sum(ledger.per_stage_dc), rx_fixed)
+    rx_fixed = (
+        ledger.total_non_path
+        + dbm_to_watts(band.lo_power_dbm)
+        + band.converter_w_per_hz * band.bandwidth_hz
+        + terminal.screen_power_w
+    )
+    return (
+        receive,
+        _ledger_tx_coefficients(band, terminal),
+        (sum(ledger.per_stage_dc), rx_fixed),
+    )
 
 
 def _receiving(band, terminal):
@@ -393,6 +426,183 @@ class TestCoefficientCache:
             with pytest.raises((OverflowError, ValueError)):
                 build_chain(_receiving(band, huge))
         assert _coefficients(band, terminal) == _ledger_coefficients(band, terminal)
+
+
+def _oracle_chain(scenario):
+    """The whole chain built stage by stage, uncached, with its checks in
+    the order build_chain has always made them."""
+    band = scenario.band
+    tx, rx = scenario.transmitter, scenario.receiver
+    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    source_power = _source_power_w(
+        band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
+    )
+    if source_power == 0.0:
+        raise ValueError(
+            f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
+        )
+    freq = band.carrier_frequency_hz
+    try:
+        channel_loss = db_to_linear(scenario.path_loss_db())
+    except ValueError as exc:
+        raise ValueError(f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}") from None
+    components = (
+        *_transmit_components(
+            band.mixer_loss_db,
+            band.phase_shifter_loss_db,
+            band.pa_gain_db,
+            band.pa_efficiency,
+            tx.element_count,
+            tx_power_w,
+        ),
+        make_directive("tx-antenna", db_to_linear(tx.antenna_gain_db(freq))),
+        make_passive("channel", channel_loss),
+        *_uncached_receive(band, rx),
+    )
+    return Cascade(components=components, source_power=source_power)
+
+
+def _oracle(scenario):
+    """evaluate_link as built on the whole chain and the public cascade
+    functions: the reference for the chain-free path, raising what it
+    raises in the same order."""
+    band = scenario.band
+    tx, rx = scenario.transmitter, scenario.receiver
+    freq = band.carrier_frequency_hz
+    path_loss = scenario.path_loss_db()
+    gain_tx = tx.antenna_gain_db(freq)
+    gain_rx = rx.antenna_gain_db(freq)
+    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    p_received = received_power_dbm(scenario.tx_power_dbm, gain_tx, gain_rx, path_loss)
+    noise = thermal_noise_dbm(band.bandwidth_hz, band.noise_figure_db)
+    snr = p_received - noise
+    rate = shannon_rate_bps(band.bandwidth_hz, snr)
+    chain = _oracle_chain(scenario)
+    arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
+    tx_draw = terminal_power(tx, *_ledger_tx_coefficients(band, tx), tx_power_w)
+    consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    return LinkReport(
+        waste_figure_db=waste_figure_db(chain),
+        cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
+        p_received_dbw=p_received - 30.0,
+        snr_db=snr,
+        rate_bps=rate,
+        p_consumed_w=consumed,
+        cef_bpj=rate / consumed,
+        path_loss_db=path_loss,
+        eirp_dbm=scenario.tx_power_dbm + gain_tx,
+    )
+
+
+def _outcome(fn, scenario):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(scenario)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _links():
+    return st.builds(
+        LinkScenario,
+        band=_bands(),
+        bs=_terminals(),
+        ue=_terminals(),
+        distance_m=st.floats(1.0, 1e4) | st.floats(1.0, 1e308),
+        environment=st.sampled_from(("los", "nlos")),
+        direction=st.sampled_from(("uplink", "downlink")),
+        tx_power_dbm=st.floats(-60.0, 60.0) | st.floats(-5000.0, 5000.0),
+    )
+
+
+# One fault per entry, each caught by a different check of the chain; pairs
+# of them pin which check runs first.  Each maps "band", "tx", "rx" or "link"
+# to the fields it changes in the 28 GHz uplink.
+_FAULTS = {
+    # the SNR overflows before the chain is built
+    "snr-overflow": {"tx": {"aperture_m2": 1e300}, "rx": {"aperture_m2": 1e300}},
+    # the source power underflows to zero
+    "source-underflow": {"link": {"tx_power_dbm": -4000.0}},
+    # the path loss overflows a ratio
+    "path-loss-overflow": {"link": {"distance_m": 1e300}},
+    # (count - 1) x power overflows a float in the transmit stages
+    "tx-element-overflow": {"tx": {"element_count": 2**1024}},
+    # the PA gain is subnormal, so the PA bank's waste 1/eta + 1/G overflows
+    "pa-waste-overflow": {"band": {"pa_gain_db": -3090.0}},
+    # the PA bank's non-path draw is inf at the transmit power
+    "pa-bank-draw": {"tx": {"element_count": 10**300}, "link": {"tx_power_dbm": 200.0}},
+    # the aperture gain is subnormal, so the antenna's waste 1/G overflows
+    "tx-aperture-underflow": {"tx": {"aperture_m2": 1e-320}},
+    # the channel gains power: its loss is below 1
+    "channel-below-one": {"band": {"carrier_frequency_hz": 1.0}},
+    "rx-aperture-underflow": {"rx": {"aperture_m2": 1e-320}},
+    "rx-element-overflow": {"rx": {"element_count": 2**1024}},
+    # the losses overflow, so the source power is inf
+    "source-overflow": {"band": {"mixer_loss_db": 2000.0, "phase_shifter_loss_db": 2000.0}},
+    # the PA bank's draw is finite at the transmit power but inf at 1 W, so
+    # only the terminal power model fails
+    "pa-bank-draw-at-1w": {"tx": {"element_count": 10**308}},
+    # a gain downstream of the first stage underflows to zero, and the waste
+    # factor's walk divides by it
+    "downstream-underflow": {
+        "band": {"pa_gain_db": -3000.0, "mixer_loss_db": 60.0},
+        "link": {"distance_m": 1e45},
+    },
+    # only the whole chain's gain underflows to zero, and its log fails
+    "gain-underflow": {"band": {"pa_gain_db": -2400.0, "mixer_loss_db": 500.0}},
+}
+
+
+def _faulty(*names):
+    base = mmwave_28()
+    parts = {"band": {}, "tx": {}, "rx": {}, "link": {}}
+    for name in names:
+        for part, changes in _FAULTS[name].items():
+            parts[part].update(changes)
+    return replace(
+        base,
+        band=replace(base.band, **parts["band"]),
+        ue=replace(base.ue, **parts["tx"]),
+        bs=replace(base.bs, **parts["rx"]),
+        **parts["link"],
+    )
+
+
+_FAULT_CASES = [(name,) for name in _FAULTS] + [
+    (first, second) for i, first in enumerate(_FAULTS) for second in list(_FAULTS)[i + 1 :]
+]
+
+
+class TestChainFreeEvaluation:
+    """evaluate_link reads cached (gain, waste) pairs and builds only the
+    transmit-antenna and channel stages; it must give the report, or raise
+    the error, of the link evaluated on its whole chain."""
+
+    @given(_links())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_chain_oracle(self, scenario):
+        assert _outcome(evaluate_link, scenario) == _outcome(_oracle, scenario)
+        assert _outcome(build_chain, scenario) == _outcome(_oracle_chain, scenario)
+
+    def test_warm_call_builds_no_chain(self, monkeypatch):
+        scenario = mmwave_28()
+        expected = evaluate_link(scenario)  # fills both terminal-side caches
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_link built a chain")
+
+        monkeypatch.setattr(transceiver, "build_chain", refuse)
+        monkeypatch.setattr(transceiver, "Cascade", refuse)
+        assert evaluate_link(scenario) == expected
+
+    @pytest.mark.parametrize("names", _FAULT_CASES, ids="+".join)
+    def test_faults_raise_in_chain_order(self, names):
+        scenario = _faulty(*names)
+        expected = _outcome(_oracle, scenario)
+        assert not isinstance(expected, LinkReport)
+        for _ in range(2):
+            assert _outcome(evaluate_link, scenario) == expected
+        assert _outcome(build_chain, scenario) == _outcome(_oracle_chain, scenario)
 
 
 class TestTerminalPowerModel:
