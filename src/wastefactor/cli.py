@@ -267,6 +267,21 @@ def cmd_netsim(args, stdout: TextIO) -> int:
     return EXIT_OK
 
 
+def _require_gain_products(components) -> None:
+    """The gain products the cascade maths form must not underflow to 0:
+    source to sink (the cascade gain) and sink back to the second stage
+    (what each stage's excess waste is divided by).  Names the component at
+    which a product first reaches 0."""
+    for order in (components, components[:0:-1]):
+        product = 1.0
+        for component in order:
+            product *= component.gain
+            if product == 0.0:
+                raise ValueError(
+                    f"the gain product underflows to 0 at component {component.label!r}"
+                )
+
+
 def cmd_chain(args, stdout: TextIO) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -278,29 +293,30 @@ def cmd_chain(args, stdout: TextIO) -> int:
     if source_w == 0.0:
         raise ValueError(f"source power {args.source_dbm:g} dBm is too small to express in watts")
     cascade = replace(cascade, source_power=source_w)
+    # Every value is computed before anything is written, so a failure
+    # leaves stdout empty.
+    _require_gain_products(cascade.components)
     w = cascade_waste_factor(cascade)
     gain = cascade_gain(cascade)
     consumed = consumed_power(cascade)
     delivered = cascade.source_power * gain
-    stdout.write(f"{len(cascade.components)} components, source {args.source_dbm:g} dBm\n")
-    for component in cascade.components:
-        stdout.write(
-            f"  {component.label:<18} gain {linear_to_db(component.gain):8.2f} dB"
-            f"   W {component.waste_factor:12.4g}\n"
-        )
-    stdout.write(
-        f"cascade gain: {linear_to_db(gain):.3f} dB\n"
-        f"waste factor: {w:.6g} ({linear_to_db(w):.3f} dB)\n"
-        f"delivered power: {delivered:.6g} W\n"
-        f"consumed power: {consumed:.6g} W\n"
-    )
+    stages = [(c.label, linear_to_db(c.gain), c.waste_factor) for c in cascade.components]
+    report = [
+        f"{len(stages)} components, source {args.source_dbm:g} dBm",
+        *(
+            f"  {label:<18} gain {gain_db:8.2f} dB   W {waste:12.4g}"
+            for label, gain_db, waste in stages
+        ),
+        f"cascade gain: {linear_to_db(gain):.3f} dB",
+        f"waste factor: {w:.6g} ({linear_to_db(w):.3f} dB)",
+        f"delivered power: {delivered:.6g} W",
+        f"consumed power: {consumed:.6g} W",
+    ]
+    _emit(report, None, stdout)
     if args.out:
         rows = [
             "label,gain_db,waste_factor",
-            *(
-                f"{c.label},{_fmt(linear_to_db(c.gain))},{_fmt(c.waste_factor)}"
-                for c in cascade.components
-            ),
+            *(f"{label},{_fmt(gain_db)},{_fmt(waste)}" for label, gain_db, waste in stages),
         ]
         _emit(rows, args.out, stdout)
     return EXIT_OK

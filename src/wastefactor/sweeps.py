@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .linkbudget import tx_power_for_snr_dbm
-from .transceiver import LinkReport, LinkScenario, evaluate_link
+from .transceiver import (
+    LinkScenario,
+    _check_bandwidth,
+    _check_pa_efficiency,
+    _check_tx_power,
+    _evaluate,
+)
 
 __all__ = [
     "SweepSpec",
@@ -119,29 +125,34 @@ def _grid(spec: SweepSpec) -> list[float]:
     return [spec.lo + step * i for i in range(n)]
 
 
-def _apply(scenario: LinkScenario, parameter: str, x: float) -> LinkScenario:
+def _evaluate_point(
+    scenario: LinkScenario, parameter: str, x: float, snr_target_db: float | None
+) -> SweepSample:
+    """The scenario with the swept parameter set to x, evaluated without
+    building it: x is checked as BandProfile checks it, and transmit power
+    is solved for the SNR target when one is given."""
+    band = scenario.band
     if parameter == "bandwidth":
-        return replace(scenario, band=replace(scenario.band, bandwidth_hz=x))
-    return replace(scenario, band=replace(scenario.band, pa_efficiency=x))
-
-
-def _evaluate_point(scenario: LinkScenario, x: float, snr_target_db: float | None) -> SweepSample:
-    """Evaluate a scenario already set to x, solving transmit power for the
-    SNR target when one is given."""
-    if snr_target_db is None:
-        report: LinkReport = evaluate_link(scenario)
+        _check_bandwidth(band.label, x)
+        bandwidth_hz, pa_efficiency = x, band.pa_efficiency
     else:
-        freq = scenario.band.carrier_frequency_hz
+        _check_pa_efficiency(band.label, x)
+        bandwidth_hz, pa_efficiency = band.bandwidth_hz, x
+    if snr_target_db is None:
+        report = _evaluate(scenario, bandwidth_hz, pa_efficiency, scenario.tx_power_dbm)
+    else:
+        freq = band.carrier_frequency_hz
         tx_power = tx_power_for_snr_dbm(
             snr_target_db,
-            scenario.band.bandwidth_hz,
-            scenario.band.noise_figure_db,
+            bandwidth_hz,
+            band.noise_figure_db,
             scenario.path_loss_db(),
             scenario.transmitter.antenna_gain_db(freq),
             scenario.receiver.antenna_gain_db(freq),
         )
         try:
-            report = evaluate_link(replace(scenario, tx_power_dbm=tx_power))
+            _check_tx_power(tx_power)
+            report = _evaluate(scenario, bandwidth_hz, pa_efficiency, tx_power)
         except ValueError as exc:
             # the transmit power was derived from the target, so name the target
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
@@ -159,8 +170,7 @@ def sweep(spec: SweepSpec) -> Curve:
     """Evaluate the grid in order, one sample per grid point."""
 
     def evaluate(x: float) -> SweepSample:
-        scenario = _apply(spec.scenario, spec.parameter, x)
-        return _evaluate_point(scenario, x, spec.snr_target_db)
+        return _evaluate_point(spec.scenario, spec.parameter, x, spec.snr_target_db)
 
     return Curve(
         unit=spec.unit, samples=tuple(evaluate(x) for x in _grid(spec)), evaluator=evaluate
@@ -224,15 +234,15 @@ def find_curve_crossing(a: Curve, b: Curve) -> CrossoverResult:
 def snr_matched_sample(scenario: LinkScenario, snr_target_db: float | None = None) -> SweepSample:
     """Evaluate a scenario at its own bandwidth with the same power-solving
     rules a sweep uses, so crossover references and curves stay comparable."""
-    return _evaluate_point(scenario, scenario.band.bandwidth_hz, snr_target_db)
+    return _evaluate_point(scenario, "bandwidth", scenario.band.bandwidth_hz, snr_target_db)
 
 
 def reference_cef(scenario: LinkScenario, pa_efficiency: float | None = None) -> float:
     """CEF of a fixed comparison scenario, optionally at an overridden PA
     efficiency (bits/joule)."""
-    if pa_efficiency is not None:
-        scenario = replace(scenario, band=replace(scenario.band, pa_efficiency=pa_efficiency))
-    return evaluate_link(scenario).cef_bpj
+    if pa_efficiency is None:
+        pa_efficiency = scenario.band.pa_efficiency
+    return _evaluate_point(scenario, "pa_efficiency", pa_efficiency, None).cef_bpj
 
 
 def min_matching_efficiency(

@@ -92,10 +92,8 @@ class BandProfile:
     def __post_init__(self) -> None:
         if not 0.0 < self.carrier_frequency_hz < math.inf:
             raise ValueError(f"{self.label}: carrier frequency must be positive and finite")
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError(f"{self.label}: bandwidth must be positive and finite")
-        if not (0.0 < self.pa_efficiency <= 1.0):
-            raise ValueError(f"{self.label}: PA efficiency must be in (0, 1]")
+        _check_bandwidth(self.label, self.bandwidth_hz)
+        _check_pa_efficiency(self.label, self.pa_efficiency)
         if not 0.0 < self.lna_fom_per_mw < math.inf:
             raise ValueError(f"{self.label}: LNA figure of merit must be positive and finite")
         _require_linear(self.label, "LO power", self.lo_power_dbm, "dBm", dbm_to_watts)
@@ -118,6 +116,23 @@ class BandProfile:
     def lna_dc_w(self) -> float:
         """Supply draw of one LNA: gain_linear / FoM, in watts."""
         return _lna_dc_w(self.lna_gain_db, self.lna_fom_per_mw)
+
+
+# The checks of the three values a sweep or bisection point sets; the point
+# runs the same code as the dataclass it leaves unbuilt.
+def _check_bandwidth(label: str, bandwidth_hz: float) -> None:
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise ValueError(f"{label}: bandwidth must be positive and finite")
+
+
+def _check_pa_efficiency(label: str, pa_efficiency: float) -> None:
+    if not (0.0 < pa_efficiency <= 1.0):
+        raise ValueError(f"{label}: PA efficiency must be in (0, 1]")
+
+
+def _check_tx_power(tx_power_dbm: float) -> None:
+    if not math.isfinite(tx_power_dbm):
+        raise ValueError("transmit power must be finite")
 
 
 def _require_linear(label: str, name: str, value: float, unit: str, to_linear) -> None:
@@ -184,8 +199,7 @@ class LinkScenario:
             raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
         if not 1.0 <= self.distance_m < math.inf:
             raise ValueError("distance must be >= 1 m (close-in model reference) and finite")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("transmit power must be finite")
+        _check_tx_power(self.tx_power_dbm)
         if not (0.0 < self.ple_los < math.inf and 0.0 < self.ple_nlos < math.inf):
             raise ValueError("path-loss exponents must be positive and finite")
 
@@ -347,15 +361,15 @@ def preset_scenario(name: str) -> LinkScenario:
         ) from None
 
 
-def _tx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
-    """The fields the transmit chain reads: the arguments of
-    _transmit_components before the transmit power, and so the key of
-    _transmit_side's cache."""
+def _tx_fields(band: BandProfile, terminal: TerminalProfile, pa_efficiency: float) -> tuple:
+    """The fields the transmit chain reads, at the given PA efficiency: the
+    arguments of _transmit_components before the transmit power, and so the
+    key of _transmit_side's cache."""
     return (
         band.mixer_loss_db,
         band.phase_shifter_loss_db,
         band.pa_gain_db,
-        band.pa_efficiency,
+        pa_efficiency,
         terminal.element_count,
     )
 
@@ -415,20 +429,25 @@ def _source_power_w(
 
 def _call_stages(
     scenario: LinkScenario,
+    pa_efficiency: float,
+    tx_power_dbm: float,
     tx_power_w: float,
     path_loss_db: float | None = None,
     tx_gain_db: float | None = None,
 ) -> tuple:
-    """The part of a link's chain that depends on the call, with every check
-    build_chain makes, in its order: a source power that underflows to zero,
-    a path loss that overflows, the transmit side's stage checks and the PA
-    bank's non-path draw at tx_power_w, the transmit-antenna and channel
-    stages, the receive side, and a source power that is not finite.
+    """The part of a link's chain that depends on the call, at the given PA
+    efficiency and transmit power (tx_power_w is tx_power_dbm in watts),
+    with every check build_chain makes, in its order: a source power that
+    underflows to zero, a path loss that overflows, the transmit side's
+    stage checks and the PA bank's non-path draw at tx_power_w, the
+    transmit-antenna and channel stages, the receive side, and a source
+    power that is not finite.
 
     Returns (source power, transmit side entry, transmit-antenna stage,
-    channel stage, receive side entry).  evaluate_link passes the path loss
-    and transmit-antenna gain it has already computed; build_chain leaves
-    them to be computed where it has always computed them.
+    channel stage, receive side entry).  The link evaluation passes the
+    path loss and transmit-antenna gain it has already computed;
+    build_chain leaves them to be computed where it has always computed
+    them.
     """
     band = scenario.band
     tx = scenario.transmitter
@@ -436,9 +455,7 @@ def _call_stages(
         band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
     )
     if source_power == 0.0:
-        raise ValueError(
-            f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
-        )
+        raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
     freq = band.carrier_frequency_hz
     try:
         channel_loss = db_to_linear(
@@ -448,8 +465,8 @@ def _call_stages(
         raise ValueError(
             f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}"
         ) from None
-    transmit = _transmit_side(*_tx_fields(band, tx))
-    _require_non_path("pa-bank", _bank_extra(band.pa_efficiency, tx.element_count, tx_power_w))
+    transmit = _transmit_side(*_tx_fields(band, tx, pa_efficiency))
+    _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
     if tx_gain_db is None:
         tx_gain_db = tx.antenna_gain_db(freq)
     antenna = make_directive("tx-antenna", db_to_linear(tx_gain_db))
@@ -466,10 +483,14 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     terminal-side caches without building the chain; this is the inspectable
     view of the same stages.
     """
+    band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power, _, antenna, channel, receive = _call_stages(scenario, tx_power_w)
+    source_power, _, antenna, channel, receive = _call_stages(
+        scenario, band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
+    )
+    transmit_fields = _tx_fields(band, scenario.transmitter, band.pa_efficiency)
     components = (
-        *_transmit_components(*_tx_fields(scenario.band, scenario.transmitter), tx_power_w),
+        *_transmit_components(*transmit_fields, tx_power_w),
         antenna,
         channel,
         *receive[0],
@@ -477,12 +498,15 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     return Cascade(components=components, source_power=source_power)
 
 
-def _fixed_draw(band: BandProfile, terminal: TerminalProfile, start: float) -> float:
-    """start + LO + converters + screen, added left to right, in watts."""
+def _fixed_draw(
+    band: BandProfile, terminal: TerminalProfile, bandwidth_hz: float, start: float
+) -> float:
+    """start + LO + converters over bandwidth_hz + screen, added left to
+    right, in watts."""
     return (
         start
         + dbm_to_watts(band.lo_power_dbm)
-        + band.converter_w_per_hz * band.bandwidth_hz
+        + band.converter_w_per_hz * bandwidth_hz
         + terminal.screen_power_w
     )
 
@@ -502,8 +526,8 @@ def _transmit_side(
     The pairs do not depend on the transmit power.  The stages are checked
     at 0 W, which runs every stage check but the PA bank's non-path draw;
     that one depends on the power and runs per call.  If the 1 W chain fails its
-    own checks, the slope is the failure's message and tx_power_coefficients
-    raises it, so that evaluate_link raises it where it always has.
+    own checks, the slope is the failure's message, and tx_power_coefficients
+    and the link evaluation raise it where evaluate_link always has.
     """
     fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
     pairs = tuple((c.gain, c.waste_factor) for c in _transmit_components(*fields, 0.0))
@@ -558,10 +582,10 @@ def tx_power_coefficients(
     cached on those five fields.  The fixed part (LO, converters x
     bandwidth, screen) is added per call.
     """
-    slope = _transmit_side(*_tx_fields(band, terminal))[1]
+    slope = _transmit_side(*_tx_fields(band, terminal, band.pa_efficiency))[1]
     if isinstance(slope, str):
         raise ValueError(slope)
-    return slope, _fixed_draw(band, terminal, 0.0)
+    return slope, _fixed_draw(band, terminal, band.bandwidth_hz, 0.0)
 
 
 def rx_power_coefficients(
@@ -581,7 +605,7 @@ def rx_power_coefficients(
     bandwidth and screen are added per call.
     """
     _, _, slope, bank = _receive_side(*_rx_fields(band, terminal))
-    return slope, _fixed_draw(band, terminal, bank)
+    return slope, _fixed_draw(band, terminal, band.bandwidth_hz, bank)
 
 
 def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal_w):
@@ -604,6 +628,17 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     screen land on the correct side.
     """
     band = scenario.band
+    return _evaluate(scenario, band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm)
+
+
+def _evaluate(
+    scenario: LinkScenario, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
+) -> LinkReport:
+    """evaluate_link on scenario with its bandwidth, PA efficiency and
+    transmit power replaced by the given values, which the caller has
+    checked as BandProfile and LinkScenario check them.  A sweep or
+    bisection point evaluates here without building a scenario."""
+    band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
     freq = band.carrier_frequency_hz
     path_loss = scenario.path_loss_db()
@@ -612,18 +647,24 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
 
     # Converted first, so that a transmit power too large for a float is the
     # value an overflow names, not the SNR derived from it.
-    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    p_received = received_power_dbm(scenario.tx_power_dbm, gain_tx, gain_rx, path_loss)
-    noise = thermal_noise_dbm(band.bandwidth_hz, band.noise_figure_db)
+    tx_power_w = dbm_to_watts(tx_power_dbm)
+    p_received = received_power_dbm(tx_power_dbm, gain_tx, gain_rx, path_loss)
+    noise = thermal_noise_dbm(bandwidth_hz, band.noise_figure_db)
     snr = p_received - noise
-    rate = shannon_rate_bps(band.bandwidth_hz, snr)
+    rate = shannon_rate_bps(bandwidth_hz, snr)
 
-    _, (tx_pairs, _), antenna, channel, (_, rx_pairs, _, _) = _call_stages(
-        scenario, tx_power_w, path_loss, gain_tx
+    _, (tx_pairs, tx_slope), antenna, channel, (_, rx_pairs, rx_slope, rx_bank) = _call_stages(
+        scenario, pa_efficiency, tx_power_dbm, tx_power_w, path_loss, gain_tx
     )
-    arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
-    tx_draw = terminal_power(tx, *tx_power_coefficients(band, tx), tx_power_w)
-    consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
+    # The terminal-power model of tx_/rx_power_coefficients, read from the
+    # cache entries _call_stages has looked up.
+    if isinstance(tx_slope, str):
+        raise ValueError(tx_slope)
+    tx_fixed = _fixed_draw(band, tx, bandwidth_hz, 0.0)
+    tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
+    rx_fixed = _fixed_draw(band, rx, bandwidth_hz, rx_bank)
+    consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
     waste, gain = _walk(
         (
             *tx_pairs,
@@ -642,7 +683,7 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
         p_consumed_w=consumed,
         cef_bpj=rate / consumed,
         path_loss_db=path_loss,
-        eirp_dbm=scenario.tx_power_dbm + gain_tx,
+        eirp_dbm=tx_power_dbm + gain_tx,
     )
 
 

@@ -42,6 +42,9 @@ _GOLDEN_ARGV = {
     "table1": ["table1"],
     "sweep-bw": ["sweep-bw", "--points", "8"],
     "sweep-pa": ["sweep-pa", "--points", "8", "--target-cef", "1"],
+    # the transmit power solved for the SNR target at each point
+    "sweep-bw-snr": ["sweep-bw", "--points", "8", "--snr", "20"],
+    "sweep-pa-snr": ["sweep-pa", "--points", "8", "--snr", "20"],
 }
 
 
@@ -99,6 +102,11 @@ class TestExitCodes:
         # a finite SNR target whose transmit power overflows names the target
         assert main(["sweep-bw", "--snr", "1e308"]) == EXIT_EVAL
         assert "SNR target 1e+308 dB" in capsys.readouterr().err
+        # a bandwidth grid whose top point overflows to inf names the band
+        assert main(["sweep-bw", "--hi-ghz", "1e308"]) == EXIT_EVAL
+        assert capsys.readouterr().err == (
+            "wastefactor: evaluation failed: subthz-140: bandwidth must be positive and finite\n"
+        )
         # a path loss too large for a ratio names the distance
         assert main(["link", "--set", "link.distance=1e300 m"]) == EXIT_EVAL
         assert "over 1e+300 m" in capsys.readouterr().err
@@ -237,6 +245,28 @@ class TestExitCodes:
         path.write_text(line + "\n", encoding="utf-8")
         assert main(["chain", str(path)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
+    @pytest.mark.parametrize(
+        "lines, label",
+        [
+            # the waste-factor walk would divide by a downstream gain of 0
+            (["passive x loss=2000dB"] * 3, "x"),
+            # only the whole chain's gain reaches 0, after the component table
+            (["passive x loss=2000dB"] * 2 + ["passive pad loss=1dB"], "x"),
+            # source to sink the product recovers; sink back it reaches 0 at b
+            (["amp a gain=3000dB eta=0.5", "passive b loss=3000dB", "passive c loss=3000dB"], "b"),
+        ],
+        ids=["walk", "total", "downstream"],
+    )
+    def test_underflowing_gain_product_names_the_component(self, lines, label, tmp_path, capsys):
+        path = tmp_path / "under.chain"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = _run(["chain", str(path)])
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == (
+            f"wastefactor: evaluation failed: the gain product underflows to 0"
+            f" at component {label!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -505,6 +535,8 @@ class TestWithoutNumpy:
             (["table1"], "table1.txt"),
             (["sweep-bw", "--points", "8"], "sweep-bw.txt"),
             (["sweep-pa", "--points", "8", "--target-cef", "1"], "sweep-pa.txt"),
+            (["sweep-bw", "--points", "8", "--snr", "20"], "sweep-bw-snr.txt"),
+            (["sweep-pa", "--points", "8", "--snr", "20"], "sweep-pa-snr.txt"),
             (["chain", "demo.chain"], "chain.txt"),
         ],
     )

@@ -3,7 +3,9 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wastefactor.linkbudget import tx_power_for_snr_dbm
 from wastefactor.sweeps import (
     CURVE_CSV_HEADER,
     Curve,
@@ -17,7 +19,8 @@ from wastefactor.sweeps import (
     snr_matched_sample,
     sweep,
 )
-from wastefactor.transceiver import mmwave_28, subthz_140
+from wastefactor.sweeps import _grid
+from wastefactor.transceiver import evaluate_link, mmwave_28, subthz_140
 
 # Frozen study results (64 log points over 0.1-10 GHz, 20 dB target unless
 # stated).  Brackets are the meaningful claim; exact values pin regressions.
@@ -253,3 +256,167 @@ class TestCurveCsv:
         a = list(curve_csv_rows(sweep(_bandwidth_spec(points=8))))
         b = list(curve_csv_rows(sweep(_bandwidth_spec(points=8))))
         assert a == b
+
+
+def _oracle_apply(scenario, parameter, x):
+    """A sweep point as a rebuilt scenario: the band and the scenario made
+    anew with x set, which reruns both dataclass checks."""
+    if parameter == "bandwidth":
+        return replace(scenario, band=replace(scenario.band, bandwidth_hz=x))
+    return replace(scenario, band=replace(scenario.band, pa_efficiency=x))
+
+
+def _oracle_point(scenario, x, snr_target_db):
+    """A sample of a scenario already set to x through evaluate_link, on a
+    scenario rebuilt at the solved transmit power under an SNR target."""
+    if snr_target_db is None:
+        report = evaluate_link(scenario)
+    else:
+        freq = scenario.band.carrier_frequency_hz
+        tx_power = tx_power_for_snr_dbm(
+            snr_target_db,
+            scenario.band.bandwidth_hz,
+            scenario.band.noise_figure_db,
+            scenario.path_loss_db(),
+            scenario.transmitter.antenna_gain_db(freq),
+            scenario.receiver.antenna_gain_db(freq),
+        )
+        try:
+            report = evaluate_link(replace(scenario, tx_power_dbm=tx_power))
+        except ValueError as exc:
+            raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
+    return SweepSample(
+        x=x,
+        cef_bpj=report.cef_bpj,
+        rate_bps=report.rate_bps,
+        p_consumed_w=report.p_consumed_w,
+        snr_db=report.snr_db,
+        feasible=report.eirp_dbm <= 75.0,
+    )
+
+
+def _oracle_sample(scenario, parameter, x, snr_target_db):
+    return _oracle_point(_oracle_apply(scenario, parameter, x), x, snr_target_db)
+
+
+def _oracle_reference_cef(scenario, pa_efficiency):
+    return evaluate_link(_oracle_apply(scenario, "pa_efficiency", pa_efficiency)).cef_bpj
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_PRESETS = {"mmwave-28": mmwave_28, "subthz-140": subthz_140}
+_RANGES = {"bandwidth": (0.1e9, 10e9), "pa_efficiency": (0.02, 0.6)}
+# Swept values a band rejects, or accepts and a link cannot evaluate at
+# (the noise power or the PA waste overflows), and SNR targets no float
+# transmit power meets.
+_BAD_X = (0.0, -1.0, math.inf, -math.inf, math.nan, 1.5, 5e-324)
+_BAD_SNR = (math.inf, -math.inf, 1e308, -1e308)
+
+
+def _scenarios():
+    return st.builds(
+        lambda preset, **fields: replace(_PRESETS[preset](), **fields),
+        st.sampled_from(sorted(_PRESETS)),
+        direction=st.sampled_from(("uplink", "downlink")),
+        environment=st.sampled_from(("los", "nlos")),
+        distance_m=st.floats(1.0, 1e4),
+        tx_power_dbm=st.floats(-60.0, 60.0),
+    )
+
+
+def _off_grid(parameter, u):
+    lo, hi = _RANGES[parameter]
+    return lo * (hi / lo) ** u if parameter == "bandwidth" else lo + u * (hi - lo)
+
+
+class TestSweepCoreOracle:
+    """Sweep and bisection points are evaluated on the unbuilt scenario with
+    the swept value checked as the band checks it: every sample, reference
+    and error must be what the rebuilt scenario gives."""
+
+    @given(
+        _scenarios(),
+        st.sampled_from(sorted(_RANGES)),
+        st.none() | st.floats(-30.0, 70.0) | st.sampled_from(_BAD_SNR),
+        st.floats(0.0, 1.0).map(lambda u: (True, u)) | st.sampled_from(_BAD_X).map(
+            lambda x: (False, x)
+        ),
+        st.floats(1e-3, 1.0) | st.sampled_from(_BAD_X),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rebuilt_scenario(self, scenario, parameter, snr, off, eta):
+        lo, hi = _RANGES[parameter]
+        spec = SweepSpec(
+            scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=8, snr_target_db=snr
+        )
+        expected = [_outcome(_oracle_sample, scenario, parameter, x, snr) for x in _grid(spec)]
+        failures = [e for e in expected if not isinstance(e, SweepSample)]
+        if failures:
+            # a sweep raises what its first failing point raises
+            assert _outcome(sweep, spec) == failures[0]
+        else:
+            curve = sweep(spec)
+            assert list(curve.samples) == expected
+            between, value = off
+            x = _off_grid(parameter, value) if between else value
+            assert _outcome(curve.evaluator, x) == _outcome(
+                _oracle_sample, scenario, parameter, x, snr
+            )
+        assert _outcome(snr_matched_sample, scenario, snr) == _outcome(
+            _oracle_point, scenario, scenario.band.bandwidth_hz, snr
+        )
+        assert _outcome(reference_cef, scenario, eta) == _outcome(
+            _oracle_reference_cef, scenario, eta
+        )
+        assert reference_cef(scenario) == evaluate_link(scenario).cef_bpj
+
+    @pytest.mark.parametrize(
+        "parameter, x, message",
+        [
+            ("bandwidth", math.inf, "subthz-140: bandwidth must be positive and finite"),
+            ("pa_efficiency", 0.0, "subthz-140: PA efficiency must be in (0, 1]"),
+            ("pa_efficiency", 1.5, "subthz-140: PA efficiency must be in (0, 1]"),
+            ("pa_efficiency", math.nan, "subthz-140: PA efficiency must be in (0, 1]"),
+        ],
+        ids=["bandwidth-inf", "eta-0", "eta-1.5", "eta-nan"],
+    )
+    @pytest.mark.parametrize("snr", [None, 20.0], ids=["fixed-power", "snr-20"])
+    def test_unusable_swept_value(self, parameter, x, message, snr):
+        expected = (ValueError, message)
+        scenario = _dl_140()
+        assert _outcome(_oracle_sample, scenario, parameter, x, snr) == expected
+        lo, hi = _RANGES[parameter]
+        curve = sweep(
+            SweepSpec(scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=2,
+                      snr_target_db=snr)
+        )
+        assert _outcome(curve.evaluator, x) == expected
+        if parameter == "pa_efficiency":
+            assert _outcome(reference_cef, scenario, x) == expected
+            assert _outcome(_oracle_reference_cef, scenario, x) == expected
+
+    def test_bandwidth_grid_overflowing_to_inf(self):
+        # sweep-bw --hi-ghz 1e308: the top of the grid is inf Hz
+        spec = SweepSpec(scenario=_dl_140(), parameter="bandwidth", lo=1e8, hi=1e308 * 1e9,
+                         points=4, snr_target_db=20.0)
+        expected = (ValueError, "subthz-140: bandwidth must be positive and finite")
+        assert _outcome(_oracle_sample, spec.scenario, "bandwidth", spec.hi, 20.0) == expected
+        assert _outcome(sweep, spec) == expected
+
+    def test_snr_target_too_large(self):
+        # sweep-bw --snr 1e308: the solved power overflows the watts conversion
+        scenario = _dl_140()
+        expected = _outcome(_oracle_point, scenario, scenario.band.bandwidth_hz, 1e308)
+        assert expected == (
+            ValueError, "SNR target 1e+308 dB: power 1e+308 dBm is too large to express in watts"
+        )
+        assert _outcome(snr_matched_sample, scenario, 1e308) == expected
+        assert _outcome(sweep, _bandwidth_spec(snr=1e308, points=4)) == expected
+
