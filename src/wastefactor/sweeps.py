@@ -12,6 +12,7 @@ from .transceiver import (
     _check_pa_efficiency,
     _check_tx_power,
     _evaluate,
+    _link_geometry,
 )
 
 __all__ = [
@@ -141,15 +142,10 @@ def _evaluate_point(
     if snr_target_db is None:
         report = _evaluate(scenario, bandwidth_hz, pa_efficiency, scenario.tx_power_dbm)
     else:
-        freq = band.carrier_frequency_hz
-        tx_power = tx_power_for_snr_dbm(
-            snr_target_db,
-            bandwidth_hz,
-            band.noise_figure_db,
-            scenario.path_loss_db(),
-            scenario.transmitter.antenna_gain_db(freq),
-            scenario.receiver.antenna_gain_db(freq),
-        )
+        # (path loss, transmit gain, receive gain), or their failure raised
+        # before the target is named
+        link = _link_geometry(scenario)[0]
+        tx_power = tx_power_for_snr_dbm(snr_target_db, bandwidth_hz, band.noise_figure_db, *link)
         try:
             _check_tx_power(tx_power)
             report = _evaluate(scenario, bandwidth_hz, pa_efficiency, tx_power)

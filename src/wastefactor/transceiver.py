@@ -36,6 +36,8 @@ from .cascade import (
     make_passive,
 )
 from .linkbudget import (
+    BOLTZMANN,
+    REFERENCE_TEMP_K,
     aperture_gain_db,
     ci_path_loss_db,
     db_to_linear,
@@ -67,8 +69,9 @@ __all__ = [
 BASE_STATION = "base-station"
 USER_EQUIPMENT = "user-equipment"
 
-# Entries held by each terminal-side cache.  A PA-efficiency grid over
-# four element counts needs 256 transmit keys; each bisection adds a few more.
+# Entries held by each terminal-side cache and by the geometry cache.  A
+# PA-efficiency grid over four element counts needs 256 transmit keys; each
+# bisection adds a few more.
 _SLOPE_CACHE_SIZE = 1024
 
 
@@ -123,6 +126,12 @@ class BandProfile:
 def _check_bandwidth(label: str, bandwidth_hz: float) -> None:
     if not 0.0 < bandwidth_hz < math.inf:
         raise ValueError(f"{label}: bandwidth must be positive and finite")
+    # the product thermal_noise_dbm takes the dBm of
+    if BOLTZMANN * REFERENCE_TEMP_K * bandwidth_hz == 0.0:
+        raise ValueError(
+            f"{label}: bandwidth {bandwidth_hz!r} Hz is too small: "
+            "its noise power underflows to 0 W"
+        )
 
 
 def _check_pa_efficiency(label: str, pa_efficiency: float) -> None:
@@ -389,6 +398,87 @@ def _rx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
     )
 
 
+def _geometry_fields(scenario: LinkScenario) -> tuple:
+    """The fields the path loss, both antenna gains and the transmit-antenna
+    and channel stages read: the arguments of _geometry, and so the key of
+    its cache."""
+    tx, rx = scenario.transmitter, scenario.receiver
+    return (
+        scenario.band.carrier_frequency_hz,
+        scenario.distance_m,
+        scenario.ple,
+        tx.aperture_m2,
+        tx.antenna_efficiency,
+        rx.aperture_m2,
+        rx.antenna_efficiency,
+    )
+
+
+def _held(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
+def _geometry(
+    carrier_frequency_hz: float,
+    distance_m: float,
+    ple: float,
+    tx_aperture_m2: float,
+    tx_antenna_efficiency: float,
+    rx_aperture_m2: float,
+    rx_antenna_efficiency: float,
+) -> tuple[tuple[float, float, float] | str, str | None, tuple[Component, Component] | str]:
+    """The link's geometry, fixed for every point of a sweep: (path loss,
+    transmit gain, receive gain) in dB, the path-loss failure, and the
+    frozen transmit-antenna and channel stages.
+
+    Each failure is held as its message, for its caller to raise where it
+    has always been raised:
+    - the dB values are the message of the first of them to fail; the link
+      evaluation and the SNR solve raise it before anything else;
+    - the path-loss failure is None, or the message of a path loss that
+      fails or overflows a ratio; _call_stages raises it after the
+      source-power check;
+    - the stages are the message of the first of the transmit gain and the
+      two stages to fail; _call_stages raises it after the PA bank's check.
+    build_chain never reads the receive gain: the receive side raises its
+    failure.
+    """
+    freq = carrier_frequency_hz
+    path_loss = _held(ci_path_loss_db, freq, distance_m, ple)
+    gain_tx = _held(aperture_gain_db, tx_aperture_m2, freq, tx_antenna_efficiency)
+    gain_rx = _held(aperture_gain_db, rx_aperture_m2, freq, rx_antenna_efficiency)
+    values = (path_loss, gain_tx, gain_rx)
+    link = next((value for value in values if isinstance(value, str)), values)
+    channel_loss = path_loss if isinstance(path_loss, str) else _held(db_to_linear, path_loss)
+    if isinstance(channel_loss, str):
+        failure = f"path loss over {distance_m:g} m at {freq:g} Hz: {channel_loss}"
+        return link, failure, failure
+    if isinstance(gain_tx, str):
+        return link, None, gain_tx
+    try:
+        stages = (
+            make_directive("tx-antenna", db_to_linear(gain_tx)),
+            make_passive("channel", channel_loss),
+        )
+    except ValueError as exc:
+        return link, None, str(exc)
+    return link, None, stages
+
+
+def _link_geometry(scenario: LinkScenario) -> tuple:
+    """The scenario's _geometry entry, with its path-loss or antenna-gain
+    failure raised: what the link evaluation and the SNR solve read first."""
+    geometry = _geometry(*_geometry_fields(scenario))
+    if isinstance(geometry[0], str):
+        raise ValueError(geometry[0])
+    return geometry
+
+
 def _transmit_components(
     mixer_loss_db: float,
     phase_shifter_loss_db: float,
@@ -432,22 +522,21 @@ def _call_stages(
     pa_efficiency: float,
     tx_power_dbm: float,
     tx_power_w: float,
-    path_loss_db: float | None = None,
-    tx_gain_db: float | None = None,
+    geometry: tuple | None = None,
 ) -> tuple:
     """The part of a link's chain that depends on the call, at the given PA
     efficiency and transmit power (tx_power_w is tx_power_dbm in watts),
     with every check build_chain makes, in its order: a source power that
-    underflows to zero, a path loss that overflows, the transmit side's
-    stage checks and the PA bank's non-path draw at tx_power_w, the
+    underflows to zero, a path loss that fails or overflows, the transmit
+    side's stage checks and the PA bank's non-path draw at tx_power_w, the
     transmit-antenna and channel stages, the receive side, and a source
     power that is not finite.
 
-    Returns (source power, transmit side entry, transmit-antenna stage,
-    channel stage, receive side entry).  The link evaluation passes the
-    path loss and transmit-antenna gain it has already computed;
-    build_chain leaves them to be computed where it has always computed
-    them.
+    Returns (source power, transmit side entry, (transmit-antenna stage,
+    channel stage), receive side entry).  The geometry checks are the
+    failures the _geometry entry holds; the link evaluation passes the entry
+    it has already looked up, and build_chain leaves it to be looked up
+    where the path loss has always been computed.
     """
     band = scenario.band
     tx = scenario.transmitter
@@ -456,43 +545,36 @@ def _call_stages(
     )
     if source_power == 0.0:
         raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
-    freq = band.carrier_frequency_hz
-    try:
-        channel_loss = db_to_linear(
-            scenario.path_loss_db() if path_loss_db is None else path_loss_db
-        )
-    except ValueError as exc:
-        raise ValueError(
-            f"path loss over {scenario.distance_m:g} m at {freq:g} Hz: {exc}"
-        ) from None
+    if geometry is None:
+        geometry = _geometry(*_geometry_fields(scenario))
+    _, path_failure, stages = geometry
+    if path_failure is not None:
+        raise ValueError(path_failure)
     transmit = _transmit_side(*_tx_fields(band, tx, pa_efficiency))
     _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
-    if tx_gain_db is None:
-        tx_gain_db = tx.antenna_gain_db(freq)
-    antenna = make_directive("tx-antenna", db_to_linear(tx_gain_db))
-    channel = make_passive("channel", channel_loss)
+    if isinstance(stages, str):
+        raise ValueError(stages)
     receive = _receive_side(*_rx_fields(band, scenario.receiver))
     _require_source(source_power)
-    return source_power, transmit, antenna, channel, receive
+    return source_power, transmit, stages, receive
 
 
 def build_chain(scenario: LinkScenario) -> Cascade:
     """Full source-to-sink cascade: TX chain, antennas, channel, RX chain.
 
     evaluate_link reads the (gain, waste) pairs of these stages from the
-    terminal-side caches without building the chain; this is the inspectable
-    view of the same stages.
+    terminal-side and geometry caches without building the chain; this is
+    the inspectable view of the same stages.
     """
     band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power, _, antenna, channel, receive = _call_stages(
+    source_power, _, stages, receive = _call_stages(
         scenario, band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
     )
     transmit_fields = _tx_fields(band, scenario.transmitter, band.pa_efficiency)
     components = (
         *_transmit_components(*transmit_fields, tx_power_w),
-        antenna,
-        channel,
+        *stages,
         *receive[0],
     )
     return Cascade(components=components, source_power=source_power)
@@ -622,10 +704,10 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
     The waste figure and cascade gain come from one walk over the (gain,
-    waste) pairs of the full source-to-sink chain: the terminal sides' pairs
-    are cached, and only the transmit-antenna and channel stages are built
-    per call.  Consumed power is split per terminal so cooling and the
-    screen land on the correct side.
+    waste) pairs of the full source-to-sink chain: the terminal sides'
+    pairs, and the path loss, antenna gains and transmit-antenna and channel
+    stages of the link's geometry, are cached.  Consumed power is split per
+    terminal so cooling and the screen land on the correct side.
     """
     band = scenario.band
     return _evaluate(scenario, band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm)
@@ -640,10 +722,8 @@ def _evaluate(
     bisection point evaluates here without building a scenario."""
     band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
-    freq = band.carrier_frequency_hz
-    path_loss = scenario.path_loss_db()
-    gain_tx = tx.antenna_gain_db(freq)
-    gain_rx = rx.antenna_gain_db(freq)
+    geometry = _link_geometry(scenario)
+    path_loss, gain_tx, gain_rx = geometry[0]
 
     # Converted first, so that a transmit power too large for a float is the
     # value an overflow names, not the SNR derived from it.
@@ -653,8 +733,8 @@ def _evaluate(
     snr = p_received - noise
     rate = shannon_rate_bps(bandwidth_hz, snr)
 
-    _, (tx_pairs, tx_slope), antenna, channel, (_, rx_pairs, rx_slope, rx_bank) = _call_stages(
-        scenario, pa_efficiency, tx_power_dbm, tx_power_w, path_loss, gain_tx
+    _, (tx_pairs, tx_slope), (antenna, channel), (_, rx_pairs, rx_slope, rx_bank) = _call_stages(
+        scenario, pa_efficiency, tx_power_dbm, tx_power_w, geometry
     )
     arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
     # The terminal-power model of tx_/rx_power_coefficients, read from the

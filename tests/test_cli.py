@@ -318,6 +318,35 @@ class TestExitCodes:
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["link"],
+            ["sweep-pa", "--points", "2"],
+            ["netsim", "--radius", "65", "--drops", "1"],
+        ],
+        ids=["link", "sweep-pa", "netsim"],
+    )
+    def test_bandwidth_whose_noise_underflows_is_parse_error(self, argv, capsys):
+        # k*T0*B underflows to 0 W: the band check names the field and value
+        # instead of the noise conversion failing on 0 W
+        assert main(argv + ["--set", "band.bandwidth=1e-320 Hz"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid [band] values" in captured.err
+        assert "bandwidth 1e-320 Hz is too small" in captured.err
+
+    @pytest.mark.parametrize("snr", [[], ["--snr", "10"]], ids=["fixed-power", "snr-10"])
+    def test_sweep_point_whose_noise_underflows_names_the_band(self, snr, capsys):
+        argv = ["sweep-bw", "--points", "2", "--lo-ghz", "1e-320", "--hi-ghz", "1e-319"]
+        assert main(argv + snr) == EXIT_EVAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wastefactor: evaluation failed: subthz-140: bandwidth {1e-320 * 1e9!r} Hz"
+            " is too small: its noise power underflows to 0 W\n"
+        )
+
 
 class TestLinkCommand:
     def test_default_preset_report(self):

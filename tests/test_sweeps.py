@@ -19,6 +19,7 @@ from wastefactor.sweeps import (
     snr_matched_sample,
     sweep,
 )
+from wastefactor import transceiver
 from wastefactor.sweeps import _grid
 from wastefactor.transceiver import evaluate_link, mmwave_28, subthz_140
 
@@ -320,6 +321,40 @@ _BAD_X = (0.0, -1.0, math.inf, -math.inf, math.nan, 1.5, 5e-324)
 _BAD_SNR = (math.inf, -math.inf, 1e308, -1e308)
 
 
+# Faults of the link's geometry, on the 28 GHz uplink (the UE transmits):
+# each maps "band", "tx", "rx" or "link" to the fields it changes.  Pairs of
+# them pin which check runs first.
+_GEOMETRY_FAULTS = {
+    # the aperture gain is subnormal, so the antenna's waste 1/G overflows
+    "tx-aperture-underflow": {"tx": {"aperture_m2": 1e-320}},
+    "rx-aperture-underflow": {"rx": {"aperture_m2": 1e-320}},
+    # the channel gains power: its loss is below 1
+    "channel-below-one": {"band": {"carrier_frequency_hz": 1.0}},
+    # the path loss overflows a ratio
+    "path-loss-overflow": {"link": {"distance_m": 1e300}},
+}
+_GEOMETRY_FAULT_CASES = [(name,) for name in _GEOMETRY_FAULTS] + [
+    (first, second)
+    for i, first in enumerate(_GEOMETRY_FAULTS)
+    for second in list(_GEOMETRY_FAULTS)[i + 1 :]
+]
+
+
+def _geometry_faulty(*names):
+    base = mmwave_28()
+    parts = {"band": {}, "tx": {}, "rx": {}, "link": {}}
+    for name in names:
+        for part, changes in _GEOMETRY_FAULTS[name].items():
+            parts[part].update(changes)
+    return replace(
+        base,
+        band=replace(base.band, **parts["band"]),
+        ue=replace(base.ue, **parts["tx"]),
+        bs=replace(base.bs, **parts["rx"]),
+        **parts["link"],
+    )
+
+
 def _scenarios():
     return st.builds(
         lambda preset, **fields: replace(_PRESETS[preset](), **fields),
@@ -402,6 +437,27 @@ class TestSweepCoreOracle:
             assert _outcome(reference_cef, scenario, x) == expected
             assert _outcome(_oracle_reference_cef, scenario, x) == expected
 
+    @pytest.mark.parametrize("names", _GEOMETRY_FAULT_CASES, ids="+".join)
+    @pytest.mark.parametrize("snr", [None, 20.0], ids=["fixed-power", "snr-20"])
+    def test_geometry_faults_raise_in_chain_order(self, names, snr):
+        # the solve raises a path-loss or gain failure before the target is
+        # named, and the evaluation the chain's failures in the chain's order
+        scenario = _geometry_faulty(*names)
+        expected = _outcome(_oracle_point, scenario, scenario.band.bandwidth_hz, snr)
+        assert not isinstance(expected, SweepSample)
+        transceiver._geometry.cache_clear()
+        for _ in range(2):  # from a cold geometry entry, then a warm one
+            assert _outcome(snr_matched_sample, scenario, snr) == expected
+            for parameter, (lo, hi) in _RANGES.items():
+                spec = SweepSpec(scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=2,
+                                 snr_target_db=snr)
+                assert _outcome(sweep, spec) == _outcome(
+                    _oracle_sample, scenario, parameter, lo, snr
+                )
+            assert _outcome(reference_cef, scenario, 0.5) == _outcome(
+                _oracle_reference_cef, scenario, 0.5
+            )
+
     def test_bandwidth_grid_overflowing_to_inf(self):
         # sweep-bw --hi-ghz 1e308: the top of the grid is inf Hz
         spec = SweepSpec(scenario=_dl_140(), parameter="bandwidth", lo=1e8, hi=1e308 * 1e9,
@@ -420,3 +476,34 @@ class TestSweepCoreOracle:
         assert _outcome(snr_matched_sample, scenario, 1e308) == expected
         assert _outcome(sweep, _bandwidth_spec(snr=1e308, points=4)) == expected
 
+
+
+class TestWarmSweep:
+    def test_warm_sweep_point_rebuilds_nothing(self, monkeypatch):
+        scenario = _dl_140()
+        reference = replace(mmwave_28(), direction="downlink")
+
+        def study():
+            curve = sweep(_bandwidth_spec(points=16))
+            target = snr_matched_sample(reference, snr_target_db=20.0).cef_bpj
+            return (
+                curve,
+                sweep(_bandwidth_spec(snr=None, points=16)),
+                find_crossover(curve, target),
+                sweep(SweepSpec(scenario=scenario, parameter="pa_efficiency", lo=0.02, hi=0.6,
+                                points=16)),
+                min_matching_efficiency(_MATCH_TARGET_GBPJ * 1e9, scenario),
+            )
+
+        expected = study()  # fills the geometry and terminal-side caches
+        assert expected[2].found and expected[4].found  # both bisect
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm sweep point rebuilt its geometry or a stage")
+
+        for name in (
+            "ci_path_loss_db", "aperture_gain_db", "make_directive", "make_passive", "Component",
+            "build_chain", "Cascade",
+        ):
+            monkeypatch.setattr(transceiver, name, refuse)
+        assert study() == expected

@@ -595,6 +595,28 @@ class TestChainFreeEvaluation:
         monkeypatch.setattr(transceiver, "Cascade", refuse)
         assert evaluate_link(scenario) == expected
 
+    def test_geometry_key_holds_every_field(self):
+        # The 28 GHz uplink, then one link per field the geometry entry reads
+        # (ple is the LoS exponent here; the UE transmits, the BS receives),
+        # and one per choice of which of them it reads; evaluated one after
+        # another, each finds the entries the links before it left.
+        base = mmwave_28()
+        links = [
+            base,
+            replace(base, band=replace(base.band, carrier_frequency_hz=30e9)),
+            replace(base, distance_m=150.0),
+            replace(base, ple_los=2.5),
+            replace(base, ue=replace(base.ue, aperture_m2=1e-3)),
+            replace(base, ue=replace(base.ue, antenna_efficiency=0.5)),
+            replace(base, bs=replace(base.bs, aperture_m2=0.25)),
+            replace(base, bs=replace(base.bs, antenna_efficiency=0.5)),
+            replace(base, direction="downlink"),
+            replace(base, environment="nlos"),
+        ]
+        for scenario in links + links:
+            assert evaluate_link(scenario) == _oracle(scenario)
+            assert build_chain(scenario) == _oracle_chain(scenario)
+
     @pytest.mark.parametrize("names", _FAULT_CASES, ids="+".join)
     def test_faults_raise_in_chain_order(self, names):
         scenario = _faulty(*names)
