@@ -128,7 +128,13 @@ def shannon_rate_bps(bandwidth_hz: float, snr_db: float) -> float:
     """Capacity bound B*log2(1 + SNR)."""
     if bandwidth_hz <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_hz!r}")
-    return bandwidth_hz * math.log2(1.0 + db_to_linear(snr_db))
+    try:
+        snr = db_to_linear(snr_db)
+    except ValueError:
+        raise ValueError(
+            f"SNR {snr_db!r} dB over {bandwidth_hz!r} Hz is too large to express as a ratio"
+        ) from None
+    return bandwidth_hz * math.log2(1.0 + snr)
 
 
 def tx_power_for_snr_dbm(

@@ -11,8 +11,7 @@ from .transceiver import (
     _check_bandwidth,
     _check_pa_efficiency,
     _check_tx_power,
-    _evaluate,
-    _link_geometry,
+    _Link,
 )
 
 __all__ = [
@@ -127,12 +126,12 @@ def _grid(spec: SweepSpec) -> list[float]:
 
 
 def _evaluate_point(
-    scenario: LinkScenario, parameter: str, x: float, snr_target_db: float | None
+    link: _Link, parameter: str, x: float, snr_target_db: float | None
 ) -> SweepSample:
-    """The scenario with the swept parameter set to x, evaluated without
-    building it: x is checked as BandProfile checks it, and transmit power
-    is solved for the SNR target when one is given."""
-    band = scenario.band
+    """The link's scenario with the swept parameter set to x, evaluated
+    without building it: x is checked as BandProfile checks it, and transmit
+    power is solved for the SNR target when one is given."""
+    band = link.band
     if parameter == "bandwidth":
         _check_bandwidth(band.label, x)
         bandwidth_hz, pa_efficiency = x, band.pa_efficiency
@@ -140,15 +139,16 @@ def _evaluate_point(
         _check_pa_efficiency(band.label, x)
         bandwidth_hz, pa_efficiency = band.bandwidth_hz, x
     if snr_target_db is None:
-        report = _evaluate(scenario, bandwidth_hz, pa_efficiency, scenario.tx_power_dbm)
+        report = link.evaluate(bandwidth_hz, pa_efficiency, link.scenario.tx_power_dbm)
     else:
-        # (path loss, transmit gain, receive gain), or their failure raised
-        # before the target is named
-        link = _link_geometry(scenario)[0]
-        tx_power = tx_power_for_snr_dbm(snr_target_db, bandwidth_hz, band.noise_figure_db, *link)
+        # a path loss or gain that fails raises before the target is named
+        tx_power = tx_power_for_snr_dbm(
+            snr_target_db, bandwidth_hz, band.noise_figure_db,
+            link.path_loss_db, link.tx_gain_db, link.rx_gain_db,
+        )
         try:
             _check_tx_power(tx_power)
-            report = _evaluate(scenario, bandwidth_hz, pa_efficiency, tx_power)
+            report = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
         except ValueError as exc:
             # the transmit power was derived from the target, so name the target
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
@@ -163,10 +163,12 @@ def _evaluate_point(
 
 
 def sweep(spec: SweepSpec) -> Curve:
-    """Evaluate the grid in order, one sample per grid point."""
+    """Evaluate the grid in order, one sample per grid point, on one link
+    that the curve's evaluator goes on using."""
+    link = _Link(spec.scenario)
 
     def evaluate(x: float) -> SweepSample:
-        return _evaluate_point(spec.scenario, spec.parameter, x, spec.snr_target_db)
+        return _evaluate_point(link, spec.parameter, x, spec.snr_target_db)
 
     return Curve(
         unit=spec.unit, samples=tuple(evaluate(x) for x in _grid(spec)), evaluator=evaluate
@@ -230,7 +232,7 @@ def find_curve_crossing(a: Curve, b: Curve) -> CrossoverResult:
 def snr_matched_sample(scenario: LinkScenario, snr_target_db: float | None = None) -> SweepSample:
     """Evaluate a scenario at its own bandwidth with the same power-solving
     rules a sweep uses, so crossover references and curves stay comparable."""
-    return _evaluate_point(scenario, "bandwidth", scenario.band.bandwidth_hz, snr_target_db)
+    return _evaluate_point(_Link(scenario), "bandwidth", scenario.band.bandwidth_hz, snr_target_db)
 
 
 def reference_cef(scenario: LinkScenario, pa_efficiency: float | None = None) -> float:
@@ -238,7 +240,7 @@ def reference_cef(scenario: LinkScenario, pa_efficiency: float | None = None) ->
     efficiency (bits/joule)."""
     if pa_efficiency is None:
         pa_efficiency = scenario.band.pa_efficiency
-    return _evaluate_point(scenario, "pa_efficiency", pa_efficiency, None).cef_bpj
+    return _evaluate_point(_Link(scenario), "pa_efficiency", pa_efficiency, None).cef_bpj
 
 
 def min_matching_efficiency(
@@ -259,8 +261,10 @@ def min_matching_efficiency(
     if not target_cef_bpj > 0.0:
         raise ValueError(f"target CEF must be positive, got {target_cef_bpj!r} b/J")
 
+    link = _Link(scenario)
+
     def cef_at(eta: float) -> float:
-        return reference_cef(scenario, pa_efficiency=eta)
+        return _evaluate_point(link, "pa_efficiency", eta, None).cef_bpj
 
     if cef_at(hi) < target_cef_bpj:
         return EfficiencyMatch(found=False)

@@ -69,9 +69,8 @@ __all__ = [
 BASE_STATION = "base-station"
 USER_EQUIPMENT = "user-equipment"
 
-# Entries held by each terminal-side cache and by the geometry cache.  A
-# PA-efficiency grid over four element counts needs 256 transmit keys; each
-# bisection adds a few more.
+# Entries held by each terminal-side cache.  A PA-efficiency grid over four
+# element counts needs 256 transmit keys; each bisection adds a few more.
 _SLOPE_CACHE_SIZE = 1024
 
 
@@ -398,87 +397,6 @@ def _rx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
     )
 
 
-def _geometry_fields(scenario: LinkScenario) -> tuple:
-    """The fields the path loss, both antenna gains and the transmit-antenna
-    and channel stages read: the arguments of _geometry, and so the key of
-    its cache."""
-    tx, rx = scenario.transmitter, scenario.receiver
-    return (
-        scenario.band.carrier_frequency_hz,
-        scenario.distance_m,
-        scenario.ple,
-        tx.aperture_m2,
-        tx.antenna_efficiency,
-        rx.aperture_m2,
-        rx.antenna_efficiency,
-    )
-
-
-def _held(fn, *args):
-    """fn(*args), or the message of the ValueError it raises."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _geometry(
-    carrier_frequency_hz: float,
-    distance_m: float,
-    ple: float,
-    tx_aperture_m2: float,
-    tx_antenna_efficiency: float,
-    rx_aperture_m2: float,
-    rx_antenna_efficiency: float,
-) -> tuple[tuple[float, float, float] | str, str | None, tuple[Component, Component] | str]:
-    """The link's geometry, fixed for every point of a sweep: (path loss,
-    transmit gain, receive gain) in dB, the path-loss failure, and the
-    frozen transmit-antenna and channel stages.
-
-    Each failure is held as its message, for its caller to raise where it
-    has always been raised:
-    - the dB values are the message of the first of them to fail; the link
-      evaluation and the SNR solve raise it before anything else;
-    - the path-loss failure is None, or the message of a path loss that
-      fails or overflows a ratio; _call_stages raises it after the
-      source-power check;
-    - the stages are the message of the first of the transmit gain and the
-      two stages to fail; _call_stages raises it after the PA bank's check.
-    build_chain never reads the receive gain: the receive side raises its
-    failure.
-    """
-    freq = carrier_frequency_hz
-    path_loss = _held(ci_path_loss_db, freq, distance_m, ple)
-    gain_tx = _held(aperture_gain_db, tx_aperture_m2, freq, tx_antenna_efficiency)
-    gain_rx = _held(aperture_gain_db, rx_aperture_m2, freq, rx_antenna_efficiency)
-    values = (path_loss, gain_tx, gain_rx)
-    link = next((value for value in values if isinstance(value, str)), values)
-    channel_loss = path_loss if isinstance(path_loss, str) else _held(db_to_linear, path_loss)
-    if isinstance(channel_loss, str):
-        failure = f"path loss over {distance_m:g} m at {freq:g} Hz: {channel_loss}"
-        return link, failure, failure
-    if isinstance(gain_tx, str):
-        return link, None, gain_tx
-    try:
-        stages = (
-            make_directive("tx-antenna", db_to_linear(gain_tx)),
-            make_passive("channel", channel_loss),
-        )
-    except ValueError as exc:
-        return link, None, str(exc)
-    return link, None, stages
-
-
-def _link_geometry(scenario: LinkScenario) -> tuple:
-    """The scenario's _geometry entry, with its path-loss or antenna-gain
-    failure raised: what the link evaluation and the SNR solve read first."""
-    geometry = _geometry(*_geometry_fields(scenario))
-    if isinstance(geometry[0], str):
-        raise ValueError(geometry[0])
-    return geometry
-
-
 def _transmit_components(
     mixer_loss_db: float,
     phase_shifter_loss_db: float,
@@ -517,59 +435,144 @@ def _source_power_w(
     return tx_power_w * losses / db_to_linear(pa_gain_db)
 
 
-def _call_stages(
-    scenario: LinkScenario,
-    pa_efficiency: float,
-    tx_power_dbm: float,
-    tx_power_w: float,
-    geometry: tuple | None = None,
-) -> tuple:
-    """The part of a link's chain that depends on the call, at the given PA
-    efficiency and transmit power (tx_power_w is tx_power_dbm in watts),
-    with every check build_chain makes, in its order: a source power that
-    underflows to zero, a path loss that fails or overflows, the transmit
-    side's stage checks and the PA bank's non-path draw at tx_power_w, the
-    transmit-antenna and channel stages, the receive side, and a source
-    power that is not finite.
+class _Link:
+    """One scenario's link, and what every evaluation of it shares: the path
+    loss, both antenna gains, the channel loss, the frozen transmit-antenna
+    and channel stages (`stages`), and the receive side's cache entry.
 
-    Returns (source power, transmit side entry, (transmit-antenna stage,
-    channel stage), receive side entry).  The geometry checks are the
-    failures the _geometry entry holds; the link evaluation passes the entry
-    it has already looked up, and build_chain leaves it to be looked up
-    where the path loss has always been computed.
+    Each is computed on first use and kept only if it succeeds, so a failure
+    raises again, at its own step of build_chain's check order, on every
+    call that reaches it.  evaluate_link and build_chain build one per call;
+    a sweep builds one per curve and evaluates every point on it.
     """
-    band = scenario.band
-    tx = scenario.transmitter
-    source_power = _source_power_w(
-        band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
-    )
-    if source_power == 0.0:
-        raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
-    if geometry is None:
-        geometry = _geometry(*_geometry_fields(scenario))
-    _, path_failure, stages = geometry
-    if path_failure is not None:
-        raise ValueError(path_failure)
-    transmit = _transmit_side(*_tx_fields(band, tx, pa_efficiency))
-    _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
-    if isinstance(stages, str):
-        raise ValueError(stages)
-    receive = _receive_side(*_rx_fields(band, scenario.receiver))
-    _require_source(source_power)
-    return source_power, transmit, stages, receive
+
+    def __init__(self, scenario: LinkScenario) -> None:
+        self.scenario = scenario
+        self.band = scenario.band
+        self.tx = scenario.transmitter
+        self.rx = scenario.receiver
+
+    @functools.cached_property
+    def path_loss_db(self) -> float:
+        return self.scenario.path_loss_db()
+
+    @functools.cached_property
+    def tx_gain_db(self) -> float:
+        return self.tx.antenna_gain_db(self.band.carrier_frequency_hz)
+
+    @functools.cached_property
+    def rx_gain_db(self) -> float:
+        return self.rx.antenna_gain_db(self.band.carrier_frequency_hz)
+
+    @functools.cached_property
+    def channel_loss(self) -> float:
+        try:
+            return db_to_linear(self.path_loss_db)
+        except ValueError as exc:
+            raise ValueError(
+                f"path loss over {self.scenario.distance_m:g} m"
+                f" at {self.band.carrier_frequency_hz:g} Hz: {exc}"
+            ) from None
+
+    @functools.cached_property
+    def stages(self) -> tuple[Component, Component]:
+        return (
+            make_directive("tx-antenna", db_to_linear(self.tx_gain_db)),
+            make_passive("channel", self.channel_loss),
+        )
+
+    @functools.cached_property
+    def receive(self) -> tuple:
+        return _receive_side(*_rx_fields(self.band, self.rx))
+
+    def checked(self, pa_efficiency: float, tx_power_dbm: float, tx_power_w: float) -> tuple:
+        """The link's chain at the given PA efficiency and transmit power
+        (tx_power_w is tx_power_dbm in watts), with every check build_chain
+        makes, in its order: a source power that underflows to zero, a path
+        loss that fails or overflows, the transmit side's stage checks and
+        the PA bank's non-path draw at tx_power_w, the transmit-antenna and
+        channel stages, the receive side, and a source power that is not
+        finite.
+
+        Returns (source power, transmit side entry, (transmit-antenna stage,
+        channel stage), receive side entry).
+        """
+        band, tx = self.band, self.tx
+        source_power = _source_power_w(
+            band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
+        )
+        if source_power == 0.0:
+            raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
+        self.channel_loss  # a path loss that fails or overflows raises here
+        transmit = _transmit_side(*_tx_fields(band, tx, pa_efficiency))
+        _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
+        stages = self.stages
+        receive = self.receive
+        _require_source(source_power)
+        return source_power, transmit, stages, receive
+
+    def evaluate(
+        self, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
+    ) -> LinkReport:
+        """evaluate_link on the scenario with its bandwidth, PA efficiency
+        and transmit power replaced by the given values, which the caller
+        has checked as BandProfile and LinkScenario check them.  A sweep or
+        bisection point evaluates here without building a scenario."""
+        band, tx, rx = self.band, self.tx, self.rx
+        path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
+
+        # Converted first, so that a transmit power too large for a float is
+        # the value an overflow names, not the SNR derived from it.
+        tx_power_w = dbm_to_watts(tx_power_dbm)
+        p_received = received_power_dbm(tx_power_dbm, gain_tx, gain_rx, path_loss)
+        noise = thermal_noise_dbm(bandwidth_hz, band.noise_figure_db)
+        snr = p_received - noise
+        rate = shannon_rate_bps(bandwidth_hz, snr)
+
+        _, (tx_pairs, tx_slope), (antenna, channel), (_, rx_pairs, rx_slope, rx_bank) = (
+            self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
+        )
+        arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
+        # The terminal-power model of tx_/rx_power_coefficients, read from
+        # the cache entries checked() has looked up.
+        if isinstance(tx_slope, str):
+            raise ValueError(tx_slope)
+        tx_fixed = _fixed_draw(band, tx, bandwidth_hz, 0.0)
+        tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
+        rx_fixed = _fixed_draw(band, rx, bandwidth_hz, rx_bank)
+        consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
+        waste, gain = _walk(
+            (
+                *tx_pairs,
+                (antenna.gain, antenna.waste_factor),
+                (channel.gain, channel.waste_factor),
+                *rx_pairs,
+            )
+        )
+
+        return LinkReport(
+            waste_figure_db=10.0 * math.log10(waste),
+            cascade_gain_db=10.0 * math.log10(gain),
+            p_received_dbw=p_received - 30.0,
+            snr_db=snr,
+            rate_bps=rate,
+            p_consumed_w=consumed,
+            cef_bpj=rate / consumed,
+            path_loss_db=path_loss,
+            eirp_dbm=tx_power_dbm + gain_tx,
+        )
 
 
 def build_chain(scenario: LinkScenario) -> Cascade:
     """Full source-to-sink cascade: TX chain, antennas, channel, RX chain.
 
-    evaluate_link reads the (gain, waste) pairs of these stages from the
-    terminal-side and geometry caches without building the chain; this is
-    the inspectable view of the same stages.
+    evaluate_link reads the (gain, waste) pairs of these stages without
+    building the chain; this is the inspectable view of the same stages.
     """
     band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power, _, stages, receive = _call_stages(
-        scenario, band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
+    source_power, _, stages, receive = _Link(scenario).checked(
+        band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
     )
     transmit_fields = _tx_fields(band, scenario.transmitter, band.pa_efficiency)
     components = (
@@ -704,67 +707,12 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
     The waste figure and cascade gain come from one walk over the (gain,
-    waste) pairs of the full source-to-sink chain: the terminal sides'
-    pairs, and the path loss, antenna gains and transmit-antenna and channel
-    stages of the link's geometry, are cached.  Consumed power is split per
-    terminal so cooling and the screen land on the correct side.
+    waste) pairs of the full source-to-sink chain: the terminal sides' pairs
+    come from their caches, the rest from the call's _Link.  Consumed power
+    is split per terminal so cooling and the screen land on the correct side.
     """
     band = scenario.band
-    return _evaluate(scenario, band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm)
-
-
-def _evaluate(
-    scenario: LinkScenario, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
-) -> LinkReport:
-    """evaluate_link on scenario with its bandwidth, PA efficiency and
-    transmit power replaced by the given values, which the caller has
-    checked as BandProfile and LinkScenario check them.  A sweep or
-    bisection point evaluates here without building a scenario."""
-    band = scenario.band
-    tx, rx = scenario.transmitter, scenario.receiver
-    geometry = _link_geometry(scenario)
-    path_loss, gain_tx, gain_rx = geometry[0]
-
-    # Converted first, so that a transmit power too large for a float is the
-    # value an overflow names, not the SNR derived from it.
-    tx_power_w = dbm_to_watts(tx_power_dbm)
-    p_received = received_power_dbm(tx_power_dbm, gain_tx, gain_rx, path_loss)
-    noise = thermal_noise_dbm(bandwidth_hz, band.noise_figure_db)
-    snr = p_received - noise
-    rate = shannon_rate_bps(bandwidth_hz, snr)
-
-    _, (tx_pairs, tx_slope), (antenna, channel), (_, rx_pairs, rx_slope, rx_bank) = _call_stages(
-        scenario, pa_efficiency, tx_power_dbm, tx_power_w, geometry
-    )
-    arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
-    # The terminal-power model of tx_/rx_power_coefficients, read from the
-    # cache entries _call_stages has looked up.
-    if isinstance(tx_slope, str):
-        raise ValueError(tx_slope)
-    tx_fixed = _fixed_draw(band, tx, bandwidth_hz, 0.0)
-    tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
-    rx_fixed = _fixed_draw(band, rx, bandwidth_hz, rx_bank)
-    consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
-    waste, gain = _walk(
-        (
-            *tx_pairs,
-            (antenna.gain, antenna.waste_factor),
-            (channel.gain, channel.waste_factor),
-            *rx_pairs,
-        )
-    )
-
-    return LinkReport(
-        waste_figure_db=10.0 * math.log10(waste),
-        cascade_gain_db=10.0 * math.log10(gain),
-        p_received_dbw=p_received - 30.0,
-        snr_db=snr,
-        rate_bps=rate,
-        p_consumed_w=consumed,
-        cef_bpj=rate / consumed,
-        path_loss_db=path_loss,
-        eirp_dbm=tx_power_dbm + gain_tx,
-    )
+    return _Link(scenario).evaluate(band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm)
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,17 @@ class TestExitCodes:
         )
 
 
+    def test_bandwidth_whose_snr_overflows_names_the_value(self, capsys):
+        # k*T0*B stays above 0 W, but the SNR over it overflows a ratio: the
+        # rate names the SNR and the bandwidth
+        assert main(["link", "--set", "band.bandwidth=1e-300 Hz"]) == EXIT_EVAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wastefactor: evaluation failed: SNR 3122.9262563933644 dB over 1e-300 Hz"
+            " is too large to express as a ratio\n"
+        )
+
 class TestLinkCommand:
     def test_default_preset_report(self):
         code, out = _run(["link"])

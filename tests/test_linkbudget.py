@@ -176,6 +176,13 @@ class TestShannonRate:
         assert shannon_rate_bps(bandwidth, snr_db + 1.0) > shannon_rate_bps(bandwidth, snr_db)
 
 
+    def test_overflowing_snr_names_snr_and_bandwidth(self):
+        with pytest.raises(ValueError) as info:
+            shannon_rate_bps(1e6, 4000.0)
+        assert str(info.value) == (
+            "SNR 4000.0 dB over 1000000.0 Hz is too large to express as a ratio"
+        )
+
 class TestReceivedPowerAndSolver:
     def test_additive_identity(self):
         assert received_power_dbm(10.0, 30.0, 20.0, 100.0) == pytest.approx(-40.0, abs=1e-12)

@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wastefactor.linkbudget import tx_power_for_snr_dbm
 from wastefactor.sweeps import (
@@ -412,6 +412,33 @@ class TestSweepCoreOracle:
         )
         assert reference_cef(scenario) == evaluate_link(scenario).cef_bpj
 
+    @given(
+        _scenarios(),
+        st.sampled_from(sorted(_RANGES)),
+        st.none() | st.floats(-30.0, 70.0),
+        st.lists(
+            st.floats(0.0, 1.0).map(lambda u: (True, u))
+            | st.sampled_from(_BAD_X).map(lambda x: (False, x)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_failing_point_leaves_link_as_it_was(self, scenario, parameter, snr, points):
+        # one curve's evaluator, fed good and bad swept values in turn: each
+        # outcome is the rebuilt scenario's, whatever failed before it
+        lo, hi = _RANGES[parameter]
+        spec = SweepSpec(
+            scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=4, snr_target_db=snr
+        )
+        curve = _outcome(sweep, spec)
+        assume(isinstance(curve, Curve))
+        for between, value in points:
+            x = _off_grid(parameter, value) if between else value
+            assert _outcome(curve.evaluator, x) == _outcome(
+                _oracle_sample, scenario, parameter, x, snr
+            )
+
     @pytest.mark.parametrize(
         "parameter, x, message",
         [
@@ -445,8 +472,7 @@ class TestSweepCoreOracle:
         scenario = _geometry_faulty(*names)
         expected = _outcome(_oracle_point, scenario, scenario.band.bandwidth_hz, snr)
         assert not isinstance(expected, SweepSample)
-        transceiver._geometry.cache_clear()
-        for _ in range(2):  # from a cold geometry entry, then a warm one
+        for _ in range(2):  # a failure is not kept: the second call fails as the first
             assert _outcome(snr_matched_sample, scenario, snr) == expected
             for parameter, (lo, hi) in _RANGES.items():
                 spec = SweepSpec(scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=2,
@@ -480,23 +506,20 @@ class TestSweepCoreOracle:
 
 class TestWarmSweep:
     def test_warm_sweep_point_rebuilds_nothing(self, monkeypatch):
+        # once sweep() has returned, its link holds the geometry and the
+        # stages that every further point and bisection of the curve reads
         scenario = _dl_140()
-        reference = replace(mmwave_28(), direction="downlink")
-
-        def study():
-            curve = sweep(_bandwidth_spec(points=16))
-            target = snr_matched_sample(reference, snr_target_db=20.0).cef_bpj
-            return (
-                curve,
-                sweep(_bandwidth_spec(snr=None, points=16)),
-                find_crossover(curve, target),
-                sweep(SweepSpec(scenario=scenario, parameter="pa_efficiency", lo=0.02, hi=0.6,
-                                points=16)),
-                min_matching_efficiency(_MATCH_TARGET_GBPJ * 1e9, scenario),
-            )
-
-        expected = study()  # fills the geometry and terminal-side caches
-        assert expected[2].found and expected[4].found  # both bisect
+        target = snr_matched_sample(
+            replace(mmwave_28(), direction="downlink"), snr_target_db=20.0
+        ).cef_bpj
+        curves = (
+            sweep(_bandwidth_spec(points=16)),
+            sweep(_bandwidth_spec(snr=None, points=16)),
+            sweep(SweepSpec(scenario=scenario, parameter="pa_efficiency", lo=0.02, hi=0.6,
+                            points=16)),
+        )
+        crossover = find_crossover(curves[0], target)
+        assert crossover.found and crossover.x > curves[0].samples[0].x  # it bisects
 
         def refuse(*args, **kwargs):
             raise AssertionError("a warm sweep point rebuilt its geometry or a stage")
@@ -506,4 +529,21 @@ class TestWarmSweep:
             "build_chain", "Cascade",
         ):
             monkeypatch.setattr(transceiver, name, refuse)
-        assert study() == expected
+        for curve in curves:
+            assert [curve.evaluator(s.x) for s in curve.samples] == list(curve.samples)
+        assert find_crossover(curves[0], target) == crossover
+        monkeypatch.undo()
+
+        # a matching-efficiency search computes the path loss once, however
+        # many points its bisection takes
+        calls = []
+        path_loss = transceiver.ci_path_loss_db
+        monkeypatch.setattr(
+            transceiver, "ci_path_loss_db", lambda *args: calls.append(args) or path_loss(*args)
+        )
+        counts = []
+        for tol in (1e-2, 1e-6):
+            calls.clear()
+            assert min_matching_efficiency(_MATCH_TARGET_GBPJ * 1e9, scenario, tol=tol).found
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
