@@ -171,6 +171,23 @@ def _walk(pairs: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     return total, gain
 
 
+def _require_gain_products(components: tuple[Component, ...]) -> None:
+    """The gain products _walk forms must not underflow to 0: source to sink
+    (the cascade gain, whose dB value would fail) and sink back to the second
+    stage (what each stage's excess waste is divided by).  They are formed in
+    _walk's order, so this raises exactly where _walk or the dB value of its
+    result would fail, naming the component at which a product first
+    reaches 0."""
+    for order in (components, components[:0:-1]):
+        product = 1.0
+        for component in order:
+            product *= component.gain
+            if product == 0.0:
+                raise ValueError(
+                    f"the gain product underflows to 0 at component {component.label!r}"
+                )
+
+
 def _pairs(cascade: Cascade) -> tuple[tuple[float, float], ...]:
     return tuple((c.gain, c.waste_factor) for c in _require_components(cascade))
 

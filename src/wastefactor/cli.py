@@ -19,6 +19,7 @@ from dataclasses import replace
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cascade import (
+    _require_gain_products,
     cascade_gain,
     cascade_waste_factor,
     consumed_power,
@@ -265,21 +266,6 @@ def cmd_netsim(args, stdout: TextIO) -> int:
         f" {best.n_cells} cells, throughput {_fmt(best.throughput_bps / 1e9)} Gb/s\n"
     )
     return EXIT_OK
-
-
-def _require_gain_products(components) -> None:
-    """The gain products the cascade maths form must not underflow to 0:
-    source to sink (the cascade gain) and sink back to the second stage
-    (what each stage's excess waste is divided by).  Names the component at
-    which a product first reaches 0."""
-    for order in (components, components[:0:-1]):
-        product = 1.0
-        for component in order:
-            product *= component.gain
-            if product == 0.0:
-                raise ValueError(
-                    f"the gain product underflows to 0 at component {component.label!r}"
-                )
 
 
 def cmd_chain(args, stdout: TextIO) -> int:

@@ -139,7 +139,8 @@ def _evaluate_point(
         _check_pa_efficiency(band.label, x)
         bandwidth_hz, pa_efficiency = band.bandwidth_hz, x
     if snr_target_db is None:
-        report = link.evaluate(bandwidth_hz, pa_efficiency, link.scenario.tx_power_dbm)
+        tx_power = link.scenario.tx_power_dbm
+        _, snr, rate, consumed, eirp = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
     else:
         # a path loss or gain that fails raises before the target is named
         tx_power = tx_power_for_snr_dbm(
@@ -148,17 +149,17 @@ def _evaluate_point(
         )
         try:
             _check_tx_power(tx_power)
-            report = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
+            _, snr, rate, consumed, eirp = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
         except ValueError as exc:
             # the transmit power was derived from the target, so name the target
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     return SweepSample(
         x=x,
-        cef_bpj=report.cef_bpj,
-        rate_bps=report.rate_bps,
-        p_consumed_w=report.p_consumed_w,
-        snr_db=report.snr_db,
-        feasible=report.eirp_dbm <= _EIRP_CEILING_DBM,
+        cef_bpj=rate / consumed,
+        rate_bps=rate,
+        p_consumed_w=consumed,
+        snr_db=snr,
+        feasible=eirp <= _EIRP_CEILING_DBM,
     )
 
 

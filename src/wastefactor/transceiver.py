@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from .cascade import (
     Cascade,
     Component,
+    _require_gain_products,
     _require_non_path,
     _require_source,
     _walk,
@@ -372,7 +373,7 @@ def preset_scenario(name: str) -> LinkScenario:
 def _tx_fields(band: BandProfile, terminal: TerminalProfile, pa_efficiency: float) -> tuple:
     """The fields the transmit chain reads, at the given PA efficiency: the
     arguments of _transmit_components before the transmit power, and so the
-    key of _transmit_side's cache."""
+    key of the _transmit_side and _transmit_slope caches."""
     return (
         band.mixer_loss_db,
         band.phase_shifter_loss_db,
@@ -438,12 +439,20 @@ def _source_power_w(
 class _Link:
     """One scenario's link, and what every evaluation of it shares: the path
     loss, both antenna gains, the channel loss, the frozen transmit-antenna
-    and channel stages (`stages`), and the receive side's cache entry.
+    and channel stages (`stages`), the receive side's cache entry, and the
+    check of the chain's gain products.
 
     Each is computed on first use and kept only if it succeeds, so a failure
     raises again, at its own step of build_chain's check order, on every
     call that reaches it.  evaluate_link and build_chain build one per call;
     a sweep builds one per curve and evaluates every point on it.
+
+    A sweep or bisection point runs evaluate() and nothing more: no waste
+    factor walk, no dB values, no LinkReport.  No point changes a stage
+    gain, so the gain products the walk forms are checked once per link
+    (`gain_products`); one that underflows to 0 fails every point, where the
+    walk would, with "the gain product underflows to 0 at component
+    '<label>'".
     """
 
     def __init__(self, scenario: LinkScenario) -> None:
@@ -485,6 +494,20 @@ class _Link:
     def receive(self) -> tuple:
         return _receive_side(*_rx_fields(self.band, self.rx))
 
+    @functools.cached_property
+    def gain_products(self) -> None:
+        """Raises where the whole chain's waste-factor walk, or the dB value
+        of its gain, would fail: a gain product that underflows to 0.
+
+        No stage gain depends on the PA efficiency, the bandwidth or the
+        transmit power, so this holds for every point of the link.  Read
+        only after checked() has passed, so every stage builds; the
+        transmit stages are taken at PA efficiency 1, where the PA bank
+        builds whenever it builds at any efficiency.
+        """
+        transmit = _transmit_side(*_tx_fields(self.band, self.tx, 1.0))
+        _require_gain_products((*transmit, *self.stages, *self.receive[0]))
+
     def checked(self, pa_efficiency: float, tx_power_dbm: float, tx_power_w: float) -> tuple:
         """The link's chain at the given PA efficiency and transmit power
         (tx_power_w is tx_power_dbm in watts), with every check build_chain
@@ -494,8 +517,8 @@ class _Link:
         channel stages, the receive side, and a source power that is not
         finite.
 
-        Returns (source power, transmit side entry, (transmit-antenna stage,
-        channel stage), receive side entry).
+        Returns (source power, the transmit side's cache key,
+        (transmit-antenna stage, channel stage), receive side entry).
         """
         band, tx = self.band, self.tx
         source_power = _source_power_w(
@@ -504,20 +527,27 @@ class _Link:
         if source_power == 0.0:
             raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
         self.channel_loss  # a path loss that fails or overflows raises here
-        transmit = _transmit_side(*_tx_fields(band, tx, pa_efficiency))
+        transmit_fields = _tx_fields(band, tx, pa_efficiency)
+        _transmit_side(*transmit_fields)
         _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
         stages = self.stages
         receive = self.receive
         _require_source(source_power)
-        return source_power, transmit, stages, receive
+        return source_power, transmit_fields, stages, receive
 
     def evaluate(
         self, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
-    ) -> LinkReport:
-        """evaluate_link on the scenario with its bandwidth, PA efficiency
-        and transmit power replaced by the given values, which the caller
-        has checked as BandProfile and LinkScenario check them.  A sweep or
-        bisection point evaluates here without building a scenario."""
+    ) -> tuple[float, float, float, float, float]:
+        """The link's scenario with its bandwidth, PA efficiency and transmit
+        power replaced by the given values, which the caller has checked as
+        BandProfile and LinkScenario check them, evaluated up to everything
+        but the waste figure and the cascade gain, with every check of
+        evaluate_link in its order.
+
+        Returns (received power in dBm, SNR in dB, rate in b/s, consumed
+        power in W, EIRP in dBm).  A sweep or bisection point is this and
+        nothing more: it runs no walk and builds no report.
+        """
         band, tx, rx = self.band, self.tx, self.rx
         path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
 
@@ -529,38 +559,19 @@ class _Link:
         snr = p_received - noise
         rate = shannon_rate_bps(bandwidth_hz, snr)
 
-        _, (tx_pairs, tx_slope), (antenna, channel), (_, rx_pairs, rx_slope, rx_bank) = (
-            self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
+        _, transmit_fields, _, (_, rx_slope, rx_bank) = self.checked(
+            pa_efficiency, tx_power_dbm, tx_power_w
         )
         arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
         # The terminal-power model of tx_/rx_power_coefficients, read from
-        # the cache entries checked() has looked up.
-        if isinstance(tx_slope, str):
-            raise ValueError(tx_slope)
+        # the cache entries checked() has looked up and the slope's own.
+        tx_slope = _transmit_slope(*transmit_fields)
         tx_fixed = _fixed_draw(band, tx, bandwidth_hz, 0.0)
         tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
         rx_fixed = _fixed_draw(band, rx, bandwidth_hz, rx_bank)
         consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
-        waste, gain = _walk(
-            (
-                *tx_pairs,
-                (antenna.gain, antenna.waste_factor),
-                (channel.gain, channel.waste_factor),
-                *rx_pairs,
-            )
-        )
-
-        return LinkReport(
-            waste_figure_db=10.0 * math.log10(waste),
-            cascade_gain_db=10.0 * math.log10(gain),
-            p_received_dbw=p_received - 30.0,
-            snr_db=snr,
-            rate_bps=rate,
-            p_consumed_w=consumed,
-            cef_bpj=rate / consumed,
-            path_loss_db=path_loss,
-            eirp_dbm=tx_power_dbm + gain_tx,
-        )
+        self.gain_products  # a gain product that underflows to 0 raises here
+        return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
 
 
 def build_chain(scenario: LinkScenario) -> Cascade:
@@ -571,10 +582,9 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     """
     band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power, _, stages, receive = _Link(scenario).checked(
+    source_power, transmit_fields, stages, receive = _Link(scenario).checked(
         band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
     )
-    transmit_fields = _tx_fields(band, scenario.transmitter, band.pa_efficiency)
     components = (
         *_transmit_components(*transmit_fields, tx_power_w),
         *stages,
@@ -603,27 +613,34 @@ def _transmit_side(
     pa_gain_db: float,
     pa_efficiency: float,
     element_count: int,
-) -> tuple[tuple[tuple[float, float], ...], float | str]:
-    """The (gain, waste) pairs of the mixer, phase shifter and PA bank, and
-    the transmit slope: the ledger total of those stages sized for 1 W
-    radiated.
+) -> tuple[Component, ...]:
+    """The mixer, phase shifter and PA bank sized for 0 W.
 
-    The pairs do not depend on the transmit power.  The stages are checked
-    at 0 W, which runs every stage check but the PA bank's non-path draw;
-    that one depends on the power and runs per call.  If the 1 W chain fails its
-    own checks, the slope is the failure's message, and tx_power_coefficients
-    and the link evaluation raise it where evaluate_link always has.
+    Their gains and waste factors do not depend on the transmit power.
+    Building them at 0 W runs every stage check but the PA bank's non-path
+    draw; that one depends on the power and runs per call.
     """
     fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
-    pairs = tuple((c.gain, c.waste_factor) for c in _transmit_components(*fields, 0.0))
-    try:
-        chain = Cascade(
-            components=_transmit_components(*fields, 1.0),
-            source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
-        )
-    except ValueError as exc:
-        return pairs, str(exc)
-    return pairs, bookkeeping_oracle(chain).total_consumed
+    return _transmit_components(*fields, 0.0)
+
+
+@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
+def _transmit_slope(
+    mixer_loss_db: float,
+    phase_shifter_loss_db: float,
+    pa_gain_db: float,
+    pa_efficiency: float,
+    element_count: int,
+) -> float:
+    """The transmit slope: the ledger total of the mixer, phase shifter and
+    PA bank sized for 1 W radiated.  Raises if that chain fails its own
+    checks; a cache keeps no failure, so every lookup raises it again."""
+    fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
+    chain = Cascade(
+        components=_transmit_components(*fields, 1.0),
+        source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
+    )
+    return bookkeeping_oracle(chain).total_consumed
 
 
 @functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
@@ -636,11 +653,11 @@ def _receive_side(
     aperture_m2: float,
     antenna_efficiency: float,
     element_count: int,
-) -> tuple[tuple[Component, ...], tuple[tuple[float, float], ...], float, float]:
-    """Receive antenna, LNA bank, phase shifter and mixer, their (gain,
-    waste) pairs, and the signal-path and non-path draws of those stages fed
-    1 W at the antenna input.  The stages are frozen, so build_chain shares
-    the cached tuple."""
+) -> tuple[tuple[Component, ...], float, float]:
+    """Receive antenna, LNA bank, phase shifter and mixer, and the
+    signal-path and non-path draws of those stages fed 1 W at the antenna
+    input.  The stages are frozen, so build_chain and every evaluate_link
+    share the cached tuple."""
     antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
     lna_gain = db_to_linear(lna_gain_db)
     stages = (
@@ -652,8 +669,7 @@ def _receive_side(
         make_passive("mixer", db_to_linear(mixer_loss_db)),
     )
     ledger = bookkeeping_oracle(Cascade(components=stages, source_power=1.0))
-    pairs = tuple((c.gain, c.waste_factor) for c in stages)
-    return stages, pairs, sum(ledger.per_stage_dc), ledger.total_non_path
+    return stages, sum(ledger.per_stage_dc), ledger.total_non_path
 
 
 def tx_power_coefficients(
@@ -667,9 +683,7 @@ def tx_power_coefficients(
     cached on those five fields.  The fixed part (LO, converters x
     bandwidth, screen) is added per call.
     """
-    slope = _transmit_side(*_tx_fields(band, terminal, band.pa_efficiency))[1]
-    if isinstance(slope, str):
-        raise ValueError(slope)
+    slope = _transmit_slope(*_tx_fields(band, terminal, band.pa_efficiency))
     return slope, _fixed_draw(band, terminal, band.bandwidth_hz, 0.0)
 
 
@@ -689,7 +703,7 @@ def rx_power_coefficients(
     count, and are cached on those eight fields.  LO, converters x
     bandwidth and screen are added per call.
     """
-    _, _, slope, bank = _receive_side(*_rx_fields(band, terminal))
+    _, slope, bank = _receive_side(*_rx_fields(band, terminal))
     return slope, _fixed_draw(band, terminal, band.bandwidth_hz, bank)
 
 
@@ -706,13 +720,38 @@ def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal
 def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
-    The waste figure and cascade gain come from one walk over the (gain,
-    waste) pairs of the full source-to-sink chain: the terminal sides' pairs
-    come from their caches, the rest from the call's _Link.  Consumed power
-    is split per terminal so cooling and the screen land on the correct side.
+    Everything but the waste figure and the cascade gain comes from
+    _Link.evaluate, the core a sweep point runs.  Those two come from one
+    walk over the (gain, waste) pairs of the full source-to-sink chain: the
+    terminal sides' stages come from their caches, the rest from the call's
+    _Link, whose gain-product check has already passed, so the walk and
+    both dB values cannot fail: a chain whose gain product underflows to 0
+    fails in that check with "the gain product underflows to 0 at component
+    '<label>'".  Consumed power is split per terminal so cooling and the
+    screen land on the correct side.
     """
     band = scenario.band
-    return _Link(scenario).evaluate(band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm)
+    link = _Link(scenario)
+    p_received, snr, rate, consumed, eirp = link.evaluate(
+        band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm
+    )
+    stages = (
+        *_transmit_side(*_tx_fields(band, link.tx, band.pa_efficiency)),
+        *link.stages,
+        *link.receive[0],
+    )
+    waste, gain = _walk(tuple((c.gain, c.waste_factor) for c in stages))
+    return LinkReport(
+        waste_figure_db=10.0 * math.log10(waste),
+        cascade_gain_db=10.0 * math.log10(gain),
+        p_received_dbw=p_received - 30.0,
+        snr_db=snr,
+        rate_bps=rate,
+        p_consumed_w=consumed,
+        cef_bpj=rate / consumed,
+        path_loss_db=link.path_loss_db,
+        eirp_dbm=eirp,
+    )
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,13 @@ antenna horn gain=15.17dBi
 lna front gain=20dB fom=24.83 count=8
 """
 
+# test_transceiver._FAULTS's two walk faults as overrides: only the whole
+# chain's gain product underflows to 0, or the products both ways do.
+_GAIN_UNDERFLOW = ["--set", "band.pa_gain=-2400dB", "--set", "band.mixer_loss=500dB"]
+_DOWNSTREAM_UNDERFLOW = [
+    "--set", "band.pa_gain=-3000dB", "--set", "band.mixer_loss=60dB", "--set", "link.distance=1e45m"
+]
+
 # Golden stdout files and the argv each was recorded from.
 _GOLDEN_ARGV = {
     "link": ["link"],
@@ -267,6 +274,28 @@ class TestExitCodes:
             f"wastefactor: evaluation failed: the gain product underflows to 0"
             f" at component {label!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # only the whole chain's gain reaches 0, at the receive mixer
+            (["link", *_GAIN_UNDERFLOW], "the gain product underflows to 0 at component 'mixer'"),
+            (["sweep-bw", "--points", "4", *_GAIN_UNDERFLOW],
+             "SNR target 20 dB: the gain product underflows to 0 at component 'mixer'"),
+            (["sweep-pa", "--points", "4", *_GAIN_UNDERFLOW],
+             "the gain product underflows to 0 at component 'mixer'"),
+            # the products reach 0 both ways; source to sink, at the channel
+            (["link", *_DOWNSTREAM_UNDERFLOW],
+             "the gain product underflows to 0 at component 'channel'"),
+            (["sweep-pa", "--points", "4", *_DOWNSTREAM_UNDERFLOW],
+             "the gain product underflows to 0 at component 'channel'"),
+        ],
+        ids=["link-total", "sweep-bw-total", "sweep-pa-total", "link-both", "sweep-pa-both"],
+    )
+    def test_underflowing_link_gain_product_names_the_component(self, argv, message, capsys):
+        code, out = _run(argv)
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, field",

@@ -20,8 +20,10 @@ from wastefactor.sweeps import (
     sweep,
 )
 from wastefactor import transceiver
-from wastefactor.sweeps import _grid
+from wastefactor.sweeps import _evaluate_point, _grid
 from wastefactor.transceiver import evaluate_link, mmwave_28, subthz_140
+
+from test_transceiver import _FAULTS, _faulty
 
 # Frozen study results (64 log points over 0.1-10 GHz, 20 dB target unless
 # stated).  Brackets are the meaningful claim; exact values pin regressions.
@@ -355,6 +357,15 @@ def _geometry_faulty(*names):
     )
 
 
+# Faults of the whole chain's gain products (test_transceiver._FAULTS), each
+# alone and paired with every other fault, in both orders with each other
+# (both set the PA gain and the mixer loss, so the later one wins).
+_WALK_FAULTS = ("gain-underflow", "downstream-underflow")
+_WALK_FAULT_CASES = [(name,) for name in _WALK_FAULTS] + [
+    (name, other) for name in _WALK_FAULTS for other in _FAULTS if other != name
+]
+
+
 def _scenarios():
     return st.builds(
         lambda preset, **fields: replace(_PRESETS[preset](), **fields),
@@ -483,6 +494,58 @@ class TestSweepCoreOracle:
             assert _outcome(reference_cef, scenario, 0.5) == _outcome(
                 _oracle_reference_cef, scenario, 0.5
             )
+
+    @pytest.mark.parametrize("names", _WALK_FAULT_CASES, ids="+".join)
+    @pytest.mark.parametrize("snr", [None, 20.0], ids=["fixed-power", "snr-20"])
+    def test_walk_faults_raise_in_chain_order(self, names, snr):
+        # a gain product that underflows to 0 fails every point of the link,
+        # after its consumed power, whatever the swept value; the evaluator
+        # is the one a curve of this link would carry
+        scenario = _faulty(*names)
+        expected = _outcome(_oracle_point, scenario, scenario.band.bandwidth_hz, snr)
+        assert not isinstance(expected, SweepSample)
+        link = transceiver._Link(scenario)
+        eta = scenario.band.pa_efficiency
+        for _ in range(2):  # a failure is not kept: the second call fails as the first
+            assert _outcome(snr_matched_sample, scenario, snr) == expected
+            for parameter, (lo, hi) in _RANGES.items():
+                spec = SweepSpec(scenario=scenario, parameter=parameter, lo=lo, hi=hi, points=2,
+                                 snr_target_db=snr)
+                assert _outcome(sweep, spec) == _outcome(
+                    _oracle_sample, scenario, parameter, lo, snr
+                )
+                x = _off_grid(parameter, 0.5)
+                assert _outcome(_evaluate_point, link, parameter, x, snr) == _outcome(
+                    _oracle_sample, scenario, parameter, x, snr
+                )
+            assert _outcome(reference_cef, scenario, 0.5) == _outcome(
+                _oracle_reference_cef, scenario, 0.5
+            )
+            assert _outcome(reference_cef, scenario) == _outcome(
+                _oracle_reference_cef, scenario, eta
+            )
+            # the search evaluates its upper bound first
+            assert _outcome(min_matching_efficiency, 1e9, scenario) == _outcome(
+                _oracle_reference_cef, scenario, 1.0
+            )
+
+    @pytest.mark.parametrize("snr", [None, 20.0], ids=["fixed-power", "snr-20"])
+    def test_band_efficiency_the_link_cannot_evaluate_at(self, snr):
+        # at the band's own efficiency the PA waste 1/eta overflows, so only
+        # points at another efficiency evaluate; the link's gain check must
+        # not build the PA bank at the band's efficiency
+        scenario = _dl_140()
+        scenario = replace(scenario, band=replace(scenario.band, pa_efficiency=5e-324))
+        expected = (ValueError, "pa-bank: waste factor must be finite, got inf")
+        assert _outcome(_oracle_reference_cef, scenario, 5e-324) == expected
+        assert _outcome(reference_cef, scenario) == expected
+        spec = SweepSpec(scenario=scenario, parameter="pa_efficiency", lo=0.02, hi=0.6, points=4,
+                         snr_target_db=snr)
+        assert list(sweep(spec).samples) == [
+            _oracle_sample(scenario, "pa_efficiency", x, snr) for x in _grid(spec)
+        ]
+        assert reference_cef(scenario, 0.5) == _oracle_reference_cef(scenario, 0.5)
+        assert min_matching_efficiency(1e9, scenario).found
 
     def test_bandwidth_grid_overflowing_to_inf(self):
         # sweep-bw --hi-ghz 1e308: the top of the grid is inf Hz

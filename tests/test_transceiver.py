@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wastefactor.cascade import (
     Cascade,
+    _require_gain_products,
     bookkeeping_oracle,
     cascade_gain,
     cascade_waste_factor,
@@ -481,6 +482,8 @@ def _oracle(scenario):
     arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
     tx_draw = terminal_power(tx, *_ledger_tx_coefficients(band, tx), tx_power_w)
     consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    # the check the chain command makes, where the walk below would fail
+    _require_gain_products(chain.components)
     return LinkReport(
         waste_figure_db=waste_figure_db(chain),
         cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
@@ -542,13 +545,13 @@ _FAULTS = {
     # the PA bank's draw is finite at the transmit power but inf at 1 W, so
     # only the terminal power model fails
     "pa-bank-draw-at-1w": {"tx": {"element_count": 10**308}},
-    # a gain downstream of the first stage underflows to zero, and the waste
-    # factor's walk divides by it
+    # the gain products underflow to zero both ways: the waste factor's walk
+    # would divide by the downstream one, and the forward one reaches 0 first
     "downstream-underflow": {
         "band": {"pa_gain_db": -3000.0, "mixer_loss_db": 60.0},
         "link": {"distance_m": 1e45},
     },
-    # only the whole chain's gain underflows to zero, and its log fails
+    # only the whole chain's gain underflows to zero, and its log would fail
     "gain-underflow": {"band": {"pa_gain_db": -2400.0, "mixer_loss_db": 500.0}},
 }
 
