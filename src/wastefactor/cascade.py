@@ -6,7 +6,10 @@ it delivers.  W is 1 for a stage that turns everything it draws into output
 signal, equals the insertion loss for a passive attenuator, and grows with
 the DC overhead of active stages.  Cascade evaluation walks the chain from
 the sink backwards so that each stage's waste is referred to the cascade
-output through the gain of everything downstream of it.
+output through the gain of everything downstream of it.  A chain whose
+gain product, source to sink or sink back to the second stage, underflows
+to 0 has no waste factor or gain: each function that walks it raises,
+naming the component where the product reaches 0.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def _require_gain(label: str, gain: float) -> None:
 
 def _require_non_path(label: str, power: float) -> None:
     if not (math.isfinite(power) and power >= 0.0):
-        raise ValueError(f"{label}: non-path power must be >= 0 W")
+        raise ValueError(f"{label}: non-path power must be finite and >= 0 W, got {power!r} W")
 
 
 def _require_source(power: float) -> None:
@@ -92,6 +95,8 @@ class Cascade:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
+        if not self.components:
+            raise ValueError("cascade has no components to evaluate")
         _require_source(self.source_power)
 
 
@@ -146,55 +151,37 @@ def make_directive(label: str, gain: float) -> Component:
     return Component(label=label, gain=gain, waste_factor=waste, directive=True)
 
 
-def _require_components(cascade: Cascade) -> tuple[Component, ...]:
-    if not cascade.components:
-        raise ValueError("cascade has no components to evaluate")
-    return cascade.components
-
-
-def _walk(pairs: tuple[tuple[float, float], ...]) -> tuple[float, float]:
-    """(waste factor, gain) of a chain given as (gain, waste factor) pairs,
-    source first.
+def _walk(components: tuple[Component, ...]) -> tuple[float, float]:
+    """(waste factor, gain) of a chain, source first.
 
     The gain is the product of the gains, source to sink.  The waste factor
     walks back from the sink: each stage's excess waste (W_i - 1) is divided
-    by the gain of every stage downstream of it.
+    by the product of the gains downstream of it.  Both products are formed
+    here, the forward one first, and the first that underflows to 0 raises,
+    naming the component where it does.
     """
     gain = 1.0
-    for stage_gain, _ in pairs:
-        gain *= stage_gain
-    total = pairs[-1][1]
+    for component in components:
+        gain *= component.gain
+        if gain == 0.0:
+            raise _underflow(component)
+    total = components[-1].waste_factor
     downstream = 1.0
-    for (follower_gain, _), (_, waste) in zip(reversed(pairs), reversed(pairs[:-1])):
-        downstream *= follower_gain
-        total += (waste - 1.0) / downstream
+    for follower, component in zip(components[:0:-1], components[-2::-1]):
+        downstream *= follower.gain
+        if downstream == 0.0:
+            raise _underflow(follower)
+        total += (component.waste_factor - 1.0) / downstream
     return total, gain
 
 
-def _require_gain_products(components: tuple[Component, ...]) -> None:
-    """The gain products _walk forms must not underflow to 0: source to sink
-    (the cascade gain, whose dB value would fail) and sink back to the second
-    stage (what each stage's excess waste is divided by).  They are formed in
-    _walk's order, so this raises exactly where _walk or the dB value of its
-    result would fail, naming the component at which a product first
-    reaches 0."""
-    for order in (components, components[:0:-1]):
-        product = 1.0
-        for component in order:
-            product *= component.gain
-            if product == 0.0:
-                raise ValueError(
-                    f"the gain product underflows to 0 at component {component.label!r}"
-                )
-
-
-def _pairs(cascade: Cascade) -> tuple[tuple[float, float], ...]:
-    return tuple((c.gain, c.waste_factor) for c in _require_components(cascade))
+def _underflow(component: Component) -> ValueError:
+    return ValueError(f"the gain product underflows to 0 at component {component.label!r}")
 
 
 def cascade_gain(cascade: Cascade) -> float:
     """Product of component gains, source to sink."""
-    return _walk(_pairs(cascade))[1]
+    return _walk(cascade.components)[1]
 
 
 def cascade_waste_factor(cascade: Cascade) -> float:
@@ -204,7 +191,7 @@ def cascade_waste_factor(cascade: Cascade) -> float:
     stage downstream of it, so losses near the sink cost far more than the
     same losses near the source.  Reordering components changes the result.
     """
-    return _walk(_pairs(cascade))[0]
+    return _walk(cascade.components)[0]
 
 
 def waste_figure_db(cascade: Cascade) -> float:
@@ -226,7 +213,7 @@ def consumption_view(cascade: Cascade) -> Cascade:
     span's output power as if drawn from supply.  Far-field links never hit
     this: path loss always exceeds the combined antenna gains.
     """
-    comps = _require_components(cascade)
+    comps = cascade.components
     if not any(c.directive for c in comps):
         return cascade
 
@@ -256,7 +243,7 @@ def consumed_power(cascade: Cascade) -> float:
     stages is exactly sink_power * cascade_waste_factor(cascade).
     """
     view = consumption_view(cascade)
-    waste, gain = _walk(_pairs(view))
+    waste, gain = _walk(view.components)
     signal_path = view.source_power * gain * waste
     non_path = sum(c.non_path_power for c in cascade.components)
     return signal_path + non_path
@@ -272,7 +259,7 @@ def bookkeeping_oracle(cascade: Cascade) -> PowerLedger:
     with directive stages embedded in net-lossy spans it reproduces the
     consumption view's waste factor.
     """
-    comps = _require_components(cascade)
+    comps = cascade.components
     outputs: list[float] = []
     draws: list[float] = []
     power = cascade.source_power

@@ -18,12 +18,7 @@ import sys
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .cascade import (
-    _require_gain_products,
-    cascade_gain,
-    cascade_waste_factor,
-    consumed_power,
-)
+from .cascade import cascade_gain, cascade_waste_factor, consumed_power
 from .linkbudget import dbm_to_watts, linear_to_db
 from .scenario_io import (
     ScenarioParseError,
@@ -281,7 +276,6 @@ def cmd_chain(args, stdout: TextIO) -> int:
     cascade = replace(cascade, source_power=source_w)
     # Every value is computed before anything is written, so a failure
     # leaves stdout empty.
-    _require_gain_products(cascade.components)
     w = cascade_waste_factor(cascade)
     gain = cascade_gain(cascade)
     consumed = consumed_power(cascade)

@@ -26,9 +26,7 @@ from dataclasses import dataclass, field, replace
 from .cascade import (
     Cascade,
     Component,
-    _require_gain_products,
     _require_non_path,
-    _require_source,
     _walk,
     bookkeeping_oracle,
     make_amplifier,
@@ -439,20 +437,12 @@ def _source_power_w(
 class _Link:
     """One scenario's link, and what every evaluation of it shares: the path
     loss, both antenna gains, the channel loss, the frozen transmit-antenna
-    and channel stages (`stages`), the receive side's cache entry, and the
-    check of the chain's gain products.
+    and channel stages (`stages`) and the receive side's cache entry.
 
     Each is computed on first use and kept only if it succeeds, so a failure
     raises again, at its own step of build_chain's check order, on every
     call that reaches it.  evaluate_link and build_chain build one per call;
     a sweep builds one per curve and evaluates every point on it.
-
-    A sweep or bisection point runs evaluate() and nothing more: no waste
-    factor walk, no dB values, no LinkReport.  No point changes a stage
-    gain, so the gain products the walk forms are checked once per link
-    (`gain_products`); one that underflows to 0 fails every point, where the
-    walk would, with "the gain product underflows to 0 at component
-    '<label>'".
     """
 
     def __init__(self, scenario: LinkScenario) -> None:
@@ -494,31 +484,35 @@ class _Link:
     def receive(self) -> tuple:
         return _receive_side(*_rx_fields(self.band, self.rx))
 
-    @functools.cached_property
-    def gain_products(self) -> None:
-        """Raises where the whole chain's waste-factor walk, or the dB value
-        of its gain, would fail: a gain product that underflows to 0.
+    def chain(self, pa_efficiency: float) -> tuple[Component, ...]:
+        """The whole chain's stages, source first, from the caches: the
+        transmit side's at the given PA efficiency (built for 0 W, which
+        changes no gain or waste factor), then the link's, then the receive
+        side's."""
+        return (
+            *_transmit_side(*_tx_fields(self.band, self.tx, pa_efficiency)),
+            *self.stages,
+            *self.receive[0],
+        )
 
-        No stage gain depends on the PA efficiency, the bandwidth or the
-        transmit power, so this holds for every point of the link.  Read
-        only after checked() has passed, so every stage builds; the
-        transmit stages are taken at PA efficiency 1, where the PA bank
-        builds whenever it builds at any efficiency.
-        """
-        transmit = _transmit_side(*_tx_fields(self.band, self.tx, 1.0))
-        _require_gain_products((*transmit, *self.stages, *self.receive[0]))
+    @functools.cached_property
+    def gain_products(self) -> tuple[float, float]:
+        """The walk of the chain at PA efficiency 1, read for the check it
+        makes: no point changes a stage gain, so a gain product that
+        underflows to 0 fails every point of the link.  Read only after
+        checked() has passed; at efficiency 1 the PA bank builds whenever it
+        builds at any efficiency."""
+        return _walk(self.chain(1.0))
 
     def checked(self, pa_efficiency: float, tx_power_dbm: float, tx_power_w: float) -> tuple:
-        """The link's chain at the given PA efficiency and transmit power
-        (tx_power_w is tx_power_dbm in watts), with every check build_chain
-        makes, in its order: a source power that underflows to zero, a path
-        loss that fails or overflows, the transmit side's stage checks and
-        the PA bank's non-path draw at tx_power_w, the transmit-antenna and
-        channel stages, the receive side, and a source power that is not
-        finite.
+        """Every check build_chain makes at the given PA efficiency and
+        transmit power (tx_power_w is tx_power_dbm in watts), in its order:
+        a source power that underflows to zero, a path loss that fails or
+        overflows, the transmit side's stage checks and the PA bank's
+        non-path draw at tx_power_w, the transmit-antenna and channel
+        stages, the receive side, and a source power that is not finite.
 
-        Returns (source power, the transmit side's cache key,
-        (transmit-antenna stage, channel stage), receive side entry).
+        Returns (source power, the transmit side's cache key).
         """
         band, tx = self.band, self.tx
         source_power = _source_power_w(
@@ -530,10 +524,16 @@ class _Link:
         transmit_fields = _tx_fields(band, tx, pa_efficiency)
         _transmit_side(*transmit_fields)
         _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
-        stages = self.stages
-        receive = self.receive
-        _require_source(source_power)
-        return source_power, transmit_fields, stages, receive
+        self.stages  # the transmit-antenna and channel stages' checks
+        self.receive  # the receive side's
+        if not math.isfinite(source_power):
+            raise ValueError(
+                f"transmit power {tx_power_dbm:g} dBm, mixer loss {band.mixer_loss_db:g} dB,"
+                f" phase-shifter loss {band.phase_shifter_loss_db:g} dB and PA gain"
+                f" {band.pa_gain_db:g} dB give a source power of {source_power!r} W,"
+                " which is not finite"
+            )
+        return source_power, transmit_fields
 
     def evaluate(
         self, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
@@ -546,7 +546,8 @@ class _Link:
 
         Returns (received power in dBm, SNR in dB, rate in b/s, consumed
         power in W, EIRP in dBm).  A sweep or bisection point is this and
-        nothing more: it runs no walk and builds no report.
+        nothing more: it builds no report, and the chain is walked once per
+        link, for gain_products.
         """
         band, tx, rx = self.band, self.tx, self.rx
         path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
@@ -559,9 +560,8 @@ class _Link:
         snr = p_received - noise
         rate = shannon_rate_bps(bandwidth_hz, snr)
 
-        _, transmit_fields, _, (_, rx_slope, rx_bank) = self.checked(
-            pa_efficiency, tx_power_dbm, tx_power_w
-        )
+        _, transmit_fields = self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
+        _, rx_slope, rx_bank = self.receive
         arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
         # The terminal-power model of tx_/rx_power_coefficients, read from
         # the cache entries checked() has looked up and the slope's own.
@@ -577,18 +577,19 @@ class _Link:
 def build_chain(scenario: LinkScenario) -> Cascade:
     """Full source-to-sink cascade: TX chain, antennas, channel, RX chain.
 
-    evaluate_link reads the (gain, waste) pairs of these stages without
-    building the chain; this is the inspectable view of the same stages.
+    evaluate_link walks these stages, read from the caches, without building
+    a Cascade; this is the inspectable view of the same stages.
     """
     band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power, transmit_fields, stages, receive = _Link(scenario).checked(
+    link = _Link(scenario)
+    source_power, transmit_fields = link.checked(
         band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
     )
     components = (
         *_transmit_components(*transmit_fields, tx_power_w),
-        *stages,
-        *receive[0],
+        *link.stages,
+        *link.receive[0],
     )
     return Cascade(components=components, source_power=source_power)
 
@@ -721,26 +722,16 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
     Everything but the waste figure and the cascade gain comes from
-    _Link.evaluate, the core a sweep point runs.  Those two come from one
-    walk over the (gain, waste) pairs of the full source-to-sink chain: the
-    terminal sides' stages come from their caches, the rest from the call's
-    _Link, whose gain-product check has already passed, so the walk and
-    both dB values cannot fail: a chain whose gain product underflows to 0
-    fails in that check with "the gain product underflows to 0 at component
-    '<label>'".  Consumed power is split per terminal so cooling and the
-    screen land on the correct side.
+    _Link.evaluate, the core a sweep point runs; those two come from one
+    walk over the link's chain.  Consumed power is split per terminal so
+    cooling and the screen land on the correct side.
     """
     band = scenario.band
     link = _Link(scenario)
     p_received, snr, rate, consumed, eirp = link.evaluate(
         band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm
     )
-    stages = (
-        *_transmit_side(*_tx_fields(band, link.tx, band.pa_efficiency)),
-        *link.stages,
-        *link.receive[0],
-    )
-    waste, gain = _walk(tuple((c.gain, c.waste_factor) for c in stages))
+    waste, gain = _walk(link.chain(band.pa_efficiency))
     return LinkReport(
         waste_figure_db=10.0 * math.log10(waste),
         cascade_gain_db=10.0 * math.log10(gain),

@@ -18,6 +18,7 @@ from wastefactor.cascade import (
     make_passive,
     waste_figure_db,
 )
+from wastefactor.linkbudget import db_to_linear
 
 
 def _chain(*components: Component, source_power: float = 1.0) -> Cascade:
@@ -323,3 +324,94 @@ class TestConsumedPower:
             source_power=2e-3,
         )
         assert consumed_power(chain) == pytest.approx(bookkeeping_oracle(chain).total_consumed, rel=1e-9)
+
+
+def _reference_underflow(components):
+    """The label of the component where a gain product first reaches 0, or
+    None: source to sink, then sink back to the second stage."""
+    for order in (components, components[:0:-1]):
+        product = 1.0
+        for component in order:
+            product *= component.gain
+            if product == 0.0:
+                return component.label
+    return None
+
+
+def _fits_a_float(loss_db):
+    try:
+        db_to_linear(loss_db)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _extreme_chain(draw):
+    """Passive losses of 0-4000 dB (those whose ratio fits a float) and
+    amplifier gains of -3000 to 3000 dB, so gain products under- and
+    overflow."""
+    components = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        if draw(st.booleans()):
+            loss_db = draw(st.floats(0.0, 4000.0).filter(_fits_a_float))
+            components.append(make_passive(f"s{i}", db_to_linear(loss_db)))
+        else:
+            gain_db = draw(st.floats(-3000.0, 3000.0))
+            efficiency = draw(st.floats(0.05, 1.0))
+            components.append(make_amplifier(f"s{i}", db_to_linear(gain_db), efficiency))
+    return _chain(*components)
+
+
+_WALKING = (cascade_waste_factor, cascade_gain, waste_figure_db, consumed_power)
+
+
+class TestWalkContract:
+    """Each public function that walks a chain returns a number or raises
+    naming the component where a gain product underflows to 0."""
+
+    @given(_extreme_chain())
+    @settings(max_examples=400, deadline=None)
+    def test_returns_a_number_or_names_the_component(self, chain):
+        label = _reference_underflow(chain.components)
+        for fn in _WALKING:
+            if label is None:
+                value = fn(chain)
+                assert isinstance(value, float) and not math.isnan(value)
+            else:
+                # a ZeroDivisionError is no ValueError, so it fails here too
+                with pytest.raises(ValueError) as info:
+                    fn(chain)
+                assert str(info.value) == (
+                    f"the gain product underflows to 0 at component {label!r}"
+                )
+
+    @pytest.mark.parametrize(
+        "components, label",
+        [
+            # the walk would divide by a downstream gain of 0
+            ([make_passive("x", 1e200)] * 3, "x"),
+            # only the whole chain's gain reaches 0
+            ([make_passive("x", 1e200)] * 2 + [make_passive("pad", db_to_linear(1.0))], "x"),
+            # source to sink the product recovers; sink back it reaches 0 at b
+            (
+                [
+                    make_amplifier("a", 1e300, 0.5),
+                    make_passive("b", 1e300),
+                    make_passive("c", 1e300),
+                ],
+                "b",
+            ),
+        ],
+        ids=["walk", "total", "downstream"],
+    )
+    def test_underflowing_chain_names_the_component(self, components, label):
+        chain = _chain(*components)
+        for fn in _WALKING:
+            with pytest.raises(ValueError) as info:
+                fn(chain)
+            assert str(info.value) == f"the gain product underflows to 0 at component {label!r}"
+
+    def test_empty_cascade_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^cascade has no components to evaluate$"):
+            Cascade(components=())

@@ -42,6 +42,13 @@ _GAIN_UNDERFLOW = ["--set", "band.pa_gain=-2400dB", "--set", "band.mixer_loss=50
 _DOWNSTREAM_UNDERFLOW = [
     "--set", "band.pa_gain=-3000dB", "--set", "band.mixer_loss=60dB", "--set", "link.distance=1e45m"
 ]
+# test_transceiver._FAULTS's source-overflow fault: the losses ahead of the
+# PA make the source power inf.
+_SOURCE_OVERFLOW = ["--set", "band.mixer_loss=2000dB", "--set", "band.phase_shifter_loss=2000dB"]
+_SOURCE_OVERFLOW_TEXT = (
+    ", mixer loss 2000 dB, phase-shifter loss 2000 dB and PA gain 30 dB"
+    " give a source power of inf W, which is not finite"
+)
 
 # Golden stdout files and the argv each was recorded from.
 _GOLDEN_ARGV = {
@@ -376,6 +383,24 @@ class TestExitCodes:
             " is too small: its noise power underflows to 0 W\n"
         )
 
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["link", *_SOURCE_OVERFLOW], "transmit power 0 dBm" + _SOURCE_OVERFLOW_TEXT),
+            # under an SNR target the solved transmit power is the one named
+            (["sweep-bw", "--points", "4", "--snr", "20", *_SOURCE_OVERFLOW],
+             "SNR target 20 dB: transmit power -36.9035 dBm" + _SOURCE_OVERFLOW_TEXT),
+            # (count - 1) / eta for 1 W radiated overflows the PA bank's draw
+            (["link", "--set", "ue.elements=1e308"],
+             "pa-bank: non-path power must be finite and >= 0 W, got inf W"),
+        ],
+        ids=["source-link", "source-sweep-bw-snr", "pa-bank"],
+    )
+    def test_overflowing_transmit_chain_names_the_values(self, argv, message, capsys):
+        code, out = _run(argv)
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
     def test_bandwidth_whose_snr_overflows_names_the_value(self, capsys):
         # k*T0*B stays above 0 W, but the SNR over it overflows a ratio: the
