@@ -5,58 +5,84 @@ power it delivers (the waste factor), folds that into full link budgets,
 and compares bands, sweeps, and network layouts by consumption efficiency
 (bits per joule).
 
-The network Monte Carlo names other than `NetworkScenario` are loaded from
-`netsim` on first use, so `import wastefactor` and the link-level tools do
-not import numpy.
+The names of `sweeps`, and those of `netsim` other than `NetworkScenario`,
+are loaded from their module on first use, so `import wastefactor` and the
+link-level tools do not import numpy, and only the sweep tools load
+`sweeps`.
 """
 
-from . import cascade, linkbudget, scenario_io, sweeps, transceiver
+import importlib
+
+from . import cascade, linkbudget, scenario_io, transceiver
 from .cascade import *
 from .linkbudget import *
 from .scenario_io import *
-from .sweeps import *
 from .transceiver import *
 
 __version__ = "0.1.0"
 
-# Resolved by __getattr__ (PEP 562): importing netsim imports numpy, so this
-# is netsim.__all__ less the names transceiver already exports, written out.
-_NETSIM_NAMES = frozenset(
-    {
-        "DEFAULT_RADII",
-        "NETSIM_CSV_HEADER",
-        "CellLayout",
-        "NetworkReport",
-        "default_network",
-        "drop_ues",
-        "hex_layout",
-        "network_csv_rows",
-        "optimal_radius",
-        "p_los",
-        "power_control",
-        "simulate_network",
-        "sweep_radius",
-    }
-)
+# Resolved by __getattr__ (PEP 562) from the module each maps to: sweeps.__all__,
+# and netsim.__all__ less the names transceiver already exports.  Written out,
+# because reading a module's __all__ would import it, and netsim imports numpy.
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        (
+            "SweepSpec",
+            "SweepSample",
+            "Curve",
+            "CrossoverResult",
+            "EfficiencyMatch",
+            "sweep",
+            "find_crossover",
+            "find_curve_crossing",
+            "min_matching_efficiency",
+            "reference_cef",
+            "snr_matched_sample",
+            "curve_csv_rows",
+            "CURVE_CSV_HEADER",
+        ),
+        "sweeps",
+    ),
+    **dict.fromkeys(
+        (
+            "DEFAULT_RADII",
+            "NETSIM_CSV_HEADER",
+            "CellLayout",
+            "NetworkReport",
+            "default_network",
+            "drop_ues",
+            "hex_layout",
+            "network_csv_rows",
+            "optimal_radius",
+            "p_los",
+            "power_control",
+            "simulate_network",
+            "sweep_radius",
+        ),
+        "netsim",
+    ),
+}
 
 __all__ = [
     *cascade.__all__,
     *linkbudget.__all__,
     *scenario_io.__all__,
-    *sweeps.__all__,
     *transceiver.__all__,
-    *sorted(_NETSIM_NAMES),
+    *_LAZY_NAMES,
     "__version__",
 ]
 
 
 def __getattr__(name: str):
-    if name in _NETSIM_NAMES:
-        from . import netsim
-
-        return getattr(netsim, name)
+    # importlib, not `from . import`: that looks the module up as an
+    # attribute of this package, which would come back here.
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _LAZY_NAMES.values():
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _NETSIM_NAMES)
+    return sorted(set(globals()) | set(_LAZY_NAMES) | set(_LAZY_NAMES.values()))

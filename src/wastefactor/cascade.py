@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 __all__ = [
     "Component",
@@ -100,8 +101,7 @@ class Cascade:
         _require_source(self.source_power)
 
 
-@dataclass(frozen=True)
-class PowerLedger:
+class PowerLedger(NamedTuple):
     """Stage-by-stage power bookkeeping for a cascade.
 
     per_stage_output[i] is the signal power leaving stage i; per_stage_dc[i]
@@ -240,11 +240,18 @@ def consumed_power(cascade: Cascade) -> float:
 
     The signal-path share is the sink signal power times the waste factor of
     the consumption view of the chain, which for chains without directive
-    stages is exactly sink_power * cascade_waste_factor(cascade).
+    stages is exactly sink_power * cascade_waste_factor(cascade).  Where the
+    sink power underflows to 0 W and the waste factor overflows to inf, their
+    product is no number: that raises ValueError, naming the source power.
     """
     view = consumption_view(cascade)
     waste, gain = _walk(view.components)
     signal_path = view.source_power * gain * waste
+    if math.isnan(signal_path):
+        raise ValueError(
+            f"source power {view.source_power!r} W: the sink power underflows to 0 W"
+            " and the waste factor overflows, so the consumed power is undefined"
+        )
     non_path = sum(c.non_path_power for c in cascade.components)
     return signal_path + non_path
 

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 from .cascade import cascade_gain, cascade_waste_factor, consumed_power
 from .linkbudget import dbm_to_watts, linear_to_db
@@ -27,15 +27,6 @@ from .scenario_io import (
     parse_chain,
     resolve_preset,
 )
-from .sweeps import (
-    Curve,
-    SweepSpec,
-    curve_csv_rows,
-    find_crossover,
-    min_matching_efficiency,
-    snr_matched_sample,
-    sweep,
-)
 from .transceiver import (
     LinkReport,
     LinkScenario,
@@ -44,6 +35,9 @@ from .transceiver import (
     band_comparison,
     evaluate_link,
 )
+
+if TYPE_CHECKING:
+    from .sweeps import Curve
 
 __all__ = ["main"]
 
@@ -176,6 +170,8 @@ def cmd_table1(args, stdout: TextIO) -> int:
 
 def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Curve]:
     """The scenario turned to --direction, and its curve over [lo, hi]."""
+    from .sweeps import SweepSpec, sweep
+
     base = _load_scenario(args.scenario, args.preset or "subthz-140", args.overrides)
     base = replace(base, direction=_direction(args.direction))
     spec = SweepSpec(
@@ -185,6 +181,9 @@ def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Cu
 
 
 def cmd_sweep_bw(args, stdout: TextIO) -> int:
+    # Imported by the two sweep commands only, so the others never load sweeps.
+    from .sweeps import curve_csv_rows, find_crossover, snr_matched_sample
+
     base, curve = _swept(args, "bandwidth", args.lo_ghz * 1e9, args.hi_ghz * 1e9)
 
     reference = _load_scenario(None, args.reference_preset or "mmwave-28", args.overrides)
@@ -215,6 +214,8 @@ def cmd_sweep_bw(args, stdout: TextIO) -> int:
 
 
 def cmd_sweep_pa(args, stdout: TextIO) -> int:
+    from .sweeps import curve_csv_rows, min_matching_efficiency
+
     base, curve = _swept(args, "pa_efficiency", args.lo, args.hi)
     rows = list(curve_csv_rows(curve))
     if args.target_cef is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .linkbudget import tx_power_for_snr_dbm
 from .transceiver import (
@@ -73,8 +73,7 @@ class SweepSpec:
         return "Hz" if self.parameter == "bandwidth" else "fraction"
 
 
-@dataclass(frozen=True)
-class SweepSample:
+class SweepSample(NamedTuple):
     x: float
     cef_bpj: float
     rate_bps: float
@@ -102,15 +101,13 @@ class Curve:
             raise ValueError("curve x values must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(NamedTuple):
     found: bool
     x: float | None = None
     cef_bpj: float | None = None
 
 
-@dataclass(frozen=True)
-class EfficiencyMatch:
+class EfficiencyMatch(NamedTuple):
     found: bool
     efficiency: float | None = None
     cef_bpj: float | None = None
@@ -153,14 +150,9 @@ def _evaluate_point(
         except ValueError as exc:
             # the transmit power was derived from the target, so name the target
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
-    return SweepSample(
-        x=x,
-        cef_bpj=rate / consumed,
-        rate_bps=rate,
-        p_consumed_w=consumed,
-        snr_db=snr,
-        feasible=eirp <= _EIRP_CEILING_DBM,
-    )
+    # by position (x, cef_bpj, rate_bps, p_consumed_w, snr_db, feasible):
+    # keywords take twice as long on the path every point runs
+    return SweepSample(x, rate / consumed, rate, consumed, snr, eirp <= _EIRP_CEILING_DBM)
 
 
 def sweep(spec: SweepSpec) -> Curve:

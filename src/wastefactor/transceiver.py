@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .cascade import (
     Cascade,
@@ -286,8 +289,7 @@ def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
     return NetworkScenario(band=scenario.band, bs=scenario.bs, ue=scenario.ue, cell_radius_m=65.0)
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(NamedTuple):
     """Evaluated link metrics."""
 
     waste_figure_db: float
@@ -425,19 +427,23 @@ def _bank_extra(pa_efficiency: float, element_count: int, tx_power_w: float) -> 
     return (element_count - 1) * tx_power_w / pa_efficiency
 
 
-def _source_power_w(
-    mixer_loss_db: float, phase_shifter_loss_db: float, pa_gain_db: float, tx_power_w: float
-) -> float:
+def _insertion_loss(mixer_loss_db: float, phase_shifter_loss_db: float) -> float:
+    """The linear loss ahead of the PA: mixer times phase shifter."""
+    return db_to_linear(mixer_loss_db) * db_to_linear(phase_shifter_loss_db)
+
+
+def _source_power_w(insertion_loss: float, pa_gain: float, tx_power_w: float) -> float:
     # The chain starts at the upconverter input; losses ahead of the PA and
     # the PA gain cancel so the PA output is exactly the radiated power.
-    losses = db_to_linear(mixer_loss_db) * db_to_linear(phase_shifter_loss_db)
-    return tx_power_w * losses / db_to_linear(pa_gain_db)
+    return tx_power_w * insertion_loss / pa_gain
 
 
 class _Link:
-    """One scenario's link, and what every evaluation of it shares: the path
-    loss, both antenna gains, the channel loss, the frozen transmit-antenna
-    and channel stages (`stages`) and the receive side's cache entry.
+    """One scenario's link, and what every evaluation of it shares: the
+    linear insertion loss ahead of the PA and PA gain (the source power's
+    operands), the LO power in watts, the path loss, both antenna gains, the
+    channel loss, the frozen transmit-antenna and channel stages (`stages`)
+    and the receive side's cache entry.
 
     Each is computed on first use and kept only if it succeeds, so a failure
     raises again, at its own step of build_chain's check order, on every
@@ -450,6 +456,18 @@ class _Link:
         self.band = scenario.band
         self.tx = scenario.transmitter
         self.rx = scenario.receiver
+
+    @functools.cached_property
+    def insertion_loss(self) -> float:
+        return _insertion_loss(self.band.mixer_loss_db, self.band.phase_shifter_loss_db)
+
+    @functools.cached_property
+    def pa_gain(self) -> float:
+        return db_to_linear(self.band.pa_gain_db)
+
+    @functools.cached_property
+    def lo_power_w(self) -> float:
+        return dbm_to_watts(self.band.lo_power_dbm)
 
     @functools.cached_property
     def path_loss_db(self) -> float:
@@ -515,11 +533,13 @@ class _Link:
         Returns (source power, the transmit side's cache key).
         """
         band, tx = self.band, self.tx
-        source_power = _source_power_w(
-            band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
-        )
+        source_power = _source_power_w(self.insertion_loss, self.pa_gain, tx_power_w)
         if source_power == 0.0:
-            raise ValueError(f"transmit power {tx_power_dbm:g} dBm is too small to express in watts")
+            if tx_power_w == 0.0:
+                raise ValueError(
+                    f"transmit power {tx_power_dbm:g} dBm is too small to express in watts"
+                )
+            raise self._source_fault(tx_power_dbm, source_power, "is not positive")
         self.channel_loss  # a path loss that fails or overflows raises here
         transmit_fields = _tx_fields(band, tx, pa_efficiency)
         _transmit_side(*transmit_fields)
@@ -527,13 +547,18 @@ class _Link:
         self.stages  # the transmit-antenna and channel stages' checks
         self.receive  # the receive side's
         if not math.isfinite(source_power):
-            raise ValueError(
-                f"transmit power {tx_power_dbm:g} dBm, mixer loss {band.mixer_loss_db:g} dB,"
-                f" phase-shifter loss {band.phase_shifter_loss_db:g} dB and PA gain"
-                f" {band.pa_gain_db:g} dB give a source power of {source_power!r} W,"
-                " which is not finite"
-            )
+            raise self._source_fault(tx_power_dbm, source_power, "is not finite")
         return source_power, transmit_fields
+
+    def _source_fault(self, tx_power_dbm: float, source_power: float, fault: str) -> ValueError:
+        """A source power the transmit power, both losses and the PA gain
+        make unusable, naming all four."""
+        band = self.band
+        return ValueError(
+            f"transmit power {tx_power_dbm:g} dBm, mixer loss {band.mixer_loss_db:g} dB,"
+            f" phase-shifter loss {band.phase_shifter_loss_db:g} dB and PA gain"
+            f" {band.pa_gain_db:g} dB give a source power of {source_power!r} W, which {fault}"
+        )
 
     def evaluate(
         self, bandwidth_hz: float, pa_efficiency: float, tx_power_dbm: float
@@ -566,9 +591,10 @@ class _Link:
         # The terminal-power model of tx_/rx_power_coefficients, read from
         # the cache entries checked() has looked up and the slope's own.
         tx_slope = _transmit_slope(*transmit_fields)
-        tx_fixed = _fixed_draw(band, tx, bandwidth_hz, 0.0)
+        lo_power_w = self.lo_power_w
+        tx_fixed = _fixed_draw(0.0, lo_power_w, band, tx, bandwidth_hz)
         tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
-        rx_fixed = _fixed_draw(band, rx, bandwidth_hz, rx_bank)
+        rx_fixed = _fixed_draw(rx_bank, lo_power_w, band, rx, bandwidth_hz)
         consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
         self.gain_products  # a gain product that underflows to 0 raises here
         return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
@@ -595,13 +621,17 @@ def build_chain(scenario: LinkScenario) -> Cascade:
 
 
 def _fixed_draw(
-    band: BandProfile, terminal: TerminalProfile, bandwidth_hz: float, start: float
+    start: float,
+    lo_power_w: float,
+    band: BandProfile,
+    terminal: TerminalProfile,
+    bandwidth_hz: float,
 ) -> float:
     """start + LO + converters over bandwidth_hz + screen, added left to
     right, in watts."""
     return (
         start
-        + dbm_to_watts(band.lo_power_dbm)
+        + lo_power_w
         + band.converter_w_per_hz * bandwidth_hz
         + terminal.screen_power_w
     )
@@ -639,7 +669,9 @@ def _transmit_slope(
     fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
     chain = Cascade(
         components=_transmit_components(*fields, 1.0),
-        source_power=_source_power_w(mixer_loss_db, phase_shifter_loss_db, pa_gain_db, 1.0),
+        source_power=_source_power_w(
+            _insertion_loss(mixer_loss_db, phase_shifter_loss_db), db_to_linear(pa_gain_db), 1.0
+        ),
     )
     return bookkeeping_oracle(chain).total_consumed
 
@@ -685,7 +717,9 @@ def tx_power_coefficients(
     bandwidth, screen) is added per call.
     """
     slope = _transmit_slope(*_tx_fields(band, terminal, band.pa_efficiency))
-    return slope, _fixed_draw(band, terminal, band.bandwidth_hz, 0.0)
+    return slope, _fixed_draw(
+        0.0, dbm_to_watts(band.lo_power_dbm), band, terminal, band.bandwidth_hz
+    )
 
 
 def rx_power_coefficients(
@@ -705,7 +739,9 @@ def rx_power_coefficients(
     bandwidth and screen are added per call.
     """
     _, slope, bank = _receive_side(*_rx_fields(band, terminal))
-    return slope, _fixed_draw(band, terminal, band.bandwidth_hz, bank)
+    return slope, _fixed_draw(
+        bank, dbm_to_watts(band.lo_power_dbm), band, terminal, band.bandwidth_hz
+    )
 
 
 def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal_w):
@@ -745,12 +781,12 @@ def evaluate_link(scenario: LinkScenario) -> LinkReport:
     )
 
 
-@dataclass(frozen=True)
-class BandComparison:
+class BandComparison(NamedTuple):
     """The band/direction/environment matrix, keyed by (band, direction,
-    environment)."""
+    environment).  A tuple's default is shared by every instance, so the
+    default is an empty read-only mapping."""
 
-    reports: dict[tuple[str, str, str], LinkReport] = field(default_factory=dict)
+    reports: Mapping[tuple[str, str, str], LinkReport] = MappingProxyType({})
 
 
 def band_comparison(

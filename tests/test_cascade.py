@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastefactor.cascade import (
     Cascade,
@@ -346,11 +346,25 @@ def _fits_a_float(loss_db):
     return True
 
 
+def _reference_signal_path(chain):
+    """Source power x gain x waste factor, the products formed by plain
+    loops; for a chain with no directive stage and no gain product of 0."""
+    comps = chain.components
+    gain = 1.0
+    for component in comps:
+        gain *= component.gain
+    waste, downstream = comps[-1].waste_factor, 1.0
+    for i in range(len(comps) - 2, -1, -1):
+        downstream *= comps[i + 1].gain
+        waste += (comps[i].waste_factor - 1.0) / downstream
+    return chain.source_power * gain * waste
+
+
 @st.composite
 def _extreme_chain(draw):
     """Passive losses of 0-4000 dB (those whose ratio fits a float) and
     amplifier gains of -3000 to 3000 dB, so gain products under- and
-    overflow."""
+    overflow, fed a source power of -3000 to 3000 dBW."""
     components = []
     for i in range(draw(st.integers(min_value=1, max_value=6))):
         if draw(st.booleans()):
@@ -360,7 +374,8 @@ def _extreme_chain(draw):
             gain_db = draw(st.floats(-3000.0, 3000.0))
             efficiency = draw(st.floats(0.05, 1.0))
             components.append(make_amplifier(f"s{i}", db_to_linear(gain_db), efficiency))
-    return _chain(*components)
+    source_power = db_to_linear(draw(st.just(0.0) | st.floats(-3000.0, 3000.0)))
+    return _chain(*components, source_power=source_power)
 
 
 _WALKING = (cascade_waste_factor, cascade_gain, waste_figure_db, consumed_power)
@@ -371,11 +386,27 @@ class TestWalkContract:
     naming the component where a gain product underflows to 0."""
 
     @given(_extreme_chain())
+    @example(
+        # 1e-10 W at the sink underflows to 0 W, the waste factor to inf
+        _chain(
+            make_passive("a", db_to_linear(3000.0)),
+            make_passive("b", db_to_linear(80.0)),
+            make_amplifier("c", db_to_linear(-150.0), 1.0),
+            source_power=1e-10,
+        )
+    )
     @settings(max_examples=400, deadline=None)
     def test_returns_a_number_or_names_the_component(self, chain):
         label = _reference_underflow(chain.components)
         for fn in _WALKING:
-            if label is None:
+            if label is None and fn is consumed_power and math.isnan(_reference_signal_path(chain)):
+                with pytest.raises(ValueError) as info:
+                    fn(chain)
+                assert str(info.value) == (
+                    f"source power {chain.source_power!r} W: the sink power underflows to 0 W"
+                    " and the waste factor overflows, so the consumed power is undefined"
+                )
+            elif label is None:
                 value = fn(chain)
                 assert isinstance(value, float) and not math.isnan(value)
             else:

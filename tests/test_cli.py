@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wastefactor
-from wastefactor import netsim, transceiver
+from wastefactor import netsim, sweeps, transceiver
 from wastefactor.cli import EXIT_EVAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from wastefactor.scenario_io import PRESET_DIR_ENV, serialize_scenario
 from wastefactor.sweeps import CURVE_CSV_HEADER
@@ -66,6 +66,19 @@ def _run(argv):
     stream = io.StringIO()
     code = main(argv, stdout=stream)
     return code, stream.getvalue()
+
+
+def _python(script, *argv, cwd=None):
+    """`python -c script argv...` in a fresh interpreter that finds this
+    package's source."""
+    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        encoding="utf-8",
+    )
 
 
 class TestExitCodes:
@@ -402,6 +415,42 @@ class TestExitCodes:
         assert (code, out) == (EXIT_EVAL, "")
         assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # -300 dBm is 1e-33 W; the PA gain takes the source power to 0 W
+            (["band.pa_gain=3000dB", "link.tx_power=-300dBm"],
+             "transmit power -300 dBm, mixer loss 6 dB, phase-shifter loss 10 dB and PA gain"
+             " 3000 dB give a source power of 0.0 W, which is not positive"),
+            # the transmit power itself is 0 W
+            (["link.tx_power=-5000dBm"], "transmit power -5000 dBm is too small to express in watts"),
+        ],
+        ids=["pa-gain", "tx-power"],
+    )
+    def test_underflowing_source_power_names_the_values(self, overrides, message, capsys):
+        argv = ["link"]
+        for override in overrides:
+            argv += ["--set", override]
+        code, out = _run(argv)
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
+
+    def test_chain_whose_consumed_power_is_no_number_names_the_source(self, tmp_path, capsys):
+        # 1e-10 W times a gain of about 1e-323 underflows to 0 W, and the
+        # waste factor, the first loss over a downstream gain of 1e-23,
+        # overflows to inf: their product would print as nan
+        path = tmp_path / "nan.chain"
+        path.write_text(
+            "passive a loss=3000dB\npassive b loss=80dB\namp c gain=-150dB eta=1\n",
+            encoding="utf-8",
+        )
+        code, out = _run(["chain", str(path), "--source-dbm", "-70"])
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == (
+            f"wastefactor: evaluation failed: source power {1e-10!r} W: the sink power"
+            " underflows to 0 W and the waste factor overflows, so the consumed power is undefined\n"
+        )
+
     def test_bandwidth_whose_snr_overflows_names_the_value(self, capsys):
         # k*T0*B stays above 0 W, but the SNR over it overflows a ratio: the
         # rate names the SNR and the bandwidth
@@ -636,14 +685,7 @@ class TestWithoutNumpy:
     )
     def test_link_level_command_runs_with_numpy_blocked(self, argv, golden, tmp_path):
         (tmp_path / "demo.chain").write_text(_DEMO_CHAIN, encoding="utf-8")
-        path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            encoding="utf-8",
-        )
+        proc = _python(_WITHOUT_NUMPY, *argv, cwd=tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == (_GOLDEN / golden).read_text(encoding="utf-8")
 
@@ -651,9 +693,43 @@ class TestWithoutNumpy:
         assert wastefactor.NetworkScenario is netsim.NetworkScenario
         assert netsim.NetworkScenario is transceiver.NetworkScenario
 
-    def test_lazy_names_are_netsim_all(self):
-        # netsim.__all__ is the list; the package keeps a copy to avoid numpy
-        assert wastefactor._NETSIM_NAMES == set(netsim.__all__) - set(transceiver.__all__)
+    def test_lazy_names_are_sweeps_and_netsim_all(self):
+        # each module's __all__ is the list; the package keeps a copy so that
+        # importing it loads neither module
+        lazy = wastefactor._LAZY_NAMES
+        assert {n for n, m in lazy.items() if m == "sweeps"} == set(sweeps.__all__)
+        assert {n for n, m in lazy.items() if m == "netsim"} == (
+            set(netsim.__all__) - set(transceiver.__all__)
+        )
+        assert set(lazy.values()) == {"sweeps", "netsim"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["link"], ["table1"], ["chain", "demo.chain"]],
+        ids=["link", "table1", "chain"],
+    )
+    def test_command_that_sweeps_nothing_loads_neither_sweeps_nor_numpy(self, argv, tmp_path):
+        (tmp_path / "demo.chain").write_text(_DEMO_CHAIN, encoding="utf-8")
+        script = (
+            "import io, sys\n"
+            "from wastefactor.cli import main\n"
+            "code = main(sys.argv[1:], stdout=io.StringIO())\n"
+            "print(code, sorted({'wastefactor.sweeps', 'numpy'} & set(sys.modules)))\n"
+        )
+        proc = _python(script, *argv, cwd=tmp_path)
+        assert proc.stdout == f"{EXIT_OK} []\n", proc.stderr
+
+    def test_lazy_module_resolves_as_an_attribute(self):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import wastefactor\n"
+            "assert 'wastefactor.sweeps' not in sys.modules\n"
+            "assert {'sweeps', 'netsim'} <= set(dir(wastefactor))\n"
+            "print(wastefactor.sweeps.sweep is wastefactor.sweep)\n"
+        )
+        proc = _python(script)
+        assert proc.stdout == "True\n", proc.stderr
 
     def test_every_public_name_resolves(self):
         for name in wastefactor.__all__:

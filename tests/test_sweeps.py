@@ -76,7 +76,7 @@ class TestSweepSpecValidation:
         sample = SweepSample(x=1.0, cef_bpj=1.0, rate_bps=1.0, p_consumed_w=1.0,
                              snr_db=0.0, feasible=True)
         with pytest.raises(ValueError):
-            Curve(unit="Hz", samples=(sample, replace(sample, x=0.5)), evaluator=lambda x: sample)
+            Curve(unit="Hz", samples=(sample, sample._replace(x=0.5)), evaluator=lambda x: sample)
 
 
 class TestSweepEvaluation:
@@ -359,10 +359,16 @@ def _geometry_faulty(*names):
 
 # Faults of the whole chain's gain products (test_transceiver._FAULTS), each
 # alone and paired with every other fault, in both orders with each other
-# (both set the PA gain and the mixer loss, so the later one wins).
+# (both set the PA gain and the mixer loss, so the later one wins).  Not with
+# source-pa-underflow: its PA gain replaces the walk fault's, and with the
+# walk fault's mixer loss no PA gain takes a solved transmit power's source
+# power to 0 W, so that pair can evaluate.
 _WALK_FAULTS = ("gain-underflow", "downstream-underflow")
 _WALK_FAULT_CASES = [(name,) for name in _WALK_FAULTS] + [
-    (name, other) for name in _WALK_FAULTS for other in _FAULTS if other != name
+    (name, other)
+    for name in _WALK_FAULTS
+    for other in _FAULTS
+    if other not in (name, "source-pa-underflow")
 ]
 
 

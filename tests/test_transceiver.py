@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wastefactor.cascade import (
     Cascade,
+    PowerLedger,
     bookkeeping_oracle,
     cascade_gain,
     cascade_waste_factor,
@@ -25,6 +26,7 @@ from wastefactor.linkbudget import (
 from wastefactor.transceiver import (
     BASE_STATION,
     USER_EQUIPMENT,
+    BandComparison,
     BandProfile,
     LinkReport,
     LinkScenario,
@@ -40,7 +42,8 @@ from wastefactor.transceiver import (
     tx_power_coefficients,
 )
 from wastefactor import transceiver
-from wastefactor.transceiver import _receive_side, _source_power_w, _transmit_components
+from wastefactor.sweeps import CrossoverResult, EfficiencyMatch, SweepSample
+from wastefactor.transceiver import _receive_side, _transmit_components
 
 # Eight-cell reference table, frozen from back-solved device parameters that
 # reproduce the published link budget (rates within 2%, received power within
@@ -265,6 +268,12 @@ def _terminals():
     )
 
 
+def _oracle_source_power(band, tx_power_w):
+    """The power into the mixer that makes the PA emit tx_power_w."""
+    losses = db_to_linear(band.mixer_loss_db) * db_to_linear(band.phase_shifter_loss_db)
+    return tx_power_w * losses / db_to_linear(band.pa_gain_db)
+
+
 def _ledger_tx_coefficients(band, terminal):
     """tx_power_coefficients rebuilt uncached: the ledger of the transmit
     chain sized for 1 W radiated, and LO + converters + screen added left
@@ -278,9 +287,7 @@ def _ledger_tx_coefficients(band, terminal):
             terminal.element_count,
             1.0,
         ),
-        source_power=_source_power_w(
-            band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, 1.0
-        ),
+        source_power=_oracle_source_power(band, 1.0),
     )
     fixed = (
         dbm_to_watts(band.lo_power_dbm)
@@ -434,13 +441,18 @@ def _oracle_chain(scenario):
     band = scenario.band
     tx, rx = scenario.transmitter, scenario.receiver
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    source_power = _source_power_w(
-        band.mixer_loss_db, band.phase_shifter_loss_db, band.pa_gain_db, tx_power_w
+    source_power = _oracle_source_power(band, tx_power_w)
+    named = (
+        f"transmit power {scenario.tx_power_dbm:g} dBm, mixer loss {band.mixer_loss_db:g} dB,"
+        f" phase-shifter loss {band.phase_shifter_loss_db:g} dB and PA gain"
+        f" {band.pa_gain_db:g} dB give a source power of {source_power!r} W"
     )
     if source_power == 0.0:
-        raise ValueError(
-            f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
-        )
+        if tx_power_w == 0.0:
+            raise ValueError(
+                f"transmit power {scenario.tx_power_dbm:g} dBm is too small to express in watts"
+            )
+        raise ValueError(f"{named}, which is not positive")
     freq = band.carrier_frequency_hz
     try:
         channel_loss = db_to_linear(scenario.path_loss_db())
@@ -460,12 +472,7 @@ def _oracle_chain(scenario):
         *_uncached_receive(band, rx),
     )
     if not math.isfinite(source_power):
-        raise ValueError(
-            f"transmit power {scenario.tx_power_dbm:g} dBm, mixer loss {band.mixer_loss_db:g} dB,"
-            f" phase-shifter loss {band.phase_shifter_loss_db:g} dB and PA gain"
-            f" {band.pa_gain_db:g} dB give a source power of {source_power!r} W,"
-            " which is not finite"
-        )
+        raise ValueError(f"{named}, which is not finite")
     return Cascade(components=components, source_power=source_power)
 
 
@@ -530,6 +537,8 @@ _FAULTS = {
     "snr-overflow": {"tx": {"aperture_m2": 1e300}, "rx": {"aperture_m2": 1e300}},
     # the source power underflows to zero
     "source-underflow": {"link": {"tx_power_dbm": -4000.0}},
+    # the transmit power is 1e-33 W, and the PA gain takes the source power to 0 W
+    "source-pa-underflow": {"band": {"pa_gain_db": 3000.0}, "link": {"tx_power_dbm": -300.0}},
     # the path loss overflows a ratio
     "path-loss-overflow": {"link": {"distance_m": 1e300}},
     # (count - 1) x power overflows a float in the transmit stages
@@ -678,6 +687,12 @@ class TestTerminalPowerModel:
 
 
 class TestBandComparison:
+    def test_default_reports_are_read_only(self):
+        # every BandComparison() shares its default, so none may change it
+        assert BandComparison().reports == {}
+        with pytest.raises(TypeError):
+            BandComparison().reports["key"] = "value"
+
     def test_eight_cells_and_orderings(self):
         comparison = band_comparison()
         assert len(comparison.reports) == 8
@@ -692,3 +707,59 @@ class TestBandComparison:
                 r[(band, "uplink", "los")].p_consumed_w
                 > r[(band, "downlink", "los")].p_consumed_w
             )
+
+
+# Every output-only record: its fields in order, and the defaults of those
+# that have one.
+_RECORDS = {
+    PowerLedger: (
+        ("per_stage_output", "per_stage_dc", "total_signal_path", "total_non_path", "total_consumed"),
+        {},
+    ),
+    LinkReport: (
+        (
+            "waste_figure_db",
+            "cascade_gain_db",
+            "p_received_dbw",
+            "snr_db",
+            "rate_bps",
+            "p_consumed_w",
+            "cef_bpj",
+            "path_loss_db",
+            "eirp_dbm",
+        ),
+        {},
+    ),
+    BandComparison: (("reports",), {"reports": {}}),
+    SweepSample: (("x", "cef_bpj", "rate_bps", "p_consumed_w", "snr_db", "feasible"), {}),
+    CrossoverResult: (("found", "x", "cef_bpj"), {"x": None, "cef_bpj": None}),
+    EfficiencyMatch: (("found", "efficiency", "cef_bpj"), {"efficiency": None, "cef_bpj": None}),
+}
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: record.__name__)
+class TestOutputRecords:
+    """The output records are named tuples with the fields, defaults and
+    repr they had as frozen dataclasses."""
+
+    def test_fields_and_defaults(self, record):
+        names, defaults = _RECORDS[record]
+        assert record._fields == names
+        assert record._field_defaults == defaults
+        assert record(*names) == names
+
+    def test_repr_names_every_field(self, record):
+        names, _ = _RECORDS[record]
+        values = [float(i) for i in range(len(names))]
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(record(*values)) == f"{record.__name__}({text})"
+
+    def test_replace_changes_one_field(self, record):
+        names, _ = _RECORDS[record]
+        original = record(*names)
+        changed = original._replace(**{names[-1]: "new"})
+        assert type(changed) is record
+        assert changed == (*names[:-1], "new")
+        assert original == names
+        with pytest.raises(AttributeError):
+            setattr(original, names[0], "other")
