@@ -60,7 +60,13 @@ def free_space_path_loss_db(frequency_hz: float, distance_m: float = 1.0) -> flo
         raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m!r}")
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+    ratio = 4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"free-space path loss over {distance_m!r} m at frequency {frequency_hz!r} Hz"
+            " is out of range"
+        )
+    return 20.0 * math.log10(ratio)
 
 
 def ci_path_loss_db(
@@ -78,7 +84,13 @@ def ci_path_loss_db(
             f"distance {distance_m!r} m is inside the {reference_m!r} m reference"
         )
     anchor = free_space_path_loss_db(frequency_hz, reference_m)
-    return anchor + 10.0 * exponent * math.log10(distance_m / reference_m)
+    loss = anchor + 10.0 * exponent * math.log10(distance_m / reference_m)
+    if not math.isfinite(loss):
+        raise ValueError(
+            f"path loss over {distance_m:g} m at frequency {frequency_hz:g} Hz"
+            f" with exponent {exponent:g} is not finite"
+        )
+    return loss
 
 
 def aperture_gain_db(

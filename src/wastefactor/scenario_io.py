@@ -309,15 +309,15 @@ def parse_scenario(text: str) -> LinkScenario | NetworkScenario:
         raise ScenarioParseError(lineno, "a scenario cannot have both [link] and [network]")
 
     is_network = "network" in sections
-    preset_name = "subthz-140" if is_network else "mmwave-28"
     if "preset" in sections.get("band", {}):
         lineno, raw = sections["band"].pop("preset")
         preset_name = parse_quantity(lineno, raw, "word", key="preset")
         try:
-            preset_scenario(preset_name)
+            base = preset_scenario(preset_name)
         except ValueError as exc:
             raise ScenarioParseError(lineno, str(exc)) from exc
-    base = preset_scenario(preset_name)
+    else:
+        base = preset_scenario("subthz-140" if is_network else "mmwave-28")
     if is_network:
         base = as_network(base)
     return _apply_sections(

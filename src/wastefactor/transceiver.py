@@ -373,7 +373,7 @@ def preset_scenario(name: str) -> LinkScenario:
 def _tx_fields(band: BandProfile, terminal: TerminalProfile, pa_efficiency: float) -> tuple:
     """The fields the transmit chain reads, at the given PA efficiency: the
     arguments of _transmit_components before the transmit power, and so the
-    key of the _transmit_side and _transmit_slope caches."""
+    key of the _transmit_side cache."""
     return (
         band.mixer_loss_db,
         band.phase_shifter_loss_db,
@@ -384,8 +384,8 @@ def _tx_fields(band: BandProfile, terminal: TerminalProfile, pa_efficiency: floa
 
 
 def _rx_fields(band: BandProfile, terminal: TerminalProfile) -> tuple:
-    """The fields the receive chain reads: the arguments of _receive_side,
-    and so the key of its cache."""
+    """The fields the receive chain reads, and so the key of the
+    _receive_side cache."""
     return (
         band.carrier_frequency_hz,
         band.lna_gain_db,
@@ -441,33 +441,24 @@ def _source_power_w(insertion_loss: float, pa_gain: float, tx_power_w: float) ->
 class _Link:
     """One scenario's link, and what every evaluation of it shares: the
     linear insertion loss ahead of the PA and PA gain (the source power's
-    operands), the LO power in watts, the path loss, both antenna gains, the
-    channel loss, the frozen transmit-antenna and channel stages (`stages`)
-    and the receive side's cache entry.
-
-    Each is computed on first use and kept only if it succeeds, so a failure
-    raises again, at its own step of build_chain's check order, on every
-    call that reaches it.  evaluate_link and build_chain build one per call;
-    a sweep builds one per curve and evaluates every point on it.
+    operands) and the LO power in watts, set once, as BandProfile has shown
+    they convert; then the path loss, both antenna gains, the channel loss,
+    the frozen transmit-antenna and channel stages (`stages`) and the
+    receive side's cache entry, each computed on first use and kept only if
+    it succeeds, so a failure raises again, at its own step of build_chain's
+    check order, on every call that reaches it.  evaluate_link and
+    build_chain build one per call; a sweep builds one per curve and
+    evaluates every point on it.
     """
 
     def __init__(self, scenario: LinkScenario) -> None:
         self.scenario = scenario
-        self.band = scenario.band
+        self.band = band = scenario.band
         self.tx = scenario.transmitter
         self.rx = scenario.receiver
-
-    @functools.cached_property
-    def insertion_loss(self) -> float:
-        return _insertion_loss(self.band.mixer_loss_db, self.band.phase_shifter_loss_db)
-
-    @functools.cached_property
-    def pa_gain(self) -> float:
-        return db_to_linear(self.band.pa_gain_db)
-
-    @functools.cached_property
-    def lo_power_w(self) -> float:
-        return dbm_to_watts(self.band.lo_power_dbm)
+        self.insertion_loss = _insertion_loss(band.mixer_loss_db, band.phase_shifter_loss_db)
+        self.pa_gain = db_to_linear(band.pa_gain_db)
+        self.lo_power_w = dbm_to_watts(band.lo_power_dbm)
 
     @functools.cached_property
     def path_loss_db(self) -> float:
@@ -500,7 +491,7 @@ class _Link:
 
     @functools.cached_property
     def receive(self) -> tuple:
-        return _receive_side(*_rx_fields(self.band, self.rx))
+        return _receive_side(_rx_fields(self.band, self.rx))
 
     def chain(self, pa_efficiency: float) -> tuple[Component, ...]:
         """The whole chain's stages, source first, from the caches: the
@@ -508,7 +499,7 @@ class _Link:
         changes no gain or waste factor), then the link's, then the receive
         side's."""
         return (
-            *_transmit_side(*_tx_fields(self.band, self.tx, pa_efficiency)),
+            *_transmit_side(_tx_fields(self.band, self.tx, pa_efficiency)).stages,
             *self.stages,
             *self.receive[0],
         )
@@ -530,7 +521,7 @@ class _Link:
         non-path draw at tx_power_w, the transmit-antenna and channel
         stages, the receive side, and a source power that is not finite.
 
-        Returns (source power, the transmit side's cache key).
+        Returns (source power, the transmit side's cache entry).
         """
         band, tx = self.band, self.tx
         source_power = _source_power_w(self.insertion_loss, self.pa_gain, tx_power_w)
@@ -541,14 +532,13 @@ class _Link:
                 )
             raise self._source_fault(tx_power_dbm, source_power, "is not positive")
         self.channel_loss  # a path loss that fails or overflows raises here
-        transmit_fields = _tx_fields(band, tx, pa_efficiency)
-        _transmit_side(*transmit_fields)
+        transmit = _transmit_side(_tx_fields(band, tx, pa_efficiency))
         _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
         self.stages  # the transmit-antenna and channel stages' checks
         self.receive  # the receive side's
         if not math.isfinite(source_power):
             raise self._source_fault(tx_power_dbm, source_power, "is not finite")
-        return source_power, transmit_fields
+        return source_power, transmit
 
     def _source_fault(self, tx_power_dbm: float, source_power: float, fault: str) -> ValueError:
         """A source power the transmit power, both losses and the PA gain
@@ -585,16 +575,14 @@ class _Link:
         snr = p_received - noise
         rate = shannon_rate_bps(bandwidth_hz, snr)
 
-        _, transmit_fields = self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
+        _, transmit = self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
         _, rx_slope, rx_bank = self.receive
         arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
         # The terminal-power model of tx_/rx_power_coefficients, read from
-        # the cache entries checked() has looked up and the slope's own.
-        tx_slope = _transmit_slope(*transmit_fields)
-        lo_power_w = self.lo_power_w
-        tx_fixed = _fixed_draw(0.0, lo_power_w, band, tx, bandwidth_hz)
-        tx_draw = terminal_power(tx, tx_slope, tx_fixed, tx_power_w)
-        rx_fixed = _fixed_draw(rx_bank, lo_power_w, band, rx, bandwidth_hz)
+        # the cache entries checked() has looked up.
+        tx_fixed = _fixed_draw(0.0, self.lo_power_w, band, tx, bandwidth_hz)
+        tx_draw = terminal_power(tx, transmit.slope, tx_fixed, tx_power_w)
+        rx_fixed = _fixed_draw(rx_bank, self.lo_power_w, band, rx, bandwidth_hz)
         consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
         self.gain_products  # a gain product that underflows to 0 raises here
         return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
@@ -609,11 +597,9 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     band = scenario.band
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
     link = _Link(scenario)
-    source_power, transmit_fields = link.checked(
-        band.pa_efficiency, scenario.tx_power_dbm, tx_power_w
-    )
+    source_power, transmit = link.checked(band.pa_efficiency, scenario.tx_power_dbm, tx_power_w)
     components = (
-        *_transmit_components(*transmit_fields, tx_power_w),
+        *_transmit_components(*transmit.fields, tx_power_w),
         *link.stages,
         *link.receive[0],
     )
@@ -637,60 +623,48 @@ def _fixed_draw(
     )
 
 
-@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _transmit_side(
-    mixer_loss_db: float,
-    phase_shifter_loss_db: float,
-    pa_gain_db: float,
-    pa_efficiency: float,
-    element_count: int,
-) -> tuple[Component, ...]:
-    """The mixer, phase shifter and PA bank sized for 0 W.
+class _TransmitSide:
+    """One transmit key's cache entry: its fields, the mixer, phase shifter
+    and PA bank sized for 0 W (`stages`) and the transmit slope.
 
-    Their gains and waste factors do not depend on the transmit power.
+    The stages' gains and waste factors do not depend on the transmit power.
     Building them at 0 W runs every stage check but the PA bank's non-path
     draw; that one depends on the power and runs per call.
     """
-    fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
-    return _transmit_components(*fields, 0.0)
+
+    def __init__(self, fields: tuple) -> None:
+        self.fields = fields
+        self.stages = _transmit_components(*fields, 0.0)
+
+    @functools.cached_property
+    def slope(self) -> float:
+        """The ledger total of the same stages sized for 1 W radiated.
+        Computed on first read and kept only if it succeeds, so a chain that
+        fails its checks at 1 W raises again on every read."""
+        mixer_loss_db, phase_shifter_loss_db, pa_gain_db, _, _ = self.fields
+        chain = Cascade(
+            components=_transmit_components(*self.fields, 1.0),
+            source_power=_source_power_w(
+                _insertion_loss(mixer_loss_db, phase_shifter_loss_db), db_to_linear(pa_gain_db), 1.0
+            ),
+        )
+        return bookkeeping_oracle(chain).total_consumed
+
+
+# One entry per transmit key; a miss builds the entry's stages.
+_transmit_side = functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)(_TransmitSide)
 
 
 @functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _transmit_slope(
-    mixer_loss_db: float,
-    phase_shifter_loss_db: float,
-    pa_gain_db: float,
-    pa_efficiency: float,
-    element_count: int,
-) -> float:
-    """The transmit slope: the ledger total of the mixer, phase shifter and
-    PA bank sized for 1 W radiated.  Raises if that chain fails its own
-    checks; a cache keeps no failure, so every lookup raises it again."""
-    fields = (mixer_loss_db, phase_shifter_loss_db, pa_gain_db, pa_efficiency, element_count)
-    chain = Cascade(
-        components=_transmit_components(*fields, 1.0),
-        source_power=_source_power_w(
-            _insertion_loss(mixer_loss_db, phase_shifter_loss_db), db_to_linear(pa_gain_db), 1.0
-        ),
-    )
-    return bookkeeping_oracle(chain).total_consumed
-
-
-@functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _receive_side(
-    carrier_frequency_hz: float,
-    lna_gain_db: float,
-    lna_fom_per_mw: float,
-    phase_shifter_loss_db: float,
-    mixer_loss_db: float,
-    aperture_m2: float,
-    antenna_efficiency: float,
-    element_count: int,
-) -> tuple[tuple[Component, ...], float, float]:
-    """Receive antenna, LNA bank, phase shifter and mixer, and the
-    signal-path and non-path draws of those stages fed 1 W at the antenna
-    input.  The stages are frozen, so build_chain and every evaluate_link
-    share the cached tuple."""
+def _receive_side(fields: tuple) -> tuple[tuple[Component, ...], float, float]:
+    """Receive antenna, LNA bank, phase shifter and mixer for the _rx_fields
+    key, and the signal-path and non-path draws of those stages fed 1 W at
+    the antenna input.  The stages are frozen, so build_chain and every
+    evaluate_link share the cached tuple."""
+    (
+        carrier_frequency_hz, lna_gain_db, lna_fom_per_mw, phase_shifter_loss_db,
+        mixer_loss_db, aperture_m2, antenna_efficiency, element_count,
+    ) = fields
     antenna_gain_db = aperture_gain_db(aperture_m2, carrier_frequency_hz, antenna_efficiency)
     lna_gain = db_to_linear(lna_gain_db)
     stages = (
@@ -716,7 +690,7 @@ def tx_power_coefficients(
     cached on those five fields.  The fixed part (LO, converters x
     bandwidth, screen) is added per call.
     """
-    slope = _transmit_slope(*_tx_fields(band, terminal, band.pa_efficiency))
+    slope = _transmit_side(_tx_fields(band, terminal, band.pa_efficiency)).slope
     return slope, _fixed_draw(
         0.0, dbm_to_watts(band.lo_power_dbm), band, terminal, band.bandwidth_hz
     )
@@ -738,7 +712,7 @@ def rx_power_coefficients(
     count, and are cached on those eight fields.  LO, converters x
     bandwidth and screen are added per call.
     """
-    _, slope, bank = _receive_side(*_rx_fields(band, terminal))
+    _, slope, bank = _receive_side(_rx_fields(band, terminal))
     return slope, _fixed_draw(
         bank, dbm_to_watts(band.lo_power_dbm), band, terminal, band.bandwidth_hz
     )

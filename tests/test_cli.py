@@ -462,6 +462,39 @@ class TestExitCodes:
             " is too large to express as a ratio\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["link"], ["table1"], ["sweep-bw", "--points", "2"], ["sweep-pa", "--points", "2"]],
+        ids=["link", "table1", "sweep-bw", "sweep-pa"],
+    )
+    def test_carrier_whose_free_space_ratio_underflows_names_the_value(self, argv, capsys):
+        # 4 pi d f / c underflows to 0 before the log of the free-space loss
+        assert main(argv + ["--set", "band.frequency=1e-320 Hz"]) == EXIT_EVAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wastefactor: evaluation failed: free-space path loss over 1.0 m"
+            " at frequency 1e-320 Hz is out of range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["link", "--set", "link.ple_los=1e308"],
+             "path loss over 100 m at frequency 2.8e+10 Hz with exponent 1e+308 is not finite"),
+            # the power-control EIRP would be inf and every row nan
+            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_los=1e308"],
+             "path loss over 20 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite"),
+        ],
+        ids=["link", "netsim"],
+    )
+    def test_path_loss_that_overflows_names_the_exponent(self, argv, message, capsys):
+        code, out = _run(argv)
+        assert (code, out) == (EXIT_EVAL, "")
+        assert "nan" not in out
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
+
+
 class TestLinkCommand:
     def test_default_preset_report(self):
         code, out = _run(["link"])

@@ -88,6 +88,18 @@ class TestFreeSpacePathLoss:
         with pytest.raises(ValueError):
             free_space_path_loss_db(28e9, -1.0)
 
+    @pytest.mark.parametrize(
+        "frequency, distance", [(1e-320, 1.0), (1e308, 1e10)], ids=["underflow", "overflow"]
+    )
+    def test_ratio_out_of_range_names_frequency_and_distance(self, frequency, distance):
+        # 4 pi d f / c underflows to 0 or overflows to inf before the log
+        message = (
+            f"free-space path loss over {distance!r} m at frequency {frequency!r} Hz"
+            " is out of range"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            free_space_path_loss_db(frequency, distance)
+
 
 class TestCiPathLoss:
     def test_equals_fspl_at_reference(self):
@@ -112,6 +124,16 @@ class TestCiPathLoss:
     def test_rejects_closer_than_reference(self):
         with pytest.raises(ValueError):
             ci_path_loss_db(28e9, 0.5, 2.0)
+
+    @pytest.mark.parametrize("distance", [100.0, 1.0], ids=["inf", "nan"])
+    def test_loss_that_is_not_finite_names_distance_frequency_and_exponent(self, distance):
+        # 10 n overflows: times log10(100) the loss is inf, times log10(1) = 0 nan
+        message = (
+            f"path loss over {distance:g} m at frequency 2.8e+10 Hz with exponent 1e+308"
+            " is not finite"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ci_path_loss_db(28e9, distance, 1e308)
 
 
 class TestApertureGain:

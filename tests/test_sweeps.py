@@ -603,6 +603,19 @@ class TestWarmSweep:
         assert find_crossover(curves[0], target) == crossover
         monkeypatch.undo()
 
+        # a warm point makes one cache lookup, a hit on its transmit side,
+        # for the stages' checks and the slope alike
+        caches = [f for f in vars(transceiver).values() if hasattr(f, "cache_info")]
+
+        def lookups():
+            return sum(c.cache_info().hits + c.cache_info().misses for c in caches)
+
+        for curve in curves:
+            hits, total = transceiver._transmit_side.cache_info().hits, lookups()
+            curve.evaluator(curve.samples[-1].x)
+            assert transceiver._transmit_side.cache_info().hits == hits + 1
+            assert lookups() == total + 1
+
         # a matching-efficiency search computes the path loss once, however
         # many points its bisection takes
         calls = []

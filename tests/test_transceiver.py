@@ -299,7 +299,7 @@ def _ledger_tx_coefficients(band, terminal):
 
 def _uncached_receive(band, terminal):
     """The receive stages, built without the cache."""
-    return _receive_side.__wrapped__(
+    return _receive_side.__wrapped__((
         band.carrier_frequency_hz,
         band.lna_gain_db,
         band.lna_fom_per_mw,
@@ -308,7 +308,7 @@ def _uncached_receive(band, terminal):
         terminal.aperture_m2,
         terminal.antenna_efficiency,
         terminal.element_count,
-    )[0]
+    ))[0]
 
 
 def _ledger_coefficients(band, terminal):
