@@ -371,7 +371,6 @@ class _RadioConstants:
     """Everything that does not change between drops."""
 
     eirp_dbm: float
-    tx_power_w: float
     noise_w: float
     gain_ue_db: float
     anchor_db: float  # 1 m free-space loss at the carrier
@@ -388,7 +387,6 @@ def _radio_constants(s: NetworkScenario) -> _RadioConstants:
     ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
     return _RadioConstants(
         eirp_dbm=eirp,
-        tx_power_w=tx_power_w,
         noise_w=dbm_to_watts(thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)),
         gain_ue_db=gain_ue,
         anchor_db=free_space_path_loss_db(s.band.carrier_frequency_hz),
@@ -396,6 +394,31 @@ def _radio_constants(s: NetworkScenario) -> _RadioConstants:
         ue_slope=ue_slope,
         ue_fixed=ue_fixed,
     )
+
+
+def _check_exponents(s: NetworkScenario, rc: _RadioConstants) -> None:
+    """Both path-loss exponents at the farthest UE distance a drop forms,
+    so that ci_path_loss_db names one whose loss overflows, and the NLoS
+    signal at the cell edge, which must not underflow to 0 W.  Path loss
+    grows with distance, so every nearer UE passes too.  An interferer sits
+    within reach and inside the square, so no farther than its diagonal.
+    The NLoS checks run only where p_los leaves room for an NLoS draw."""
+    frequency, radius = s.band.carrier_frequency_hz, s.cell_radius_m
+    farthest = radius
+    if s.interference:
+        farthest += min(s.interferer_reach * radius, math.sqrt(2.0 * s.area_m2))
+    ci_path_loss_db(frequency, farthest, s.ple_los)
+    if p_los(farthest, s.los_d1_m, s.los_d2_m) == 1.0:
+        return
+    ci_path_loss_db(frequency, farthest, s.ple_nlos)
+    if p_los(radius, s.los_d1_m, s.los_d2_m) == 1.0:
+        return
+    edge_db = ci_path_loss_db(frequency, radius, s.ple_nlos)
+    if dbm_to_watts(rc.eirp_dbm - edge_db + rc.gain_ue_db) == 0.0:
+        raise ValueError(
+            f"the NLoS signal at the {radius:g} m cell edge with exponent {s.ple_nlos:g}"
+            " underflows to 0 W"
+        )
 
 
 def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray):
@@ -480,15 +503,18 @@ def _simulate_drop(
     sinr = signal_w / (rc.noise_w + interference_w)
 
     angles = np.arctan2(offsets[..., 1], offsets[..., 0])
-    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % sectors
-    slot = np.arange(n_cells)[:, None] * sectors + sector
-    occupancy = np.bincount(slot.ravel(), minlength=n_cells * sectors)
+    # the sector index runs 0..6 at most, so a cell needs no more slots than
+    # that, however many arrays it has
+    stride = min(sectors, 7)
+    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % stride
+    slot = np.arange(n_cells)[:, None] * stride + sector
+    occupancy = np.bincount(slot.ravel(), minlength=n_cells * stride)
     bandwidth_share = s.band.bandwidth_hz / occupancy[slot]
 
     ue_power = terminal_power(s.ue, rc.ue_slope, rc.ue_fixed, dbm_to_watts(arrival_dbm))
 
     rate = np.sum(bandwidth_share * np.log2(1.0 + sinr), axis=1)
-    occupied = np.count_nonzero(occupancy.reshape(n_cells, sectors), axis=1)
+    occupied = np.count_nonzero(occupancy.reshape(n_cells, stride), axis=1)
     power = np.stack([occupied * rc.sector_power_w, np.sum(ue_power, axis=1)], axis=1)
     sinr_db = np.sum(10.0 * np.log10(sinr), axis=1)
     return _fold(rate), _fold(power.ravel()), _fold(sinr_db), int(np.count_nonzero(los))
@@ -506,6 +532,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario)
+    _check_exponents(scenario, rc)
     streams = _Streams(scenario.seed)
 
     drop_rates = np.empty(scenario.drops)

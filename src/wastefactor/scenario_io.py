@@ -409,12 +409,17 @@ _CHAIN_FORMS: dict[str, tuple[dict[str, str | None], ...]] = {
 }
 
 
-def _chain_tokens(line: int, tokens: list[str]) -> dict[str, str]:
+def _chain_tokens(line: int, tokens: list[str], selector: str | None) -> dict[str, str]:
+    """A line's fields by key; the bare selector token, if any, is its own
+    key and value."""
     values: dict[str, str] = {}
     for token in tokens:
-        if "=" not in token:
+        if token == selector:
+            key = value = token
+        elif "=" not in token:
             raise ScenarioParseError(line, f"expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
+        else:
+            key, _, value = token.partition("=")
         if key in values:
             raise ScenarioParseError(line, f"duplicate field {key!r}")
         values[key] = value
@@ -450,12 +455,8 @@ def parse_chain(text: str, source_power_w: float = 1.0) -> Cascade:
                 raise ScenarioParseError(lineno, f"{kind} needs a name before its fields")
             name = tokens[1]
             raw_fields = tokens[2:]
-        # `ci` appears as a bare selector token, not key=value.
-        fields = _chain_tokens(
-            lineno, [t for t in raw_fields if t != "ci"]
-        )
-        if kind == "channel" and "ci" in tokens:
-            fields["ci"] = "ci"
+        # `ci` is a bare selector token on a channel line, not key=value.
+        fields = _chain_tokens(lineno, raw_fields, "ci" if kind == "channel" else None)
         allowed = _CHAIN_FORMS[kind]
         form = next((f for f in allowed if fields.keys() == f.keys()), None)
         if form is None:

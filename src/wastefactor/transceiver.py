@@ -443,12 +443,14 @@ class _Link:
     linear insertion loss ahead of the PA and PA gain (the source power's
     operands) and the LO power in watts, set once, as BandProfile has shown
     they convert; then the path loss, both antenna gains, the channel loss,
-    the frozen transmit-antenna and channel stages (`stages`) and the
-    receive side's cache entry, each computed on first use and kept only if
-    it succeeds, so a failure raises again, at its own step of build_chain's
-    check order, on every call that reaches it.  evaluate_link and
-    build_chain build one per call; a sweep builds one per curve and
-    evaluates every point on it.
+    the receive side's cache entry and the frozen stages from the transmit
+    antenna to the sink (`stages`), each computed on first use and kept
+    only if it succeeds, so a failure raises again, at its own step of
+    build_chain's check order, on every call that reaches it.  The first
+    point that passes those checks walks the chain once and keeps the
+    walk's (waste factor, gain) in `walk`.  evaluate_link and build_chain
+    build one per call; a sweep builds one per curve and evaluates every
+    point on it.
     """
 
     def __init__(self, scenario: LinkScenario) -> None:
@@ -459,6 +461,7 @@ class _Link:
         self.insertion_loss = _insertion_loss(band.mixer_loss_db, band.phase_shifter_loss_db)
         self.pa_gain = db_to_linear(band.pa_gain_db)
         self.lo_power_w = dbm_to_watts(band.lo_power_dbm)
+        self.walk: tuple[float, float] | None = None
 
     @functools.cached_property
     def path_loss_db(self) -> float:
@@ -483,35 +486,17 @@ class _Link:
             ) from None
 
     @functools.cached_property
-    def stages(self) -> tuple[Component, Component]:
-        return (
-            make_directive("tx-antenna", db_to_linear(self.tx_gain_db)),
-            make_passive("channel", self.channel_loss),
-        )
-
-    @functools.cached_property
     def receive(self) -> tuple:
         return _receive_side(_rx_fields(self.band, self.rx))
 
-    def chain(self, pa_efficiency: float) -> tuple[Component, ...]:
-        """The whole chain's stages, source first, from the caches: the
-        transmit side's at the given PA efficiency (built for 0 W, which
-        changes no gain or waste factor), then the link's, then the receive
-        side's."""
+    @functools.cached_property
+    def stages(self) -> tuple[Component, ...]:
+        """The transmit antenna and the channel, then the receive side."""
         return (
-            *_transmit_side(_tx_fields(self.band, self.tx, pa_efficiency)).stages,
-            *self.stages,
+            make_directive("tx-antenna", db_to_linear(self.tx_gain_db)),
+            make_passive("channel", self.channel_loss),
             *self.receive[0],
         )
-
-    @functools.cached_property
-    def gain_products(self) -> tuple[float, float]:
-        """The walk of the chain at PA efficiency 1, read for the check it
-        makes: no point changes a stage gain, so a gain product that
-        underflows to 0 fails every point of the link.  Read only after
-        checked() has passed; at efficiency 1 the PA bank builds whenever it
-        builds at any efficiency."""
-        return _walk(self.chain(1.0))
 
     def checked(self, pa_efficiency: float, tx_power_dbm: float, tx_power_w: float) -> tuple:
         """Every check build_chain makes at the given PA efficiency and
@@ -534,8 +519,7 @@ class _Link:
         self.channel_loss  # a path loss that fails or overflows raises here
         transmit = _transmit_side(_tx_fields(band, tx, pa_efficiency))
         _require_non_path("pa-bank", _bank_extra(pa_efficiency, tx.element_count, tx_power_w))
-        self.stages  # the transmit-antenna and channel stages' checks
-        self.receive  # the receive side's
+        self.stages  # the transmit-antenna, channel and receive side's checks
         if not math.isfinite(source_power):
             raise self._source_fault(tx_power_dbm, source_power, "is not finite")
         return source_power, transmit
@@ -561,8 +545,11 @@ class _Link:
 
         Returns (received power in dBm, SNR in dB, rate in b/s, consumed
         power in W, EIRP in dBm).  A sweep or bisection point is this and
-        nothing more: it builds no report, and the chain is walked once per
-        link, for gain_products.
+        nothing more: it builds no report.  The first point to get past the
+        consumed power walks the chain at its own PA efficiency and keeps
+        the walk; only stage gains enter the gain products, and the PA
+        bank's is the PA gain at every efficiency, so that walk checks them
+        for every point.  A walk that raises is not kept.
         """
         band, tx, rx = self.band, self.tx, self.rx
         path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
@@ -584,7 +571,8 @@ class _Link:
         tx_draw = terminal_power(tx, transmit.slope, tx_fixed, tx_power_w)
         rx_fixed = _fixed_draw(rx_bank, self.lo_power_w, band, rx, bandwidth_hz)
         consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
-        self.gain_products  # a gain product that underflows to 0 raises here
+        if self.walk is None:  # a gain product that underflows to 0 raises here
+            self.walk = _walk((*transmit.stages, *self.stages))
         return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
 
 
@@ -598,11 +586,7 @@ def build_chain(scenario: LinkScenario) -> Cascade:
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
     link = _Link(scenario)
     source_power, transmit = link.checked(band.pa_efficiency, scenario.tx_power_dbm, tx_power_w)
-    components = (
-        *_transmit_components(*transmit.fields, tx_power_w),
-        *link.stages,
-        *link.receive[0],
-    )
+    components = (*_transmit_components(*transmit.fields, tx_power_w), *link.stages)
     return Cascade(components=components, source_power=source_power)
 
 
@@ -731,17 +715,17 @@ def terminal_power(terminal: TerminalProfile, slope: float, fixed: float, signal
 def evaluate_link(scenario: LinkScenario) -> LinkReport:
     """Evaluate one link end to end.
 
-    Everything but the waste figure and the cascade gain comes from
-    _Link.evaluate, the core a sweep point runs; those two come from one
-    walk over the link's chain.  Consumed power is split per terminal so
-    cooling and the screen land on the correct side.
+    Everything comes from _Link.evaluate, the core a sweep point runs; the
+    waste figure and the cascade gain from the walk of the chain it keeps.
+    Consumed power is split per terminal so cooling and the screen land on
+    the correct side.
     """
     band = scenario.band
     link = _Link(scenario)
     p_received, snr, rate, consumed, eirp = link.evaluate(
         band.bandwidth_hz, band.pa_efficiency, scenario.tx_power_dbm
     )
-    waste, gain = _walk(link.chain(band.pa_efficiency))
+    waste, gain = link.walk
     return LinkReport(
         waste_figure_db=10.0 * math.log10(waste),
         cascade_gain_db=10.0 * math.log10(gain),

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -485,11 +486,20 @@ class TestExitCodes:
             # the power-control EIRP would be inf and every row nan
             (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_los=1e308"],
              "path loss over 20 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite"),
+            # checked before the first drop at the farthest interferer, 8 + 1 radii
+            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_nlos=1e308"],
+             "path loss over 180 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite"),
+            # a cell-edge NLoS signal of 0 W would make the mean SINR -inf
+            (["netsim", "--radius", "100", "--drops", "1", "--set", "network.ple_nlos=1e300"],
+             "the NLoS signal at the 100 m cell edge with exponent 1e+300 underflows to 0 W"),
         ],
-        ids=["link", "netsim"],
+        ids=["link", "netsim", "netsim-nlos-overflow", "netsim-nlos-underflow"],
     )
     def test_path_loss_that_overflows_names_the_exponent(self, argv, message, capsys):
-        code, out = _run(argv)
+        # as under `python -W error`: a NumPy warning before the check fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(argv)
         assert (code, out) == (EXIT_EVAL, "")
         assert "nan" not in out
         assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"

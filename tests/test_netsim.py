@@ -184,6 +184,7 @@ def _small_networks(draw):
         drops=draw(st.integers(min_value=1, max_value=3)),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
         ues_per_cell=draw(st.integers(min_value=1, max_value=20)),
+        arrays_per_bs=draw(st.integers(min_value=1, max_value=12)),
     )
 
 
@@ -483,6 +484,22 @@ class TestSimulateNetwork:
         assert report.mean_sinr_db == pytest.approx(sinr, rel=1e-9)
         assert report.los_fraction == pytest.approx(los, rel=1e-9)
         assert report.ci_halfwidth_bpj == pytest.approx(ci, rel=1e-9)
+
+    def test_sector_slots_do_not_grow_with_the_array_count(self):
+        # a UE's sector index is at most 6, so beyond 7 arrays the count
+        # changes nothing in a cell without interferers, and sizes nothing
+        seven = simulate_network(default_network(500.0, arrays_per_bs=7))
+        assert simulate_network(default_network(500.0, arrays_per_bs=10**12)) == seven
+
+    def test_nlos_exponent_unused_when_every_link_is_los(self):
+        # with the LoS range beyond every distance no NLoS link is drawn, so
+        # the NLoS exponent, however large, changes nothing
+        scenario = default_network(65.0, area_m2=0.1e6, drops=1, los_d1_m=1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate_network(replace(scenario, ple_nlos=1e308)) == simulate_network(
+                scenario
+            )
 
     def test_single_drop_has_zero_halfwidth(self):
         report = simulate_network(default_network(65.0, drops=1))

@@ -489,6 +489,19 @@ class TestChainDsl:
     def test_duplicate_channel(self):
         assert "duplicate channel" in self._error("channel pl=100dB\nchannel pl=90dB\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("passive a ci loss=3dB\n", "line 1: expected key=value, got 'ci'"),
+            ("amp b ci gain=10dB eta=0.5\n", "line 1: expected key=value, got 'ci'"),
+            ("channel ci ci f=28GHz d=10m n=2\n", "line 1: duplicate field 'ci'"),
+        ],
+        ids=["passive", "amp", "channel-twice"],
+    )
+    def test_ci_selects_a_channel_form_once(self, text, message):
+        # `ci` is a bare selector on a channel line only
+        assert self._error(text) == message
+
     def test_aperture_antenna_needs_channel(self):
         assert "channel ci" in self._error("antenna x area=1m2 eff=0.5\n")
 

@@ -629,3 +629,11 @@ class TestWarmSweep:
             assert min_matching_efficiency(_MATCH_TARGET_GBPJ * 1e9, scenario, tol=tol).found
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_pa_efficiency_sweep_looks_up_its_points_only(self):
+        # the link's one walk reads the first point's transmit entry, so a
+        # sweep adds one entry per point and none for the gain check
+        transceiver._transmit_side.cache_clear()
+        spec = SweepSpec(scenario=mmwave_28(), parameter="pa_efficiency", lo=0.1, hi=0.7, points=4)
+        sweep(spec)
+        assert transceiver._transmit_side.cache_info().currsize == 4

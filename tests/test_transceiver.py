@@ -611,6 +611,19 @@ class TestChainFreeEvaluation:
         monkeypatch.setattr(transceiver, "Cascade", refuse)
         assert evaluate_link(scenario) == expected
 
+    def test_one_walk_per_evaluation(self, monkeypatch):
+        # the report's waste figure and cascade gain are the walk that
+        # checks the gain products, not a second walk of the same chain
+        walks = []
+        walk = transceiver._walk
+        monkeypatch.setattr(
+            transceiver, "_walk", lambda components: walks.append(components) or walk(components)
+        )
+        scenarios = (mmwave_28(), subthz_140(), replace(subthz_140(), direction="downlink"))
+        for count, scenario in enumerate(scenarios, start=1):
+            evaluate_link(scenario)
+            assert len(walks) == count
+
     def test_links_differing_in_one_geometry_field_match_oracle(self):
         # The 28 GHz uplink, then one link per field the path loss and the
         # antenna gains read (ple is the LoS exponent here; the UE transmits,
