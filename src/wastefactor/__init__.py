@@ -21,46 +21,42 @@ from .transceiver import *
 
 __version__ = "0.1.0"
 
-# Resolved by __getattr__ (PEP 562) from the module each maps to: sweeps.__all__,
-# and netsim.__all__ less the names transceiver already exports.  Written out,
-# because reading a module's __all__ would import it, and netsim imports numpy.
+# The one list of each lazy module's names, resolved by __getattr__ (PEP 562):
+# sweeps.__all__, and netsim.__all__ after NetworkScenario.  Kept here, because
+# reading a module's __all__ would import it, and netsim imports numpy.
+_SWEEPS_NAMES = (
+    "SweepSpec",
+    "SweepSample",
+    "Curve",
+    "CrossoverResult",
+    "EfficiencyMatch",
+    "sweep",
+    "find_crossover",
+    "find_curve_crossing",
+    "min_matching_efficiency",
+    "reference_cef",
+    "snr_matched_sample",
+    "curve_csv_rows",
+    "CURVE_CSV_HEADER",
+)
+_NETSIM_NAMES = (
+    "CellLayout",
+    "NetworkReport",
+    "DEFAULT_RADII",
+    "default_network",
+    "hex_layout",
+    "drop_ues",
+    "p_los",
+    "power_control",
+    "simulate_network",
+    "sweep_radius",
+    "optimal_radius",
+    "network_csv_rows",
+    "NETSIM_CSV_HEADER",
+)
 _LAZY_NAMES = {
-    **dict.fromkeys(
-        (
-            "SweepSpec",
-            "SweepSample",
-            "Curve",
-            "CrossoverResult",
-            "EfficiencyMatch",
-            "sweep",
-            "find_crossover",
-            "find_curve_crossing",
-            "min_matching_efficiency",
-            "reference_cef",
-            "snr_matched_sample",
-            "curve_csv_rows",
-            "CURVE_CSV_HEADER",
-        ),
-        "sweeps",
-    ),
-    **dict.fromkeys(
-        (
-            "DEFAULT_RADII",
-            "NETSIM_CSV_HEADER",
-            "CellLayout",
-            "NetworkReport",
-            "default_network",
-            "drop_ues",
-            "hex_layout",
-            "network_csv_rows",
-            "optimal_radius",
-            "p_los",
-            "power_control",
-            "simulate_network",
-            "sweep_radius",
-        ),
-        "netsim",
-    ),
+    **dict.fromkeys(_SWEEPS_NAMES, "sweeps"),
+    **dict.fromkeys(_NETSIM_NAMES, "netsim"),
 }
 
 __all__ = [

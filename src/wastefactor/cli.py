@@ -15,7 +15,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 from .cascade import cascade_gain, cascade_waste_factor, consumed_power
@@ -108,7 +108,7 @@ def _metric_csv(report: LinkReport) -> str:
 
 
 def cmd_link(args, stdout: TextIO) -> int:
-    scenario = _load_scenario(args.scenario, args.preset or "mmwave-28", args.overrides)
+    scenario = _load_scenario(args.scenario, args.preset, args.overrides)
     report = evaluate_link(scenario)
     stdout.write(
         f"{scenario.band.label} {scenario.direction} {scenario.environment}"
@@ -122,10 +122,8 @@ def cmd_link(args, stdout: TextIO) -> int:
 
 
 def _table_cells(args) -> list[tuple[str, str, str, LinkReport]]:
-    if args.scenario or (args.preset and args.preset != "both"):
-        presets = [args.preset or "mmwave-28"]
-    else:
-        presets = ["mmwave-28", "subthz-140"]
+    both = args.preset == "both" and not args.scenario
+    presets = ("mmwave-28", "subthz-140") if both else (args.preset,)
     cells = []
     for preset in presets:
         base = _load_scenario(args.scenario, preset, args.overrides)
@@ -160,11 +158,9 @@ def cmd_table1(args, stdout: TextIO) -> int:
     csv_rows = ["band,direction,environment," + _METRIC_CSV_HEADER]
     for band, direction, environment, r in cells:
         csv_rows.append(f"{band},{direction},{environment},{_metric_csv(r)}")
-    if args.out:
-        _emit(csv_rows, args.out, stdout)
-    else:
+    if not args.out:  # a blank line parts the table from the CSV on stdout
         stdout.write("\n")
-        _emit(csv_rows, None, stdout)
+    _emit(csv_rows, args.out, stdout)
     return EXIT_OK
 
 
@@ -172,7 +168,7 @@ def _swept(args, parameter: str, lo: float, hi: float) -> tuple[LinkScenario, Cu
     """The scenario turned to --direction, and its curve over [lo, hi]."""
     from .sweeps import SweepSpec, sweep
 
-    base = _load_scenario(args.scenario, args.preset or "subthz-140", args.overrides)
+    base = _load_scenario(args.scenario, args.preset, args.overrides)
     base = replace(base, direction=_direction(args.direction))
     spec = SweepSpec(
         scenario=base, parameter=parameter, lo=lo, hi=hi, points=args.points, snr_target_db=args.snr
@@ -186,7 +182,7 @@ def cmd_sweep_bw(args, stdout: TextIO) -> int:
 
     base, curve = _swept(args, "bandwidth", args.lo_ghz * 1e9, args.hi_ghz * 1e9)
 
-    reference = _load_scenario(None, args.reference_preset or "mmwave-28", args.overrides)
+    reference = _load_scenario(None, args.reference_preset, args.overrides)
     reference = replace(reference, direction=_direction(args.direction))
     ref_sample = snr_matched_sample(reference, snr_target_db=args.snr)
 
@@ -239,20 +235,11 @@ def cmd_netsim(args, stdout: TextIO) -> int:
     # Imported here so the link-level commands never load numpy.
     from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, sweep_radius
 
-    scenario = _load_scenario(
-        args.scenario, args.preset or "subthz-140", args.overrides, network=True
-    )
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.drops is not None:
-        updates["drops"] = args.drops
-    if args.no_interference:
-        updates["interference"] = False
-    if args.wraparound:
-        updates["wraparound"] = True
-    if updates:
-        scenario = replace(scenario, **updates)
+    scenario = _load_scenario(args.scenario, args.preset, args.overrides, network=True)
+    # The run flags store into the scenario fields they set, None when not
+    # given, and win over --set.
+    given = {f.name: getattr(args, f.name, None) for f in fields(scenario)}
+    scenario = replace(scenario, **{k: v for k, v in given.items() if v is not None})
     radii = tuple(args.radius) if args.radius else DEFAULT_RADII
     reports = sweep_radius(scenario, radii=radii)
     _emit(network_csv_rows(reports), args.out, stdout)
@@ -336,13 +323,20 @@ def _check_order(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, scenario: bool = True, seed: bool = False
+    parser: argparse.ArgumentParser, preset: str | None = None, seed: bool = False
 ) -> None:
-    """Each command takes only the flags it reads: the scenario flags where
-    it loads a scenario, --seed where it simulates, --out everywhere."""
-    if scenario:
+    """Each command takes only the flags it reads: the scenario flags, with
+    its default preset, where it loads a scenario (preset is None where it
+    does not), --seed where it simulates, --out everywhere."""
+    if preset is not None:
+        # The default goes on the parser, not the flag: argparse takes a flag
+        # whose value is its default object as absent, which would let an
+        # in-process ["--preset", "both"] beside --scenario pass the group.
+        parser.set_defaults(preset=preset)
         source = parser.add_mutually_exclusive_group()
-        source.add_argument("--preset", help="named preset (built-in or <name>.scenario)")
+        source.add_argument(
+            "--preset", default=argparse.SUPPRESS, help="named preset (built-in or <name>.scenario)"
+        )
         source.add_argument("--scenario", metavar="FILE", help="scenario file to load")
         parser.add_argument(
             "--set",
@@ -365,15 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_link = sub.add_parser("link", help="evaluate one link scenario")
-    _add_common(p_link)
+    _add_common(p_link, "mmwave-28")
     p_link.set_defaults(func=cmd_link)
 
     p_table = sub.add_parser("table1", help="8-cell band/direction/environment matrix")
-    _add_common(p_table)
+    _add_common(p_table, "both")
     p_table.set_defaults(func=cmd_table1)
 
     p_bw = sub.add_parser("sweep-bw", help="bandwidth sweep with crossover search")
-    _add_common(p_bw)
+    _add_common(p_bw, "subthz-140")
     p_bw.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
     p_bw.add_argument("--snr", type=_FINITE, default=20.0, help="target SNR in dB")
     p_bw.add_argument("--lo-ghz", type=_POSITIVE, default=0.1)
@@ -387,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bw.set_defaults(func=cmd_sweep_bw)
 
     p_pa = sub.add_parser("sweep-pa", help="PA-efficiency sweep")
-    _add_common(p_pa)
+    _add_common(p_pa, "subthz-140")
     p_pa.add_argument("--direction", choices=("ul", "dl", "uplink", "downlink"), default="dl")
     p_pa.add_argument("--snr", type=_FINITE, default=None, help="target SNR in dB (fixed power if omitted)")
     p_pa.add_argument("--lo", type=_EFFICIENCY, default=0.02)
@@ -403,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa.set_defaults(func=cmd_sweep_pa)
 
     p_net = sub.add_parser("netsim", help="hexagonal-network radius sweep")
-    _add_common(p_net, seed=True)
+    _add_common(p_net, "subthz-140", seed=True)
     p_net.add_argument(
         "--radius",
         type=_RADIUS,
@@ -412,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell radius in meters; repeatable (default: built-in sweep)",
     )
     p_net.add_argument("--drops", type=_DROPS, help="Monte Carlo drops per radius")
-    p_net.add_argument("--no-interference", action="store_true")
-    p_net.add_argument("--wraparound", action="store_true")
+    p_net.add_argument("--no-interference", dest="interference", action="store_false", default=None)
+    p_net.add_argument("--wraparound", action="store_true", default=None)
     p_net.set_defaults(func=cmd_netsim)
 
     p_chain = sub.add_parser("chain", help="evaluate a chain description file")
-    _add_common(p_chain, scenario=False)
+    _add_common(p_chain)
     p_chain.add_argument("file", help="chain description file")
     p_chain.add_argument("--source-dbm", type=_FINITE, default=0.0)
     p_chain.set_defaults(func=cmd_chain)

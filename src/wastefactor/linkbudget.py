@@ -146,7 +146,12 @@ def shannon_rate_bps(bandwidth_hz: float, snr_db: float) -> float:
         raise ValueError(
             f"SNR {snr_db!r} dB over {bandwidth_hz!r} Hz is too large to express as a ratio"
         ) from None
-    return bandwidth_hz * math.log2(1.0 + snr)
+    rate = bandwidth_hz * math.log2(1.0 + snr)
+    if not rate < math.inf:
+        raise ValueError(
+            f"rate over {bandwidth_hz!r} Hz at SNR {snr_db!r} dB is too large to express in b/s"
+        )
+    return rate
 
 
 def tx_power_for_snr_dbm(

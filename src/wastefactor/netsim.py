@@ -37,6 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _NETSIM_NAMES
 from .linkbudget import (
     ci_path_loss_db,
     dbm_to_watts,
@@ -54,22 +55,7 @@ from .transceiver import (
     tx_power_coefficients,
 )
 
-__all__ = [
-    "NetworkScenario",
-    "CellLayout",
-    "NetworkReport",
-    "DEFAULT_RADII",
-    "default_network",
-    "hex_layout",
-    "drop_ues",
-    "p_los",
-    "power_control",
-    "simulate_network",
-    "sweep_radius",
-    "optimal_radius",
-    "network_csv_rows",
-    "NETSIM_CSV_HEADER",
-]
+__all__ = ("NetworkScenario", *_NETSIM_NAMES)
 
 DEFAULT_RADII = (20.0, 35.0, 50.0, 65.0, 80.0, 100.0, 150.0, 250.0, 500.0)
 

@@ -420,6 +420,8 @@ def _chain_tokens(line: int, tokens: list[str], selector: str | None) -> dict[st
             raise ScenarioParseError(line, f"expected key=value, got {token!r}")
         else:
             key, _, value = token.partition("=")
+            if key == selector:
+                raise ScenarioParseError(line, f"{selector} takes no value, got {token!r}")
         if key in values:
             raise ScenarioParseError(line, f"duplicate field {key!r}")
         values[key] = value

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
+from . import _SWEEPS_NAMES
 from .linkbudget import tx_power_for_snr_dbm
 from .transceiver import (
     LinkScenario,
@@ -14,21 +15,7 @@ from .transceiver import (
     _Link,
 )
 
-__all__ = [
-    "SweepSpec",
-    "SweepSample",
-    "Curve",
-    "CrossoverResult",
-    "EfficiencyMatch",
-    "sweep",
-    "find_crossover",
-    "find_curve_crossing",
-    "min_matching_efficiency",
-    "reference_cef",
-    "snr_matched_sample",
-    "curve_csv_rows",
-    "CURVE_CSV_HEADER",
-]
+__all__ = _SWEEPS_NAMES
 
 SWEEPABLE = ("bandwidth", "pa_efficiency")
 

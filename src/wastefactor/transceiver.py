@@ -75,6 +75,10 @@ USER_EQUIPMENT = "user-equipment"
 # element counts needs 256 transmit keys; each bisection adds a few more.
 _SLOPE_CACHE_SIZE = 1024
 
+# A drop holds (cells, UEs) float arrays; at this bound one is 7.5 MB for the
+# 941 cells of 20 m radius in 1 km2, and a one-cell chunk stays near 1 MB.
+_MAX_UES_PER_CELL = 1000
+
 
 @dataclass(frozen=True)
 class BandProfile:
@@ -265,6 +269,10 @@ class NetworkScenario:
             )
         if self.arrays_per_bs < 1 or self.ues_per_cell < 1:
             raise ValueError("array and UE counts must be >= 1")
+        if self.ues_per_cell > _MAX_UES_PER_CELL:
+            raise ValueError(
+                f"UEs per cell must be at most {_MAX_UES_PER_CELL}, got {self.ues_per_cell!r}"
+            )
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if not math.isfinite(self.target_snr_db):
@@ -570,10 +578,33 @@ class _Link:
         tx_fixed = _fixed_draw(0.0, self.lo_power_w, band, tx, bandwidth_hz)
         tx_draw = terminal_power(tx, transmit.slope, tx_fixed, tx_power_w)
         rx_fixed = _fixed_draw(rx_bank, self.lo_power_w, band, rx, bandwidth_hz)
-        consumed = tx_draw + terminal_power(rx, rx_slope, rx_fixed, arrival_w)
+        rx_draw = terminal_power(rx, rx_slope, rx_fixed, arrival_w)
+        consumed = tx_draw + rx_draw
+        if not consumed < math.inf:
+            raise _consumed_fault(band, bandwidth_hz, tx, tx_draw, rx, rx_draw)
         if self.walk is None:  # a gain product that underflows to 0 raises here
             self.walk = _walk((*transmit.stages, *self.stages))
         return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
+
+
+def _consumed_fault(
+    band: BandProfile, bandwidth_hz: float,
+    tx: TerminalProfile, tx_draw: float, rx: TerminalProfile, rx_draw: float,
+) -> ValueError:
+    """A consumed power that is not finite, naming each terminal whose draw
+    is not, or both when only their sum overflows, with what scales a draw:
+    the cooling overhead, the screen power and the converters."""
+    sides = (("transmitting", tx, tx_draw), ("receiving", rx, rx_draw))
+    named = [side for side in sides if not math.isfinite(side[2])] or sides
+    return ValueError(
+        "consumed power is not finite: "
+        + " and ".join(
+            f"the {side} {terminal.role} draws {draw:g} W with cooling overhead"
+            f" {terminal.cooling_overhead:g}, screen power {terminal.screen_power_w:g} W"
+            f" and converters {band.converter_w_per_hz:g} W/Hz x {bandwidth_hz:g} Hz"
+            for side, terminal, draw in named
+        )
+    )
 
 
 def build_chain(scenario: LinkScenario) -> Cascade:

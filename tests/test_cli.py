@@ -206,6 +206,43 @@ class TestExitCodes:
         assert "--preset" in err and "--scenario" in err
 
     @pytest.mark.parametrize(
+        "command, preset",
+        [
+            ("link", "mmwave-28"),
+            ("table1", "both"),
+            ("sweep-bw", "subthz-140"),
+            ("sweep-pa", "subthz-140"),
+            ("netsim", "subthz-140"),
+        ],
+    )
+    def test_default_preset_beside_scenario_is_usage_error(
+        self, command, preset, tmp_path, capsys
+    ):
+        # the command's own default preset, named, still counts as given
+        path = tmp_path / "sub.scenario"
+        path.write_text("[band]\npreset = subthz-140\n", encoding="utf-8")
+        assert main([command, "--scenario", str(path), "--preset", preset]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--preset" in err and "--scenario" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["link", "--preset", ""],
+            ["table1", "--preset", ""],
+            ["sweep-bw", "--points", "2", "--preset", ""],
+            ["sweep-bw", "--points", "2", "--reference-preset", ""],
+            ["sweep-pa", "--points", "2", "--preset", ""],
+            ["netsim", "--radius", "500", "--drops", "1", "--preset", ""],
+        ],
+        ids=["link", "table1", "sweep-bw", "sweep-bw-reference", "sweep-pa", "netsim"],
+    )
+    def test_empty_preset_is_an_unknown_preset(self, argv, capsys):
+        # an empty name does not fall back to the command's default preset
+        assert _run(argv) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == "wastefactor: unknown preset '' and no .scenario found\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep-pa", "--points", "4", "--snr", "{}"],
@@ -504,6 +541,45 @@ class TestExitCodes:
         assert "nan" not in out
         assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # B log2(1 + SNR) of the mmwave-28 reference is inf
+            (["sweep-bw", "--points", "4", "--set", "band.bandwidth=1e308 Hz"], EXIT_EVAL,
+             "evaluation failed: SNR target 20 dB: rate over 1e+308 Hz at SNR 20.0 dB"
+             " is too large to express in b/s"),
+            (["link", "--set", "bs.cooling_overhead=1e308"], EXIT_EVAL,
+             "evaluation failed: consumed power is not finite: the receiving base-station"
+             " draws inf W with cooling overhead 1e+308, screen power 0 W and converters"
+             " 2.5e-10 W/Hz x 4e+08 Hz"),
+            # mmwave-28's draws stay finite; both of subthz-140's are inf
+            (["table1", "--set", "band.converter_power_per_ghz=1e308 W"], EXIT_EVAL,
+             "evaluation failed: consumed power is not finite: the transmitting"
+             " user-equipment draws inf W with cooling overhead 0, screen power 0.5 W and"
+             " converters 1e+299 W/Hz x 4e+09 Hz and the receiving base-station draws inf W"
+             " with cooling overhead 0.2, screen power 0 W and converters 1e+299 W/Hz x 4e+09 Hz"),
+            # each draw is finite, only their sum overflows
+            (["link", "--set", "bs.cooling_overhead=1e307", "--set", "ue.cooling_overhead=1e307",
+              "--set", "bs.screen_power=10 W", "--set", "ue.screen_power=10 W"], EXIT_EVAL,
+             "evaluation failed: consumed power is not finite: the transmitting"
+             " user-equipment draws 1.01386e+308 W with cooling overhead 1e+307, screen power"
+             " 10 W and converters 2.5e-10 W/Hz x 4e+08 Hz and the receiving base-station"
+             " draws 1.42341e+308 W with cooling overhead 1e+307, screen power 10 W and"
+             " converters 2.5e-10 W/Hz x 4e+08 Hz"),
+            # rejected as the scenario is built, so no drop allocates anything
+            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ues_per_cell=1e8"],
+             EXIT_PARSE,
+             "override 1: invalid [network] values: UEs per cell must be at most 1000,"
+             " got 100000000"),
+        ],
+        ids=["rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell"],
+    )
+    def test_value_that_overflows_is_named(self, argv, code, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(argv) == (code, "")
+        assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
 
 class TestLinkCommand:
     def test_default_preset_report(self):
@@ -640,6 +716,23 @@ class TestNetsimCommand:
         cef_off = float(off.read_text(encoding="utf-8").splitlines()[1].split(",")[2])
         assert cef_off > cef_on
 
+    def test_run_flags_set_their_scenario_fields(self):
+        base = ["netsim", "--radius", "150"]
+        flags = _run(base + ["--seed", "3", "--drops", "1", "--wraparound", "--no-interference"])
+        spelled = _run(base + [
+            "--set", "network.seed=3", "--set", "network.drops=1",
+            "--set", "network.wraparound=on", "--set", "network.interference=off",
+        ])
+        assert flags[0] == EXIT_OK
+        assert flags == spelled
+
+    def test_run_flag_wins_over_set(self):
+        base = ["netsim", "--radius", "150"]
+        assert _run(base + ["--set", "network.drops=3", "--drops", "1"]) == _run(
+            base + ["--drops", "1"]
+        )
+        assert _run(base + ["--set", "network.drops=3"]) != _run(base + ["--drops", "1"])
+
 
 class TestChainCommand:
     def test_report_and_csv(self, tmp_path):
@@ -737,8 +830,8 @@ class TestWithoutNumpy:
         assert netsim.NetworkScenario is transceiver.NetworkScenario
 
     def test_lazy_names_are_sweeps_and_netsim_all(self):
-        # each module's __all__ is the list; the package keeps a copy so that
-        # importing it loads neither module
+        # the package keeps each list, so that importing it loads neither
+        # module, and each module's __all__ is built from it
         lazy = wastefactor._LAZY_NAMES
         assert {n for n, m in lazy.items() if m == "sweeps"} == set(sweeps.__all__)
         assert {n for n, m in lazy.items() if m == "netsim"} == (

@@ -205,6 +205,14 @@ class TestShannonRate:
             "SNR 4000.0 dB over 1000000.0 Hz is too large to express as a ratio"
         )
 
+    def test_overflowing_rate_names_bandwidth_and_snr(self):
+        # the SNR is a finite ratio, but B log2(1 + SNR) is inf
+        with pytest.raises(ValueError) as info:
+            shannon_rate_bps(1e308, 20.0)
+        assert str(info.value) == (
+            "rate over 1e+308 Hz at SNR 20.0 dB is too large to express in b/s"
+        )
+
 class TestReceivedPowerAndSolver:
     def test_additive_identity(self):
         assert received_power_dbm(10.0, 30.0, 20.0, 100.0) == pytest.approx(-40.0, abs=1e-12)

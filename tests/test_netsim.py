@@ -38,6 +38,7 @@ from wastefactor.netsim import (
     _radio_constants,
 )
 from wastefactor.transceiver import (
+    _MAX_UES_PER_CELL,
     rx_power_coefficients,
     subthz_140,
     terminal_power,
@@ -205,6 +206,18 @@ class TestScenarioValidation:
             default_network(65.0, area_m2=0.0)
         with pytest.raises(ValueError):
             default_network(65.0, interferer_reach=0.0)
+
+    def test_ue_count_is_bounded(self):
+        assert default_network(65.0, ues_per_cell=1000).ues_per_cell == 1000
+        with pytest.raises(ValueError, match="at most 1000, got 1001"):
+            default_network(65.0, ues_per_cell=1001)
+
+    def test_ue_bound_keeps_a_drop_array_small(self):
+        # one (cells, UEs) float64 array at the densest default layout, by
+        # arithmetic only: no drop runs
+        cells = hex_layout(1e6, 20.0).n_cells
+        assert cells == 941
+        assert cells * _MAX_UES_PER_CELL * 8 == 7_528_000
 
     @pytest.mark.parametrize("scale, cells", [(1.0 - 1e-9, 0), (1.0 + 1e-9, 1)])
     def test_area_must_hold_a_cell(self, scale, cells):

@@ -495,8 +495,10 @@ class TestChainDsl:
             ("passive a ci loss=3dB\n", "line 1: expected key=value, got 'ci'"),
             ("amp b ci gain=10dB eta=0.5\n", "line 1: expected key=value, got 'ci'"),
             ("channel ci ci f=28GHz d=10m n=2\n", "line 1: duplicate field 'ci'"),
+            ("channel ci=5 f=28GHz d=10m n=2\n", "line 1: ci takes no value, got 'ci=5'"),
+            ("channel ci= f=28GHz d=10m n=2\n", "line 1: ci takes no value, got 'ci='"),
         ],
-        ids=["passive", "amp", "channel-twice"],
+        ids=["passive", "amp", "channel-twice", "channel-valued", "channel-empty-value"],
     )
     def test_ci_selects_a_channel_form_once(self, text, message):
         # `ci` is a bare selector on a channel line only

@@ -494,7 +494,18 @@ def _oracle(scenario):
     chain = _oracle_chain(scenario)
     arrival_w = dbm_to_watts(scenario.tx_power_dbm + gain_tx - path_loss)
     tx_draw = terminal_power(tx, *_ledger_tx_coefficients(band, tx), tx_power_w)
-    consumed = tx_draw + terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    rx_draw = terminal_power(rx, *rx_power_coefficients(band, rx), arrival_w)
+    consumed = tx_draw + rx_draw
+    if not math.isfinite(consumed):
+        # each terminal whose draw is not finite, else both
+        sides = [("transmitting", tx, tx_draw), ("receiving", rx, rx_draw)]
+        named = [side for side in sides if not math.isfinite(side[2])] or sides
+        raise ValueError("consumed power is not finite: " + " and ".join(
+            f"the {side} {terminal.role} draws {draw:g} W with cooling overhead"
+            f" {terminal.cooling_overhead:g}, screen power {terminal.screen_power_w:g} W and"
+            f" converters {band.converter_w_per_hz:g} W/Hz x {band.bandwidth_hz:g} Hz"
+            for side, terminal, draw in named
+        ))
     return LinkReport(
         waste_figure_db=waste_figure_db(chain),
         cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
@@ -558,6 +569,9 @@ _FAULTS = {
     # the PA bank's draw is finite at the transmit power but inf at 1 W, so
     # only the terminal power model fails
     "pa-bank-draw-at-1w": {"tx": {"element_count": 10**308}},
+    # every check of the chain passes, but the receiver's cooling makes its
+    # draw, and so the consumed power, inf
+    "consumed-overflow": {"rx": {"cooling_overhead": 1e308}},
     # the gain products underflow to zero both ways: the waste factor's walk
     # would divide by the downstream one, and the forward one reaches 0 first
     "downstream-underflow": {
