@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import replace
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ NETSIM_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class CellLayout:
+class CellLayout(NamedTuple):
     """Hexagonal lattice of base stations covering a square area."""
 
     cell_radius_m: float
@@ -77,8 +76,7 @@ class CellLayout:
         return len(self.bs_positions)
 
 
-@dataclass(frozen=True)
-class NetworkReport:
+class NetworkReport(NamedTuple):
     """Aggregate outcome of one radius, averaged over drops."""
 
     radius_m: float
@@ -352,8 +350,7 @@ def _neighbor_lists(
     return lists
 
 
-@dataclass(frozen=True)
-class _RadioConstants:
+class _RadioConstants(NamedTuple):
     """Everything that does not change between drops."""
 
     eirp_dbm: float
@@ -366,45 +363,44 @@ class _RadioConstants:
 
 
 def _radio_constants(s: NetworkScenario) -> _RadioConstants:
-    gain_ue = s.ue.antenna_gain_db(s.band.carrier_frequency_hz)
-    gain_bs = s.bs.antenna_gain_db(s.band.carrier_frequency_hz)
-    eirp = power_control(s.cell_radius_m, s.band, s.target_snr_db, gain_ue, s.ple_los)
+    """The constants of one radius, then its checks before the first drop.
+
+    Both path-loss exponents are checked at the farthest UE distance a drop
+    forms, so that ci_path_loss_db names one whose loss overflows, and the
+    NLoS signal at the cell edge must not underflow to 0 W.  Path loss grows
+    with distance, so every nearer UE passes too.  An interferer sits within
+    reach and inside the square, so no farther than its diagonal.  The NLoS
+    checks run only where p_los leaves room for an NLoS draw."""
+    frequency, radius = s.band.carrier_frequency_hz, s.cell_radius_m
+    gain_ue = s.ue.antenna_gain_db(frequency)
+    gain_bs = s.bs.antenna_gain_db(frequency)
+    eirp = power_control(radius, s.band, s.target_snr_db, gain_ue, s.ple_los)
     tx_power_w = dbm_to_watts(eirp - gain_bs)
     ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
-    return _RadioConstants(
+    rc = _RadioConstants(
         eirp_dbm=eirp,
         noise_w=dbm_to_watts(thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)),
         gain_ue_db=gain_ue,
-        anchor_db=free_space_path_loss_db(s.band.carrier_frequency_hz),
+        anchor_db=free_space_path_loss_db(frequency),
         sector_power_w=terminal_power(s.bs, *tx_power_coefficients(s.band, s.bs), tx_power_w),
         ue_slope=ue_slope,
         ue_fixed=ue_fixed,
     )
 
-
-def _check_exponents(s: NetworkScenario, rc: _RadioConstants) -> None:
-    """Both path-loss exponents at the farthest UE distance a drop forms,
-    so that ci_path_loss_db names one whose loss overflows, and the NLoS
-    signal at the cell edge, which must not underflow to 0 W.  Path loss
-    grows with distance, so every nearer UE passes too.  An interferer sits
-    within reach and inside the square, so no farther than its diagonal.
-    The NLoS checks run only where p_los leaves room for an NLoS draw."""
-    frequency, radius = s.band.carrier_frequency_hz, s.cell_radius_m
     farthest = radius
     if s.interference:
         farthest += min(s.interferer_reach * radius, math.sqrt(2.0 * s.area_m2))
     ci_path_loss_db(frequency, farthest, s.ple_los)
-    if p_los(farthest, s.los_d1_m, s.los_d2_m) == 1.0:
-        return
-    ci_path_loss_db(frequency, farthest, s.ple_nlos)
-    if p_los(radius, s.los_d1_m, s.los_d2_m) == 1.0:
-        return
-    edge_db = ci_path_loss_db(frequency, radius, s.ple_nlos)
-    if dbm_to_watts(rc.eirp_dbm - edge_db + rc.gain_ue_db) == 0.0:
-        raise ValueError(
-            f"the NLoS signal at the {radius:g} m cell edge with exponent {s.ple_nlos:g}"
-            " underflows to 0 W"
-        )
+    if p_los(farthest, s.los_d1_m, s.los_d2_m) != 1.0:
+        ci_path_loss_db(frequency, farthest, s.ple_nlos)
+        if p_los(radius, s.los_d1_m, s.los_d2_m) != 1.0:
+            edge_db = ci_path_loss_db(frequency, radius, s.ple_nlos)
+            if dbm_to_watts(eirp - edge_db + gain_ue) == 0.0:
+                raise ValueError(
+                    f"the NLoS signal at the {radius:g} m cell edge with exponent"
+                    f" {s.ple_nlos:g} underflows to 0 W"
+                )
+    return rc
 
 
 def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray):
@@ -412,8 +408,7 @@ def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: n
     return rc.anchor_db + 10.0 * ple * np.log10(np.maximum(d, 1.0))
 
 
-@dataclass(frozen=True)
-class _Chunk:
+class _Chunk(NamedTuple):
     """Cells that share one neighbour count k, drawn and computed together."""
 
     cells: np.ndarray  # (C,) cell indices, ascending
@@ -518,7 +513,6 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario)
-    _check_exponents(scenario, rc)
     streams = _Streams(scenario.seed)
 
     drop_rates = np.empty(scenario.drops)
