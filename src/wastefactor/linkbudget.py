@@ -69,22 +69,15 @@ def free_space_path_loss_db(frequency_hz: float, distance_m: float = 1.0) -> flo
     return 20.0 * math.log10(ratio)
 
 
-def ci_path_loss_db(
-    frequency_hz: float,
-    distance_m: float,
-    exponent: float,
-    reference_m: float = 1.0,
-) -> float:
-    """Close-in reference path loss: free-space to the reference distance,
-    then a single distance exponent beyond it."""
+def ci_path_loss_db(frequency_hz: float, distance_m: float, exponent: float) -> float:
+    """Close-in reference path loss: free-space to the 1 m reference
+    distance, then a single distance exponent beyond it."""
     if exponent <= 0.0:
         raise ValueError(f"path-loss exponent must be positive, got {exponent!r}")
-    if distance_m < reference_m:
-        raise ValueError(
-            f"distance {distance_m!r} m is inside the {reference_m!r} m reference"
-        )
-    anchor = free_space_path_loss_db(frequency_hz, reference_m)
-    loss = anchor + 10.0 * exponent * math.log10(distance_m / reference_m)
+    if distance_m < 1.0:
+        raise ValueError(f"distance {distance_m!r} m is inside the 1.0 m reference")
+    anchor = free_space_path_loss_db(frequency_hz)
+    loss = anchor + 10.0 * exponent * math.log10(distance_m)
     if not math.isfinite(loss):
         raise ValueError(
             f"path loss over {distance_m:g} m at frequency {frequency_hz:g} Hz"

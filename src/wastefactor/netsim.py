@@ -42,12 +42,14 @@ from .linkbudget import (
     ci_path_loss_db,
     dbm_to_watts,
     free_space_path_loss_db,
+    shannon_rate_bps,
     thermal_noise_dbm,
     tx_power_for_snr_dbm,
 )
 from .transceiver import (
     BandProfile,
     NetworkScenario,
+    _consumed_fault,
     as_network,
     rx_power_coefficients,
     subthz_140,
@@ -360,46 +362,91 @@ class _RadioConstants(NamedTuple):
     sector_power_w: float  # one occupied sector, cooling included
     ue_slope: float
     ue_fixed: float
+    los_d2_m: float  # the LoS decay distance p_los is called with
 
 
-def _radio_constants(s: NetworkScenario) -> _RadioConstants:
-    """The constants of one radius, then its checks before the first drop.
+def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) -> _RadioConstants:
+    """The constants of one radius, then its checks before the first drop,
+    for a layout of n_cells cells of which none has more than
+    most_interferers interferers.
 
     Both path-loss exponents are checked at the farthest UE distance a drop
     forms, so that ci_path_loss_db names one whose loss overflows, and the
     NLoS signal at the cell edge must not underflow to 0 W.  Path loss grows
     with distance, so every nearer UE passes too.  An interferer sits within
     reach and inside the square, so no farther than its diagonal.  The NLoS
-    checks run only where p_los leaves room for an NLoS draw."""
+    checks run only where p_los leaves room for an NLoS draw.
+
+    Then the interference, rate and consumed power are bounded in Python
+    floats, so that one no float holds is named here instead of becoming inf
+    in a drop's arrays: every path loss is at least the 1 m anchor, a cell
+    has at most `occupied` sectors on air, each splitting the band among its
+    UEs, and a report adds n_cells x drops cells."""
     frequency, radius = s.band.carrier_frequency_hz, s.cell_radius_m
     gain_ue = s.ue.antenna_gain_db(frequency)
     gain_bs = s.bs.antenna_gain_db(frequency)
     eirp = power_control(radius, s.band, s.target_snr_db, gain_ue, s.ple_los)
     tx_power_w = dbm_to_watts(eirp - gain_bs)
     ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
+    noise_dbm = thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)
+    anchor = free_space_path_loss_db(frequency)
     rc = _RadioConstants(
         eirp_dbm=eirp,
-        noise_w=dbm_to_watts(thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)),
+        noise_w=dbm_to_watts(noise_dbm),
         gain_ue_db=gain_ue,
-        anchor_db=free_space_path_loss_db(frequency),
+        anchor_db=anchor,
         sector_power_w=terminal_power(s.bs, *tx_power_coefficients(s.band, s.bs), tx_power_w),
         ue_slope=ue_slope,
         ue_fixed=ue_fixed,
+        # p_los's decay exp(-d / d2) past d1 is 0 once d1 / d2 passes 745,
+        # so a d2 below d1 / 1000 gives the probabilities of d1 / 1000, whose
+        # quotients d / d2 do not overflow.
+        los_d2_m=max(s.los_d2_m, s.los_d1_m / 1000.0),
     )
 
     farthest = radius
     if s.interference:
         farthest += min(s.interferer_reach * radius, math.sqrt(2.0 * s.area_m2))
     ci_path_loss_db(frequency, farthest, s.ple_los)
-    if p_los(farthest, s.los_d1_m, s.los_d2_m) != 1.0:
+    if p_los(farthest, s.los_d1_m, rc.los_d2_m) != 1.0:
         ci_path_loss_db(frequency, farthest, s.ple_nlos)
-        if p_los(radius, s.los_d1_m, s.los_d2_m) != 1.0:
+        if p_los(radius, s.los_d1_m, rc.los_d2_m) != 1.0:
             edge_db = ci_path_loss_db(frequency, radius, s.ple_nlos)
             if dbm_to_watts(eirp - edge_db + gain_ue) == 0.0:
                 raise ValueError(
                     f"the NLoS signal at the {radius:g} m cell edge with exponent"
                     f" {s.ple_nlos:g} underflows to 0 W"
                 )
+
+    peak_dbm = eirp - anchor + gain_ue  # a main-lobe link at the anchor
+    if most_interferers:
+        pair_dbm = peak_dbm - min(s.sidelobe_db, 0.0)
+        try:
+            pair_w = dbm_to_watts(pair_dbm)
+        except ValueError:
+            pair_w = math.inf
+        if not most_interferers * pair_w < math.inf:
+            raise ValueError(
+                f"interference from {most_interferers} interferers of up to {pair_dbm:g} dBm"
+                f" each, sidelobe level {s.sidelobe_db:g} dB, is too large to express in watts"
+            )
+    occupied = min(s.arrays_per_bs, 7, s.ues_per_cell)
+    scale = (
+        f"{n_cells} cells x {s.drops} drops of up to {occupied} sectors"
+        f" and {s.ues_per_cell} UEs"
+    )
+    cells = n_cells * s.drops
+    snr_db = peak_dbm - noise_dbm
+    if not cells * occupied * shannon_rate_bps(s.band.bandwidth_hz, snr_db) < math.inf:
+        raise ValueError(
+            f"{scale}: the summed rate over {s.band.bandwidth_hz!r} Hz at SNR up to"
+            f" {snr_db!r} dB is too large to express in b/s"
+        )
+    bs_draw = occupied * rc.sector_power_w
+    ue_draw = terminal_power(s.ue, ue_slope, ue_fixed, dbm_to_watts(eirp - anchor))
+    if not cells * (bs_draw + s.ues_per_cell * ue_draw) < math.inf:
+        fault = _consumed_fault(s.band, s.band.bandwidth_hz, s.bs, bs_draw, s.ue, ue_draw)
+        raise ValueError(f"{scale}: {fault}")
     return rc
 
 
@@ -470,7 +517,7 @@ def _simulate_drop(
             if s.wraparound:
                 delta -= side * np.round(delta / side)
             d_int = np.hypot(delta[0], delta[1])
-            los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
+            los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, rc.los_d2_m)
             pl_int = _path_loss_db(s, rc, d_int, los_int)
             main_lobe = u_int[..., 1] < 1.0 / sectors
             discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
@@ -478,7 +525,7 @@ def _simulate_drop(
             interference_w[chunk.cells] = np.sum(dbm_to_watts(i_dbm), axis=2)
 
     d_serving = np.hypot(offsets[..., 0], offsets[..., 1])
-    los = u_serving < p_los(d_serving, s.los_d1_m, s.los_d2_m)
+    los = u_serving < p_los(d_serving, s.los_d1_m, rc.los_d2_m)
     arrival_dbm = rc.eirp_dbm - _path_loss_db(s, rc, d_serving, los)
     signal_w = dbm_to_watts(arrival_dbm + rc.gain_ue_db)
     sinr = signal_w / (rc.noise_w + interference_w)
@@ -512,7 +559,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     else:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
-    rc = _radio_constants(scenario)
+    rc = _radio_constants(scenario, layout.n_cells, max(map(len, neighbors)))
     streams = _Streams(scenario.seed)
 
     drop_rates = np.empty(scenario.drops)

@@ -149,11 +149,6 @@ def _format_value(value, kind: str | tuple[str, ...]) -> str:
                 best is None or len(number) < len(best[0])
             ):
                 best = (number, name)
-    if best is None:
-        # every kind has a unit of scale 1.0, which a 17-digit number always
-        # reproduces, so only NaN gets here: the last unit at full precision
-        name, scale = written[-1]
-        best = (repr(_INVERSE[apply](value, scale)), name)
     number, name = best
     return number if name is None else f"{number} {name}"
 

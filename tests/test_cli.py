@@ -51,6 +51,10 @@ _SOURCE_OVERFLOW_TEXT = (
     " give a source power of inf W, which is not finite"
 )
 
+# One netsim drop at the 14 cells of 150 m, and the counts its bounds name.
+_NETSIM_150 = ["netsim", "--radius", "150", "--drops", "1", "--set"]
+_NETSIM_150_SCALE = "14 cells x 1 drops of up to 6 sectors and 15 UEs"
+
 # Golden stdout files and the argv each was recorded from.
 _GOLDEN_ARGV = {
     "link": ["link"],
@@ -571,14 +575,82 @@ class TestExitCodes:
              EXIT_PARSE,
              "override 1: invalid [network] values: UEs per cell must be at most 1000,"
              " got 100000000"),
+            # netsim bounds each draw and its sums before the first drop: a
+            # base station's draw is inf
+            (_NETSIM_150 + ["bs.screen_power=1e308 W"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+             " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
+             " 1e+308 W and converters 1e-11 W/Hz x 4e+09 Hz"),
+            (_NETSIM_150 + ["bs.cooling_overhead=1e308"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+             " transmitting base-station draws inf W with cooling overhead 1e+308, screen power"
+             " 0 W and converters 1e-11 W/Hz x 4e+09 Hz"),
+            # the sector power is inf as a Python float
+            (_NETSIM_150 + ["band.converter_power_per_ghz=1e308 W"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+             " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
+             " 0 W and converters 1e+299 W/Hz x 4e+09 Hz and the receiving user-equipment"
+             " draws inf W with cooling overhead 0, screen power 0.5 W and converters"
+             " 1e+299 W/Hz x 4e+09 Hz"),
+            # each UE draw is finite, a cell's sum is not
+            (_NETSIM_150 + ["ue.screen_power=1e308 W"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+             " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
+             " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
+             " draws 1e+308 W with cooling overhead 0, screen power 1e+308 W and converters"
+             " 1e-11 W/Hz x 4e+09 Hz"),
+            # each cell's sum is finite, the drop's is not
+            (_NETSIM_150 + ["ue.screen_power=1e306 W"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+             " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
+             " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
+             " draws 1e+306 W with cooling overhead 0, screen power 1e+306 W and converters"
+             " 1e-11 W/Hz x 4e+09 Hz"),
+            # one UE's rate at the 1 m path-loss floor is inf
+            (_NETSIM_150 + ["band.bandwidth=1e308 Hz"], EXIT_EVAL,
+             "evaluation failed: rate over 1e+308 Hz at SNR 63.5218251811134 dB is too large"
+             " to express in b/s"),
+            # one UE's rate is finite, the sum over sectors, cells and drops is not
+            (_NETSIM_150 + ["band.bandwidth=1e306 Hz"], EXIT_EVAL,
+             f"evaluation failed: {_NETSIM_150_SCALE}: the summed rate over 1e+306 Hz at SNR"
+             " up to 63.5218251811134 dB is too large to express in b/s"),
+            (_NETSIM_150 + ["network.sidelobe=-1e308 dB"], EXIT_EVAL,
+             "evaluation failed: interference from 13 interferers of up to 1e+308 dBm each,"
+             " sidelobe level -1e+308 dB, is too large to express in watts"),
         ],
-        ids=["rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell"],
+        ids=[
+            "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
+            "netsim-bs-screen", "netsim-bs-cooling", "netsim-converters", "netsim-ue-screen",
+            "netsim-ue-screen-drop-sum", "netsim-bandwidth", "netsim-bandwidth-sum",
+            "netsim-sidelobe",
+        ],
     )
     def test_value_that_overflows_is_named(self, argv, code, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run(argv) == (code, "")
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
+    @pytest.mark.parametrize(
+        "setting, row",
+        [
+            # each bound of the set-up step is finite: power_w is 2.1e307
+            ("ue.screen_power=1e305 W",
+             "150,14,5.908279914e-305,1240.738782,2.1e+307,9.921822184,0.3952380952,0"),
+            ("network.sidelobe=-10 dB",
+             "150,14,2.603725882,887.3580638,340.8031812,2.865402053,0.3952380952,0"),
+            # every LoS decay past d1 is 0; d / d2 would overflow
+            ("network.los_d2=1e-320 m",
+             "150,14,2.286075255,779.1005424,340.8026664,4.56535166,0.1333333333,0"),
+        ],
+        ids=["ue-screen", "sidelobe", "los-d2"],
+    )
+    def test_netsim_value_near_a_bound_runs_without_warning(self, setting, row, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(_NETSIM_150 + [setting])
+        assert (code, out.splitlines()[1]) == (EXIT_OK, row)
+        assert capsys.readouterr().err == ""
 
 
 class TestLinkCommand:
@@ -678,6 +750,29 @@ class TestSweepCommands:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CURVE_CSV_HEADER
         assert lines[-1].startswith("# matching_efficiency=")
+
+    @pytest.mark.parametrize(
+        "argv, summary, last",
+        [
+            # no grid point reaches the reference: no crossover comment
+            (["sweep-bw", "--points", "4", "--hi-ghz", "0.2"],
+             "crossover: none within the swept range", "200000000,Hz,"),
+            # the first grid point reaches it, so nothing is bisected
+            (["sweep-bw", "--points", "4", "--lo-ghz", "5", "--hi-ghz", "10"],
+             "crossover: subthz-140 downlink matches the reference at 5 GHz",
+             "# crossover bandwidth_hz=5000000000 cef_gbpj=18.14874784"
+             " reference_cef_gbpj=3.083396307"),
+            (["sweep-pa", "--points", "4", "--target-cef", "1000"],
+             "matching efficiency: target unreachable at eta <= 1", "0.6,fraction,"),
+        ],
+        ids=["no-crossover", "crossover-at-first-point", "unreachable-efficiency"],
+    )
+    def test_search_ending_at_the_grid(self, argv, summary, last):
+        code, out = _run(argv)
+        lines = out.splitlines()
+        assert code == EXIT_OK
+        assert summary in lines
+        assert lines[-1].startswith(last)
 
     def test_pa_sweep_without_target(self):
         code, out = _run(["sweep-pa", "--points", "4"])

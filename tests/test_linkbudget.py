@@ -122,7 +122,7 @@ class TestCiPathLoss:
         assert ci_path_loss_db(140e9, 100.0, 3.2) == pytest.approx(139.3701, abs=1e-3)
 
     def test_rejects_closer_than_reference(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^distance 0\.5 m is inside the 1\.0 m reference$"):
             ci_path_loss_db(28e9, 0.5, 2.0)
 
     @pytest.mark.parametrize("distance", [100.0, 1.0], ids=["inf", "nan"])

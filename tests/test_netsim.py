@@ -132,7 +132,7 @@ def _oracle(scenario):
     positions = np.asarray(layout.bs_positions)
     reach = scenario.interferer_reach * scenario.cell_radius_m
     neighbors = _neighbor_lists(positions, reach, layout.area_side_m, scenario.wraparound)
-    rc = _radio_constants(scenario)
+    rc = _radio_constants(scenario, layout.n_cells, max(map(len, neighbors)))
 
     drop_rates = np.empty(scenario.drops)
     drop_powers = np.empty(scenario.drops)

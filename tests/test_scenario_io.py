@@ -254,6 +254,11 @@ class TestParseErrors:
     def test_missing_value(self):
         assert "line 2" in self._error("[band]\nfrequency =\n")
 
+    def test_line_without_equals(self):
+        assert self._error("[band]\nfrequency 1 GHz\n") == (
+            "line 2: expected 'key = value', got 'frequency 1 GHz'"
+        )
+
     def test_field_validation_carries_line(self):
         message = self._error("[band]\npa_efficiency = 1.2\n")
         assert "line 2" in message
@@ -513,6 +518,10 @@ class TestChainDsl:
 
     def test_negative_loss_rejected(self):
         assert "line 1" in self._error("passive pad loss=-3dB\n")
+        # below c / (4 pi) = 23.9 MHz the 1 m free-space anchor is a gain
+        assert self._error("amp a gain=10dB eta=0.5\nchannel ci f=1MHz d=1m n=2\n").startswith(
+            "line 2: channel path loss must be >= 0 dB, got -27.5"
+        )
 
     def test_bad_lna_count(self):
         assert "count" in self._error("lna l gain=20dB fom=24.83 count=0\n")

@@ -59,6 +59,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=0.0, hi=1e9)
 
+    def test_single_point_grid(self):
+        with pytest.raises(ValueError, match="grid needs at least 2 points"):
+            SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=1e8, hi=1e9, points=1)
+
     def test_spacing_defaults(self):
         # bandwidth grids are logarithmic, PA-efficiency grids linear
         bw = sweep(SweepSpec(scenario=mmwave_28(), parameter="bandwidth", lo=1e8, hi=1e9, points=5))
@@ -186,6 +190,12 @@ class TestCrossovers:
         result = find_crossover(curve, 1e18)
         assert not result.found
         assert result.x is None
+
+    def test_curves_on_different_grids(self):
+        curve = sweep(_bandwidth_spec(points=4))
+        for other in (_bandwidth_spec(points=5), _bandwidth_spec(points=4, hi=20e9)):
+            with pytest.raises(ValueError, match="curves must share the same grid"):
+                find_curve_crossing(curve, sweep(other))
 
     def test_snr_target_curves_cross(self):
         c20 = sweep(_bandwidth_spec(snr=20.0))

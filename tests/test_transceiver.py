@@ -31,6 +31,7 @@ from wastefactor.transceiver import (
     LinkReport,
     LinkScenario,
     TerminalProfile,
+    as_network,
     band_comparison,
     build_chain,
     evaluate_link,
@@ -42,6 +43,7 @@ from wastefactor.transceiver import (
     tx_power_coefficients,
 )
 from wastefactor import transceiver
+from wastefactor.netsim import CellLayout, NetworkReport
 from wastefactor.sweeps import CrossoverResult, EfficiencyMatch, SweepSample
 from wastefactor.transceiver import _receive_side, _transmit_components
 
@@ -111,6 +113,40 @@ class TestPresets:
         assert preset_scenario("subthz-140") == subthz_140()
         with pytest.raises(ValueError):
             preset_scenario("x-band")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda s: replace(s.band, carrier_frequency_hz=0.0),
+             "mmwave-28: carrier frequency must be positive and finite"),
+            (lambda s: replace(s.band, lna_fom_per_mw=math.inf),
+             "mmwave-28: LNA figure of merit must be positive and finite"),
+            (lambda s: replace(s.band, phase_shifter_loss_db=-1.0),
+             "mmwave-28: insertion losses must be >= 0 dB and finite"),
+            (lambda s: replace(s.band, noise_figure_db=math.nan),
+             "mmwave-28: noise figure must be >= 0 dB and finite"),
+            (lambda s: replace(s.ue, role="relay"), "unknown terminal role 'relay'"),
+            (lambda s: replace(s.ue, element_count=0), "element count must be >= 1"),
+            (lambda s: replace(s.bs, antenna_efficiency=1.5),
+             "antenna efficiency must be in (0, 1]"),
+            (lambda s: replace(s, environment="indoor"),
+             "environment must be 'los' or 'nlos', got 'indoor'"),
+            (lambda s: replace(s, direction="sideways"),
+             "direction must be 'uplink' or 'downlink', got 'sideways'"),
+            (lambda s: replace(as_network(s), los_d2_m=0.0),
+             "LoS model distances must be positive and finite"),
+            (lambda s: replace(as_network(s), sidelobe_db=math.inf),
+             "sidelobe level must be finite"),
+        ],
+        ids=[
+            "carrier", "lna-fom", "insertion-loss", "noise-figure", "role", "elements",
+            "antenna-efficiency", "environment", "direction", "los-distance", "sidelobe",
+        ],
+    )
+    def test_record_check_names_the_field(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build(mmwave_28())
+        assert str(err.value) == message
 
     def test_roles(self):
         s = mmwave_28()
@@ -761,6 +797,21 @@ _RECORDS = {
     SweepSample: (("x", "cef_bpj", "rate_bps", "p_consumed_w", "snr_db", "feasible"), {}),
     CrossoverResult: (("found", "x", "cef_bpj"), {"x": None, "cef_bpj": None}),
     EfficiencyMatch: (("found", "efficiency", "cef_bpj"), {"efficiency": None, "cef_bpj": None}),
+    NetworkReport: (
+        (
+            "radius_m",
+            "n_cells",
+            "throughput_bps",
+            "power_w",
+            "cef_bpj",
+            "mean_sinr_db",
+            "los_fraction",
+            "ci_halfwidth_bpj",
+            "drops",
+        ),
+        {},
+    ),
+    CellLayout: (("cell_radius_m", "area_side_m", "bs_positions"), {}),
 }
 
 
