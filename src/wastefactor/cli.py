@@ -28,6 +28,7 @@ from .scenario_io import (
     resolve_preset,
 )
 from .transceiver import (
+    PRESETS,
     LinkReport,
     LinkScenario,
     NetworkScenario,
@@ -123,7 +124,7 @@ def cmd_link(args, stdout: TextIO) -> int:
 
 def _table_cells(args) -> list[tuple[str, str, str, LinkReport]]:
     both = args.preset == "both" and not args.scenario
-    presets = ("mmwave-28", "subthz-140") if both else (args.preset,)
+    presets = tuple(PRESETS) if both else (args.preset,)
     cells = []
     for preset in presets:
         base = _load_scenario(args.scenario, preset, args.overrides)

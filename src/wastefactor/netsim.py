@@ -267,7 +267,9 @@ def drop_ues(layout: CellLayout, ues_per_cell: int, seed: int) -> np.ndarray:
     return centres + _hex_offsets(u, layout.cell_radius_m)
 
 
-def p_los(distance_m, d1_m: float = 22.0, d2_m: float = 113.4):
+def p_los(
+    distance_m, d1_m: float = NetworkScenario.los_d1_m, d2_m: float = NetworkScenario.los_d2_m
+):
     """Squared LoS probability model; equals 1 out to d1 and decays beyond.
 
     Accepts scalars or arrays; scalar in, scalar out.
@@ -289,7 +291,7 @@ def power_control(
     band: BandProfile,
     target_snr_db: float,
     rx_gain_dbi: float,
-    ple: float = 2.0,
+    ple: float = NetworkScenario.ple_los,
 ) -> float:
     """EIRP (dBm) holding the target SNR for a cell-edge receiver of the
     given gain; halving the radius lowers it by 6.02 dB at PLE 2."""
@@ -577,6 +579,13 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     ue_count = scenario.drops * layout.n_cells * scenario.ues_per_cell
 
     throughput = float(np.mean(drop_rates))
+    mean_sinr_db = sinr_db_sum / ue_count
+    if throughput == 0.0:
+        raise ValueError(
+            f"the rate at cell radius {scenario.cell_radius_m:g} m is 0 b/s: mean SINR"
+            f" {mean_sinr_db:g} dB at target SNR {scenario.target_snr_db:g} dB,"
+            f" sidelobe level {scenario.sidelobe_db:g} dB"
+        )
     power = float(np.mean(drop_powers))
     drop_cefs = drop_rates / drop_powers
     if scenario.drops > 1:
@@ -589,7 +598,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         throughput_bps=throughput,
         power_w=power,
         cef_bpj=throughput / power,
-        mean_sinr_db=sinr_db_sum / ue_count,
+        mean_sinr_db=mean_sinr_db,
         los_fraction=los_count / ue_count,
         ci_halfwidth_bpj=halfwidth,
         drops=scenario.drops,

@@ -79,6 +79,16 @@ _SLOPE_CACHE_SIZE = 1024
 # 941 cells of 20 m radius in 1 km2, and a one-cell chunk stays near 1 MB.
 _MAX_UES_PER_CELL = 1000
 
+# A layout is bounded before netsim.hex_layout places its cells one by one in
+# Python, on an upper estimate of its cell count (_cells_at_most).  A cell
+# keeps the indices (8 bytes) and coordinates (16 bytes) of its interferers,
+# about 77 at the default reach of 8 radii: 1.8 KB a cell, 242 MB at the cell
+# bound.  One (cells, UEs) float array of a drop is 16.8 MB at the UE bound.
+# Both hold the 96071 cells of 100 km2 at 20 m radius and the 941 cells of
+# 1 km2 at 20 m with 1000 UEs each.
+_MAX_CELLS = 1 << 17
+_MAX_UES_PER_DROP = 1 << 21
+
 
 @dataclass(frozen=True)
 class BandProfile:
@@ -273,6 +283,13 @@ class NetworkScenario:
             raise ValueError(
                 f"UEs per cell must be at most {_MAX_UES_PER_CELL}, got {self.ues_per_cell!r}"
             )
+        cells = _cells_at_most(self.area_m2, self.cell_radius_m)
+        if cells > _MAX_CELLS or cells * self.ues_per_cell > _MAX_UES_PER_DROP:
+            raise ValueError(
+                f"area {self.area_m2:g} m2 at cell radius {self.cell_radius_m:g} m holds up to"
+                f" {cells:g} cells of {self.ues_per_cell} UEs; a layout holds at most"
+                f" {_MAX_CELLS} cells and {_MAX_UES_PER_DROP} UEs"
+            )
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if not math.isfinite(self.target_snr_db):
@@ -287,6 +304,16 @@ class NetworkScenario:
             raise ValueError("sidelobe level must be finite")
         if not 0.0 < self.interferer_reach < math.inf:
             raise ValueError("interferer reach must be positive and finite")
+
+
+def _cells_at_most(area_m2: float, cell_radius_m: float) -> float:
+    """An upper bound on netsim.hex_layout's cell count, in floats: its
+    columns lie 1.5 r apart and its rows sqrt(3) r apart, the first of each
+    at least half a pitch inside the square, and one more of each covers the
+    rounding of the positions."""
+    side = math.sqrt(area_m2)
+    columns = side / (1.5 * cell_radius_m) + 1.0
+    return columns * (side / (math.sqrt(3.0) * cell_radius_m) + 1.0)
 
 
 def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:
@@ -311,6 +338,14 @@ class LinkReport(NamedTuple):
     eirp_dbm: float
 
 
+def _preset(band: BandProfile, bs_elements: int, ue_elements: int) -> LinkScenario:
+    """The terminals both presets share, with the band and the element
+    counts of the base-station and handset arrays that each preset gives."""
+    bs = TerminalProfile(BASE_STATION, 0.5, bs_elements, cooling_overhead=0.2)
+    ue = TerminalProfile(USER_EQUIPMENT, 5e-4, ue_elements, screen_power_w=0.5)
+    return LinkScenario(band=band, bs=bs, ue=ue)
+
+
 def mmwave_28() -> LinkScenario:
     """28 GHz link defaults: 400 MHz channel, 1024/8-element arrays."""
     band = BandProfile(
@@ -322,19 +357,7 @@ def mmwave_28() -> LinkScenario:
         lo_power_dbm=10.0,
         converter_w_per_hz=2.5e-10,
     )
-    bs = TerminalProfile(
-        role=BASE_STATION,
-        aperture_m2=0.5,
-        element_count=1024,
-        cooling_overhead=0.2,
-    )
-    ue = TerminalProfile(
-        role=USER_EQUIPMENT,
-        aperture_m2=5e-4,
-        element_count=8,
-        screen_power_w=0.5,
-    )
-    return LinkScenario(band=band, bs=bs, ue=ue)
+    return _preset(band, 1024, 8)
 
 
 def subthz_140() -> LinkScenario:
@@ -348,19 +371,7 @@ def subthz_140() -> LinkScenario:
         lo_power_dbm=19.9,
         converter_w_per_hz=1e-11,
     )
-    bs = TerminalProfile(
-        role=BASE_STATION,
-        aperture_m2=0.5,
-        element_count=4096,
-        cooling_overhead=0.2,
-    )
-    ue = TerminalProfile(
-        role=USER_EQUIPMENT,
-        aperture_m2=5e-4,
-        element_count=64,
-        screen_power_w=0.5,
-    )
-    return LinkScenario(band=band, bs=bs, ue=ue)
+    return _preset(band, 4096, 64)
 
 
 PRESETS = {
@@ -785,7 +796,7 @@ def band_comparison(
 ) -> BandComparison:
     """Evaluate every direction/environment cell for each band preset."""
     if scenarios is None:
-        scenarios = (mmwave_28(), subthz_140())
+        scenarios = tuple(build() for build in PRESETS.values())
     reports: dict[tuple[str, str, str], LinkReport] = {}
     for base in scenarios:
         for direction in ("uplink", "downlink"):

@@ -69,6 +69,12 @@ class TestComponentValidation:
         with pytest.raises(ValueError):
             cascade_waste_factor(_chain())
 
+    @pytest.mark.parametrize("source_power", [0.0, -1.0, math.inf])
+    def test_nonpositive_source_rejected(self, source_power):
+        with pytest.raises(ValueError) as info:
+            _chain(make_passive("pad", 2.0), source_power=source_power)
+        assert str(info.value) == f"source power must be positive, got {source_power!r}"
+
 
 class TestConstructors:
     def test_passive(self):

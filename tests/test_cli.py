@@ -617,12 +617,28 @@ class TestExitCodes:
             (_NETSIM_150 + ["network.sidelobe=-1e308 dB"], EXIT_EVAL,
              "evaluation failed: interference from 13 interferers of up to 1e+308 dBm each,"
              " sidelobe level -1e+308 dB, is too large to express in watts"),
+            # rejected as the scenario is built, at its own 65 m radius, from
+            # an estimate of the cell count: no lattice is placed
+            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.area=1e308m2"],
+             EXIT_PARSE,
+             "override 1: invalid [network] values: area 1e+308 m2 at cell radius 65 m holds"
+             " up to 9.11006e+303 cells of 15 UEs; a layout holds at most 131072 cells and"
+             " 2097152 UEs"),
+            # every log2(1 + SINR) is 0, so the CEF would be 0
+            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.target_snr=-3000dB"],
+             EXIT_EVAL,
+             "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3008.48 dB"
+             " at target SNR -3000 dB, sidelobe level 20 dB"),
+            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.sidelobe=-3070dB"],
+             EXIT_EVAL,
+             "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3054.19 dB"
+             " at target SNR 20 dB, sidelobe level -3070 dB"),
         ],
         ids=[
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
             "netsim-bs-screen", "netsim-bs-cooling", "netsim-converters", "netsim-ue-screen",
             "netsim-ue-screen-drop-sum", "netsim-bandwidth", "netsim-bandwidth-sum",
-            "netsim-sidelobe",
+            "netsim-sidelobe", "netsim-area", "netsim-zero-rate-snr", "netsim-zero-rate-sidelobe",
         ],
     )
     def test_value_that_overflows_is_named(self, argv, code, message, capsys):
@@ -958,6 +974,17 @@ class TestWithoutNumpy:
             "assert 'wastefactor.sweeps' not in sys.modules\n"
             "assert {'sweeps', 'netsim'} <= set(dir(wastefactor))\n"
             "print(wastefactor.sweeps.sweep is wastefactor.sweep)\n"
+        )
+        proc = _python(script)
+        assert proc.stdout == "True\n", proc.stderr
+
+    def test_lazy_netsim_resolves_as_an_attribute(self):
+        # the module itself, before any of its names, through __getattr__
+        script = (
+            "import sys\n"
+            "import wastefactor\n"
+            "assert 'wastefactor.netsim' not in sys.modules\n"
+            "print(wastefactor.netsim.sweep_radius is wastefactor.sweep_radius)\n"
         )
         proc = _python(script)
         assert proc.stdout == "True\n", proc.stderr

@@ -232,3 +232,21 @@ class TestReceivedPowerAndSolver:
         base = tx_power_for_snr_dbm(20.0, 1e9, 10.0, 115.0, 30.0, 30.0)
         doubled = tx_power_for_snr_dbm(20.0, 2e9, 10.0, 115.0, 30.0, 30.0)
         assert doubled - base == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
+
+
+class TestNonPositiveInputs:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: linear_to_db(0.0), "ratio must be positive to express in dB, got 0.0"),
+            (lambda: watts_to_dbm(-1.0), "power must be positive, got -1.0 W"),
+            (lambda: ci_path_loss_db(28e9, 100.0, 0.0),
+             "path-loss exponent must be positive, got 0.0"),
+            (lambda: aperture_gain_db(0.0, 28e9), "aperture must be positive, got 0.0"),
+            (lambda: shannon_rate_bps(0.0, 20.0), "bandwidth must be positive, got 0.0"),
+        ],
+        ids=["linear-to-db", "watts-to-dbm", "exponent", "aperture", "rate-bandwidth"],
+    )
+    def test_names_the_value(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

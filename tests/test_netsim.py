@@ -1,5 +1,6 @@
 """Tests for netsim.py — hex layout, UE drops, LoS model, Monte-Carlo runs."""
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -38,7 +39,10 @@ from wastefactor.netsim import (
     _radio_constants,
 )
 from wastefactor.transceiver import (
+    _MAX_CELLS,
     _MAX_UES_PER_CELL,
+    _MAX_UES_PER_DROP,
+    _cells_at_most,
     rx_power_coefficients,
     subthz_140,
     terminal_power,
@@ -218,6 +222,44 @@ class TestScenarioValidation:
         cells = hex_layout(1e6, 20.0).n_cells
         assert cells == 941
         assert cells * _MAX_UES_PER_CELL * 8 == 7_528_000
+
+    @pytest.mark.parametrize("radius", [20.0, 21.7, 35.0, 50.0, 65.0, 100.0, 150.0, 333.3, 500.0])
+    def test_cell_estimate_is_never_below_the_layout(self, radius):
+        # sides just below, at and above a whole number of column and row
+        # pitches, where the strict `< side` of hex_layout drops a centre
+        sides = [math.sqrt(3.0) * radius / 2.0 * (1.0 + 1e-9), 97.3, 1000.0, 2000.0]
+        for k in (1, 2, 7, 30):
+            for edge in (0.75 * radius + 1.5 * radius * k, math.sqrt(3.0) * radius * (k + 0.5)):
+                sides += [edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12)]
+        for side in sides:
+            area = side * side
+            if hex_layout(area, radius).n_cells == 0:
+                continue
+            assert _cells_at_most(area, radius) >= hex_layout(area, radius).n_cells, side
+
+    def test_area_bound_keeps_a_layout_small(self):
+        # by arithmetic only: no layout past the bound is built
+        interferers = math.pi * 8.0**2 / (1.5 * math.sqrt(3.0))  # default reach of 8 radii
+        assert round(interferers) == 77
+        assert _MAX_CELLS * 77 * 24 == pytest.approx(242e6, rel=0.01)
+        assert _MAX_UES_PER_DROP * 8 == pytest.approx(16.8e6, rel=0.01)
+        # what runs at 20 m: 100 km2, the 25 km2 scale smoke, netsim-wide's
+        # 4 km2 and 1 km2 at the UE-per-cell bound
+        assert _cells_at_most(100e6, 20.0) * 15 <= _MAX_UES_PER_DROP
+        for area in (100e6, 25e6, 4e6):
+            assert _cells_at_most(area, 20.0) < _MAX_CELLS
+            assert default_network(20.0, area_m2=area).area_m2 == area
+        assert _cells_at_most(1e6, 20.0) * 1000 <= _MAX_UES_PER_DROP
+        assert default_network(20.0, ues_per_cell=1000).ues_per_cell == 1000
+        # past the cell bound, and past the UE bound alone
+        for area, ues in [(200e6, 15), (1e308, 15), (2.2e6, 1000)]:
+            assert _cells_at_most(area, 20.0) * ues > _MAX_UES_PER_DROP or (
+                _cells_at_most(area, 20.0) > _MAX_CELLS
+            )
+            message = f"area {area:g} m2 at cell radius 20 m holds up to"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                default_network(20.0, area_m2=area, ues_per_cell=ues)
+        assert _cells_at_most(2.2e6, 20.0) < _MAX_CELLS
 
     @pytest.mark.parametrize("scale, cells", [(1.0 - 1e-9, 0), (1.0 + 1e-9, 1)])
     def test_area_must_hold_a_cell(self, scale, cells):

@@ -148,6 +148,11 @@ class TestPresets:
             build(mmwave_28())
         assert str(err.value) == message
 
+    def test_as_network_keeps_a_network_scenario(self):
+        network = as_network(mmwave_28())
+        assert network.cell_radius_m == 65.0
+        assert as_network(network) is network
+
     def test_roles(self):
         s = mmwave_28()
         assert s.direction == "uplink"
