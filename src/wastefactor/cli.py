@@ -83,18 +83,21 @@ def _emit(rows: Iterable[str], out_path: str | None, stream: TextIO) -> None:
 
 
 def _load_scenario(
-    path: str | None, preset: str, overrides: Sequence[str], network: bool = False
+    path: str | None, preset: str, overrides: Sequence[str], runs: Sequence[dict] = ()
 ):
     """The scenario file at path, else the preset, with overrides applied;
-    parse errors only."""
+    parse errors only.  Given runs, the network fields each run sets, the
+    overrides apply at the first run and the list has one scenario a run."""
     try:
         scenario = load_scenario_file(path) if path else resolve_preset(preset)
-        if network:
-            scenario = as_network(scenario)
+        if runs:
+            scenario = replace(as_network(scenario), **runs[0])
         elif isinstance(scenario, NetworkScenario):
             raise _ParseFailure("this command needs a link scenario, not a network one")
         if overrides:
             scenario = apply_overrides(scenario, overrides)
+        if runs:
+            return [replace(scenario, **run) for run in runs]
     except (ScenarioParseError, OSError, ValueError) as exc:
         raise _ParseFailure(str(exc)) from exc
     return scenario
@@ -234,15 +237,15 @@ def cmd_sweep_pa(args, stdout: TextIO) -> int:
 
 def cmd_netsim(args, stdout: TextIO) -> int:
     # Imported here so the link-level commands never load numpy.
-    from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, sweep_radius
+    from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, simulate_network
 
-    scenario = _load_scenario(args.scenario, args.preset, args.overrides, network=True)
     # The run flags store into the scenario fields they set, None when not
     # given, and win over --set.
-    given = {f.name: getattr(args, f.name, None) for f in fields(scenario)}
-    scenario = replace(scenario, **{k: v for k, v in given.items() if v is not None})
-    radii = tuple(args.radius) if args.radius else DEFAULT_RADII
-    reports = sweep_radius(scenario, radii=radii)
+    given = {f.name: getattr(args, f.name, None) for f in fields(NetworkScenario)}
+    flags = {k: v for k, v in given.items() if v is not None}
+    runs = [{**flags, "cell_radius_m": float(r)} for r in args.radius or DEFAULT_RADII]
+    scenarios = _load_scenario(args.scenario, args.preset, args.overrides, runs)
+    reports = tuple(map(simulate_network, scenarios))
     _emit(network_csv_rows(reports), args.out, stdout)
     best = optimal_radius(reports)
     stdout.write(

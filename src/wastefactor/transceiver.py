@@ -80,14 +80,18 @@ _SLOPE_CACHE_SIZE = 1024
 _MAX_UES_PER_CELL = 1000
 
 # A layout is bounded before netsim.hex_layout places its cells one by one in
-# Python, on an upper estimate of its cell count (_cells_at_most).  A cell
-# keeps the indices (8 bytes) and coordinates (16 bytes) of its interferers,
-# about 77 at the default reach of 8 radii: 1.8 KB a cell, 242 MB at the cell
-# bound.  One (cells, UEs) float array of a drop is 16.8 MB at the UE bound.
-# Both hold the 96071 cells of 100 km2 at 20 m radius and the 941 cells of
-# 1 km2 at 20 m with 1000 UEs each.
+# Python, on upper estimates of its cell count (_cells_at_most) and of each
+# cell's interferers (_interferers_at_most).  A cell keeps the indices (8
+# bytes) and coordinates (16 bytes) of its interferers, about 77 at the
+# default reach of 8 radii: 1.8 KB a cell, 242 MB at the cell bound.  The
+# pair bound is 403 MB of them and holds every layout under the cell bound at
+# the default reach (98 interferers a cell by the estimate), so only a longer
+# reach can pass it.  One (cells, UEs) float array of a drop is 16.8 MB at
+# the UE bound.  All hold the 96071 cells of 100 km2 at 20 m radius and the
+# 941 cells of 1 km2 at 20 m with 1000 UEs each.
 _MAX_CELLS = 1 << 17
 _MAX_UES_PER_DROP = 1 << 21
+_MAX_INTERFERER_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -304,6 +308,13 @@ class NetworkScenario:
             raise ValueError("sidelobe level must be finite")
         if not 0.0 < self.interferer_reach < math.inf:
             raise ValueError("interferer reach must be positive and finite")
+        pairs = cells * _interferers_at_most(cells, self.interferer_reach)
+        if pairs > _MAX_INTERFERER_PAIRS:
+            raise ValueError(
+                f"interferer reach {self.interferer_reach:g} radii over area {self.area_m2:g} m2"
+                f" at cell radius {self.cell_radius_m:g} m gives up to {pairs:g} (cell,"
+                f" interferer) pairs; a layout holds at most {_MAX_INTERFERER_PAIRS}"
+            )
 
 
 def _cells_at_most(area_m2: float, cell_radius_m: float) -> float:
@@ -314,6 +325,14 @@ def _cells_at_most(area_m2: float, cell_radius_m: float) -> float:
     side = math.sqrt(area_m2)
     columns = side / (1.5 * cell_radius_m) + 1.0
     return columns * (side / (math.sqrt(3.0) * cell_radius_m) + 1.0)
+
+
+def _interferers_at_most(cells: float, reach: float) -> float:
+    """An upper estimate of one cell's interferers, in floats: the hexagons
+    whose centres lie within reach radii fit in a disc of reach + 1 radii,
+    one per 1.5 sqrt(3) r^2, and a cell has at most cells - 1 others.  A
+    wrapped seam breaks that packing; the tests hold wrapped layouts to it."""
+    return min(math.pi * (reach + 1.0) ** 2 / (1.5 * math.sqrt(3.0)), cells - 1.0)
 
 
 def as_network(scenario: LinkScenario | NetworkScenario) -> NetworkScenario:

@@ -10,12 +10,26 @@ from pathlib import Path
 import pytest
 
 import wastefactor
-from wastefactor import netsim, sweeps, transceiver
+from wastefactor import sweeps, transceiver
 from wastefactor.cli import EXIT_EVAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from wastefactor.scenario_io import PRESET_DIR_ENV, serialize_scenario
 from wastefactor.sweeps import CURVE_CSV_HEADER
-from wastefactor.netsim import NETSIM_CSV_HEADER
 from wastefactor.transceiver import mmwave_28
+
+try:
+    import numpy
+except ImportError:
+    numpy = None
+
+# The one skip condition of this module: a case that runs netsim or reads its
+# names needs numpy; every other case runs without it.
+_NEEDS_NUMPY = pytest.mark.skipif(numpy is None, reason="netsim needs numpy")
+
+
+def _netsim_case(*values):
+    """A parametrize row that runs netsim."""
+    return pytest.param(*values, marks=_NEEDS_NUMPY)
+
 
 _GOLDEN = Path(__file__).parent / "golden"
 _SRC = Path(wastefactor.__file__).resolve().parents[1]
@@ -55,7 +69,8 @@ _SOURCE_OVERFLOW_TEXT = (
 _NETSIM_150 = ["netsim", "--radius", "150", "--drops", "1", "--set"]
 _NETSIM_150_SCALE = "14 cells x 1 drops of up to 6 sectors and 15 UEs"
 
-# Golden stdout files and the argv each was recorded from.
+# Golden stdout files and the argv each was recorded from, run in a
+# directory that holds demo.chain (_DEMO_CHAIN).
 _GOLDEN_ARGV = {
     "link": ["link"],
     "table1": ["table1"],
@@ -64,6 +79,7 @@ _GOLDEN_ARGV = {
     # the transmit power solved for the SNR target at each point
     "sweep-bw-snr": ["sweep-bw", "--points", "8", "--snr", "20"],
     "sweep-pa-snr": ["sweep-pa", "--points", "8", "--snr", "20"],
+    "chain": ["chain", "demo.chain"],
 }
 
 
@@ -74,11 +90,11 @@ def _run(argv):
 
 
 def _python(script, *argv, cwd=None):
-    """`python -c script argv...` in a fresh interpreter that finds this
-    package's source."""
+    """`python -W error -c script argv...` in a fresh interpreter that finds
+    this package's source."""
     path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-W", "error", "-c", script, *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -237,7 +253,7 @@ class TestExitCodes:
             ["sweep-bw", "--points", "2", "--preset", ""],
             ["sweep-bw", "--points", "2", "--reference-preset", ""],
             ["sweep-pa", "--points", "2", "--preset", ""],
-            ["netsim", "--radius", "500", "--drops", "1", "--preset", ""],
+            _netsim_case(["netsim", "--radius", "500", "--drops", "1", "--preset", ""]),
         ],
         ids=["link", "table1", "sweep-bw", "sweep-bw-reference", "sweep-pa", "netsim"],
     )
@@ -271,7 +287,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, file, message",
         [
-            (
+            _netsim_case(
                 ["netsim", "--set", "network.seed=1e309"],
                 None,
                 "override 1: seed must be an integer, got '1e309'",
@@ -363,8 +379,10 @@ class TestExitCodes:
         "argv, field",
         [
             (["link", "--set", "band.bandwidth=1e999 Hz"], "bandwidth"),
-            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.target_snr=1e999 dB"],
-             "target SNR"),
+            _netsim_case(
+                ["netsim", "--radius", "20", "--drops", "1", "--set", "network.target_snr=1e999 dB"],
+                "target SNR",
+            ),
             (["link", "--set", "band.lo_power=1e999 dBm"], "LO power"),
             (["link", "--set", "ue.screen_power=1e999 W"], "screen power"),
             (["link", "--set", "band.converter_power_per_ghz=1e999 W"], "converter power"),
@@ -405,16 +423,65 @@ class TestExitCodes:
         assert captured.out == ""
         assert field in captured.err and "finite" in captured.err
 
+    @_NEEDS_NUMPY
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
         assert "area 1 m2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the default sweep's 500 m radius holds no cell
+            (["netsim", "--drops", "1", "--set", "network.area=1e5m2"],
+             "area 100000 m2 holds no cell of radius 500 m"),
+            # the overrides apply at the first run radius, 20 m
+            (["netsim", "--drops", "1", "--set", "network.area=200 km2"],
+             "override 1: invalid [network] values: area 2e+08 m2 at cell radius 20 m holds"
+             " up to 193331 cells of 15 UEs; a layout holds at most 131072 cells and"
+             " 2097152 UEs"),
+            # a file read at its own 20 m, run at 65 m
+            (["netsim", "--drops", "1", "--radius", "20", "--radius", "65", "--scenario", "{}"],
+             "area 3000 m2 holds no cell of radius 65 m"),
+        ],
+        ids=["last-radius", "first-radius", "file"],
+    )
+    @_NEEDS_NUMPY
+    def test_run_radius_that_fails_is_parse_error(self, argv, message, tmp_path, capsys):
+        path = tmp_path / "small.scenario"
+        path.write_text("[network]\ncell_radius = 20 m\narea = 3000 m2\n", encoding="utf-8")
+        assert _run([a.format(path) for a in argv]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
+    @_NEEDS_NUMPY
+    def test_overrides_apply_at_the_run_radius(self, capsys):
+        # 3000 m2 holds no cell of the preset's own 65 m, but 3 of 20 m
+        code, out = _run(["netsim", "--radius", "20", "--drops", "1", "--set", "network.area=3000m2"])
+        assert (code, out.splitlines()[1].split(",")[:2]) == (EXIT_OK, ["20", "3"])
+        assert capsys.readouterr().err == ""
+
+    @_NEEDS_NUMPY
+    def test_reach_past_the_pair_bound_places_no_lattice(self, monkeypatch, capsys):
+        from wastefactor import netsim
+
+        def no_layout(*args):
+            raise AssertionError("a lattice was placed")
+
+        monkeypatch.setattr(netsim, "hex_layout", no_layout)
+        argv = ["netsim", "--radius", "20", "--drops", "1",
+                "--set", "network.area=100 km2", "--set", "network.interferer_reach=1e9"]
+        assert _run(argv) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == (
+            "wastefactor: override 1: invalid [network] values: interferer reach 1e+09 radii"
+            " over area 1e+08 m2 at cell radius 20 m gives up to 9.37945e+09 (cell,"
+            " interferer) pairs; a layout holds at most 16777216\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["link"],
             ["sweep-pa", "--points", "2"],
-            ["netsim", "--radius", "65", "--drops", "1"],
+            _netsim_case(["netsim", "--radius", "65", "--drops", "1"]),
         ],
         ids=["link", "sweep-pa", "netsim"],
     )
@@ -525,14 +592,20 @@ class TestExitCodes:
             (["link", "--set", "link.ple_los=1e308"],
              "path loss over 100 m at frequency 2.8e+10 Hz with exponent 1e+308 is not finite"),
             # the power-control EIRP would be inf and every row nan
-            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_los=1e308"],
-             "path loss over 20 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite"),
+            _netsim_case(
+                ["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_los=1e308"],
+                "path loss over 20 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite",
+            ),
             # checked before the first drop at the farthest interferer, 8 + 1 radii
-            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_nlos=1e308"],
-             "path loss over 180 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite"),
+            _netsim_case(
+                ["netsim", "--radius", "20", "--drops", "1", "--set", "network.ple_nlos=1e308"],
+                "path loss over 180 m at frequency 1.4e+11 Hz with exponent 1e+308 is not finite",
+            ),
             # a cell-edge NLoS signal of 0 W would make the mean SINR -inf
-            (["netsim", "--radius", "100", "--drops", "1", "--set", "network.ple_nlos=1e300"],
-             "the NLoS signal at the 100 m cell edge with exponent 1e+300 underflows to 0 W"),
+            _netsim_case(
+                ["netsim", "--radius", "100", "--drops", "1", "--set", "network.ple_nlos=1e300"],
+                "the NLoS signal at the 100 m cell edge with exponent 1e+300 underflows to 0 W",
+            ),
         ],
         ids=["link", "netsim", "netsim-nlos-overflow", "netsim-nlos-underflow"],
     )
@@ -571,68 +644,92 @@ class TestExitCodes:
              " draws 1.42341e+308 W with cooling overhead 1e+307, screen power 10 W and"
              " converters 2.5e-10 W/Hz x 4e+08 Hz"),
             # rejected as the scenario is built, so no drop allocates anything
-            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.ues_per_cell=1e8"],
-             EXIT_PARSE,
-             "override 1: invalid [network] values: UEs per cell must be at most 1000,"
-             " got 100000000"),
+            _netsim_case(
+                ["netsim", "--radius", "20", "--drops", "1", "--set", "network.ues_per_cell=1e8"],
+                EXIT_PARSE,
+                "override 1: invalid [network] values: UEs per cell must be at most 1000,"
+                " got 100000000",
+            ),
             # netsim bounds each draw and its sums before the first drop: a
             # base station's draw is inf
-            (_NETSIM_150 + ["bs.screen_power=1e308 W"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
-             " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
-             " 1e+308 W and converters 1e-11 W/Hz x 4e+09 Hz"),
-            (_NETSIM_150 + ["bs.cooling_overhead=1e308"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
-             " transmitting base-station draws inf W with cooling overhead 1e+308, screen power"
-             " 0 W and converters 1e-11 W/Hz x 4e+09 Hz"),
+            _netsim_case(
+                _NETSIM_150 + ["bs.screen_power=1e308 W"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+                " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
+                " 1e+308 W and converters 1e-11 W/Hz x 4e+09 Hz",
+            ),
+            _netsim_case(
+                _NETSIM_150 + ["bs.cooling_overhead=1e308"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+                " transmitting base-station draws inf W with cooling overhead 1e+308, screen power"
+                " 0 W and converters 1e-11 W/Hz x 4e+09 Hz",
+            ),
             # the sector power is inf as a Python float
-            (_NETSIM_150 + ["band.converter_power_per_ghz=1e308 W"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
-             " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
-             " 0 W and converters 1e+299 W/Hz x 4e+09 Hz and the receiving user-equipment"
-             " draws inf W with cooling overhead 0, screen power 0.5 W and converters"
-             " 1e+299 W/Hz x 4e+09 Hz"),
+            _netsim_case(
+                _NETSIM_150 + ["band.converter_power_per_ghz=1e308 W"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+                " transmitting base-station draws inf W with cooling overhead 0.2, screen power"
+                " 0 W and converters 1e+299 W/Hz x 4e+09 Hz and the receiving user-equipment"
+                " draws inf W with cooling overhead 0, screen power 0.5 W and converters"
+                " 1e+299 W/Hz x 4e+09 Hz",
+            ),
             # each UE draw is finite, a cell's sum is not
-            (_NETSIM_150 + ["ue.screen_power=1e308 W"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
-             " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
-             " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
-             " draws 1e+308 W with cooling overhead 0, screen power 1e+308 W and converters"
-             " 1e-11 W/Hz x 4e+09 Hz"),
+            _netsim_case(
+                _NETSIM_150 + ["ue.screen_power=1e308 W"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+                " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
+                " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
+                " draws 1e+308 W with cooling overhead 0, screen power 1e+308 W and converters"
+                " 1e-11 W/Hz x 4e+09 Hz",
+            ),
             # each cell's sum is finite, the drop's is not
-            (_NETSIM_150 + ["ue.screen_power=1e306 W"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
-             " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
-             " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
-             " draws 1e+306 W with cooling overhead 0, screen power 1e+306 W and converters"
-             " 1e-11 W/Hz x 4e+09 Hz"),
+            _netsim_case(
+                _NETSIM_150 + ["ue.screen_power=1e306 W"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: consumed power is not finite: the"
+                " transmitting base-station draws 3.59488 W with cooling overhead 0.2, screen"
+                " power 0 W and converters 1e-11 W/Hz x 4e+09 Hz and the receiving user-equipment"
+                " draws 1e+306 W with cooling overhead 0, screen power 1e+306 W and converters"
+                " 1e-11 W/Hz x 4e+09 Hz",
+            ),
             # one UE's rate at the 1 m path-loss floor is inf
-            (_NETSIM_150 + ["band.bandwidth=1e308 Hz"], EXIT_EVAL,
-             "evaluation failed: rate over 1e+308 Hz at SNR 63.5218251811134 dB is too large"
-             " to express in b/s"),
+            _netsim_case(
+                _NETSIM_150 + ["band.bandwidth=1e308 Hz"], EXIT_EVAL,
+                "evaluation failed: rate over 1e+308 Hz at SNR 63.5218251811134 dB is too large"
+                " to express in b/s",
+            ),
             # one UE's rate is finite, the sum over sectors, cells and drops is not
-            (_NETSIM_150 + ["band.bandwidth=1e306 Hz"], EXIT_EVAL,
-             f"evaluation failed: {_NETSIM_150_SCALE}: the summed rate over 1e+306 Hz at SNR"
-             " up to 63.5218251811134 dB is too large to express in b/s"),
-            (_NETSIM_150 + ["network.sidelobe=-1e308 dB"], EXIT_EVAL,
-             "evaluation failed: interference from 13 interferers of up to 1e+308 dBm each,"
-             " sidelobe level -1e+308 dB, is too large to express in watts"),
-            # rejected as the scenario is built, at its own 65 m radius, from
+            _netsim_case(
+                _NETSIM_150 + ["band.bandwidth=1e306 Hz"], EXIT_EVAL,
+                f"evaluation failed: {_NETSIM_150_SCALE}: the summed rate over 1e+306 Hz at SNR"
+                " up to 63.5218251811134 dB is too large to express in b/s",
+            ),
+            _netsim_case(
+                _NETSIM_150 + ["network.sidelobe=-1e308 dB"], EXIT_EVAL,
+                "evaluation failed: interference from 13 interferers of up to 1e+308 dBm each,"
+                " sidelobe level -1e+308 dB, is too large to express in watts",
+            ),
+            # rejected as the scenario is built, at the first run radius, from
             # an estimate of the cell count: no lattice is placed
-            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.area=1e308m2"],
-             EXIT_PARSE,
-             "override 1: invalid [network] values: area 1e+308 m2 at cell radius 65 m holds"
-             " up to 9.11006e+303 cells of 15 UEs; a layout holds at most 131072 cells and"
-             " 2097152 UEs"),
+            _netsim_case(
+                ["netsim", "--radius", "150", "--drops", "2", "--set", "network.area=1e308m2"],
+                EXIT_PARSE,
+                "override 1: invalid [network] values: area 1e+308 m2 at cell radius 150 m holds"
+                " up to 1.71067e+303 cells of 15 UEs; a layout holds at most 131072 cells and"
+                " 2097152 UEs",
+            ),
             # every log2(1 + SINR) is 0, so the CEF would be 0
-            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.target_snr=-3000dB"],
-             EXIT_EVAL,
-             "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3008.48 dB"
-             " at target SNR -3000 dB, sidelobe level 20 dB"),
-            (["netsim", "--radius", "150", "--drops", "2", "--set", "network.sidelobe=-3070dB"],
-             EXIT_EVAL,
-             "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3054.19 dB"
-             " at target SNR 20 dB, sidelobe level -3070 dB"),
+            _netsim_case(
+                ["netsim", "--radius", "150", "--drops", "2", "--set", "network.target_snr=-3000dB"],
+                EXIT_EVAL,
+                "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3008.48 dB"
+                " at target SNR -3000 dB, sidelobe level 20 dB",
+            ),
+            _netsim_case(
+                ["netsim", "--radius", "150", "--drops", "2", "--set", "network.sidelobe=-3070dB"],
+                EXIT_EVAL,
+                "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3054.19 dB"
+                " at target SNR 20 dB, sidelobe level -3070 dB",
+            ),
         ],
         ids=[
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
@@ -661,6 +758,7 @@ class TestExitCodes:
         ],
         ids=["ue-screen", "sidelobe", "los-d2"],
     )
+    @_NEEDS_NUMPY
     def test_netsim_value_near_a_bound_runs_without_warning(self, setting, row, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -796,6 +894,7 @@ class TestSweepCommands:
         assert "matching efficiency" not in out
 
 
+@_NEEDS_NUMPY
 class TestNetsimCommand:
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         args = ["netsim", "--radius", "65", "--drops", "2", "--seed", "1"]
@@ -806,6 +905,8 @@ class TestNetsimCommand:
         assert first.read_bytes() == second.read_bytes()
 
     def test_csv_schema_and_summary(self, tmp_path):
+        from wastefactor.netsim import NETSIM_CSV_HEADER
+
         path = tmp_path / "net.csv"
         code, out = _run(
             ["netsim", "--radius", "35", "--radius", "65", "--drops", "2", "--out", str(path)]
@@ -871,7 +972,9 @@ class TestGoldenOutput:
     """Byte-for-byte reports for the default presets, recorded in tests/golden."""
 
     @pytest.mark.parametrize("command", list(_GOLDEN_ARGV))
-    def test_stdout_matches_golden(self, command):
+    def test_stdout_matches_golden(self, command, tmp_path, monkeypatch):
+        (tmp_path / "demo.chain").write_text(_DEMO_CHAIN, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         code, out = _run(_GOLDEN_ARGV[command])
         assert code == EXIT_OK
         assert out == (_GOLDEN / f"{command}.txt").read_text(encoding="utf-8")
@@ -909,6 +1012,7 @@ class TestGoldenOutput:
             ),
         ],
     )
+    @_NEEDS_NUMPY
     def test_netsim_matches_golden(self, name, argv):
         code, out = _run(["netsim", *argv])
         assert code == EXIT_OK
@@ -918,29 +1022,37 @@ class TestGoldenOutput:
 class TestWithoutNumpy:
     """Link-level commands and the package import never load numpy."""
 
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (["link"], "link.txt"),
-            (["table1"], "table1.txt"),
-            (["sweep-bw", "--points", "8"], "sweep-bw.txt"),
-            (["sweep-pa", "--points", "8", "--target-cef", "1"], "sweep-pa.txt"),
-            (["sweep-bw", "--points", "8", "--snr", "20"], "sweep-bw-snr.txt"),
-            (["sweep-pa", "--points", "8", "--snr", "20"], "sweep-pa-snr.txt"),
-            (["chain", "demo.chain"], "chain.txt"),
-        ],
-    )
-    def test_link_level_command_runs_with_numpy_blocked(self, argv, golden, tmp_path):
+    @pytest.mark.parametrize("command", list(_GOLDEN_ARGV))
+    def test_link_level_command_runs_with_numpy_blocked(self, command, tmp_path):
         (tmp_path / "demo.chain").write_text(_DEMO_CHAIN, encoding="utf-8")
-        proc = _python(_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+        proc = _python(_WITHOUT_NUMPY, *_GOLDEN_ARGV[command], cwd=tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout == (_GOLDEN / golden).read_text(encoding="utf-8")
+        assert proc.stdout == (_GOLDEN / f"{command}.txt").read_text(encoding="utf-8")
 
+    def test_link_level_names_resolve_without_loading_numpy(self):
+        # every public name but netsim's, through the package __getattr__
+        script = (
+            "import sys\n"
+            "import wastefactor\n"
+            "for name in wastefactor.__all__:\n"
+            "    if wastefactor._LAZY_NAMES.get(name) != 'netsim':\n"
+            "        getattr(wastefactor, name)\n"
+            "print(sorted({'wastefactor.netsim', 'numpy'} & set(sys.modules)))\n"
+        )
+        proc = _python(script)
+        assert proc.stdout == "[]\n", proc.stderr
+
+    @_NEEDS_NUMPY
     def test_network_scenario_is_one_class(self):
+        from wastefactor import netsim
+
         assert wastefactor.NetworkScenario is netsim.NetworkScenario
         assert netsim.NetworkScenario is transceiver.NetworkScenario
 
+    @_NEEDS_NUMPY
     def test_lazy_names_are_sweeps_and_netsim_all(self):
+        from wastefactor import netsim
+
         # the package keeps each list, so that importing it loads neither
         # module, and each module's __all__ is built from it
         lazy = wastefactor._LAZY_NAMES
@@ -978,6 +1090,7 @@ class TestWithoutNumpy:
         proc = _python(script)
         assert proc.stdout == "True\n", proc.stderr
 
+    @_NEEDS_NUMPY
     def test_lazy_netsim_resolves_as_an_attribute(self):
         # the module itself, before any of its names, through __getattr__
         script = (
@@ -989,12 +1102,16 @@ class TestWithoutNumpy:
         proc = _python(script)
         assert proc.stdout == "True\n", proc.stderr
 
+    @_NEEDS_NUMPY
     def test_every_public_name_resolves(self):
         for name in wastefactor.__all__:
             getattr(wastefactor, name)
         assert set(wastefactor.__all__) <= set(dir(wastefactor))
 
+    @_NEEDS_NUMPY
     def test_star_import_binds_netsim_names(self):
+        from wastefactor import netsim
+
         namespace: dict = {}
         exec("from wastefactor import *", namespace)
         assert namespace["sweep_radius"] is netsim.sweep_radius

@@ -40,9 +40,11 @@ from wastefactor.netsim import (
 )
 from wastefactor.transceiver import (
     _MAX_CELLS,
+    _MAX_INTERFERER_PAIRS,
     _MAX_UES_PER_CELL,
     _MAX_UES_PER_DROP,
     _cells_at_most,
+    _interferers_at_most,
     rx_power_coefficients,
     subthz_140,
     terminal_power,
@@ -260,6 +262,40 @@ class TestScenarioValidation:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 default_network(20.0, area_m2=area, ues_per_cell=ues)
         assert _cells_at_most(2.2e6, 20.0) < _MAX_CELLS
+
+    @pytest.mark.parametrize("wraparound", [False, True], ids=["flat", "wrapped"])
+    @pytest.mark.parametrize("radius", [20.0, 65.0, 150.0])
+    def test_interferer_estimate_is_never_below_the_lists(self, radius, wraparound):
+        # sides off a lattice period, and whole numbers of column pairs (3 r)
+        # and of row pairs (2 sqrt(3) r)
+        for side in (300.0, 777.7, 1000.0, 3.0 * radius * 7, 2.0 * math.sqrt(3.0) * radius * 5):
+            area = side * side
+            layout = hex_layout(area, radius)
+            positions = np.asarray(layout.bs_positions)
+            cells = _cells_at_most(area, radius)
+            for reach in (1.0, 2.5, 4.0, 8.0, 13.0, 20.0):
+                neighbors = _neighbor_lists(
+                    positions, reach * radius, layout.area_side_m, wraparound
+                )
+                assert _interferers_at_most(cells, reach) >= max(map(len, neighbors)), (side, reach)
+
+    def test_pair_bound_keeps_neighbour_lists_small(self):
+        # by arithmetic only: no layout past the bound is built
+        default = _interferers_at_most(_MAX_CELLS, 8.0)
+        assert round(default) == 98
+        assert _MAX_INTERFERER_PAIRS * 24 == pytest.approx(403e6, rel=0.01)
+        # every layout under the cell bound, at the default reach
+        assert _MAX_CELLS * default <= _MAX_INTERFERER_PAIRS
+        # what runs at 20 m: 100 km2, the 25 km2 scale smoke and netsim-wide's 4 km2
+        for area, wraparound in [(100e6, False), (25e6, True), (4e6, True)]:
+            assert default_network(20.0, area_m2=area, wraparound=wraparound).area_m2 == area
+        # a reach past every other cell, while the cells are few
+        cells = _cells_at_most(1e6, 20.0)
+        assert _interferers_at_most(cells, 1e9) == cells - 1
+        assert default_network(20.0, interferer_reach=1e9).interferer_reach == 1e9
+        message = "interferer reach 1e+09 radii over area 1e+08 m2 at cell radius 20 m gives up to"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            default_network(20.0, area_m2=100e6, interferer_reach=1e9)
 
     @pytest.mark.parametrize("scale, cells", [(1.0 - 1e-9, 0), (1.0 + 1e-9, 1)])
     def test_area_must_hold_a_cell(self, scale, cells):
