@@ -49,6 +49,7 @@ _NETSIM_NAMES = (
     "p_los",
     "power_control",
     "simulate_network",
+    "radius_scenarios",
     "sweep_radius",
     "optimal_radius",
     "network_csv_rows",

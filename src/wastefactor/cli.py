@@ -83,21 +83,19 @@ def _emit(rows: Iterable[str], out_path: str | None, stream: TextIO) -> None:
 
 
 def _load_scenario(
-    path: str | None, preset: str, overrides: Sequence[str], runs: Sequence[dict] = ()
+    path: str | None, preset: str, overrides: Sequence[str], network: dict | None = None
 ):
     """The scenario file at path, else the preset, with overrides applied;
-    parse errors only.  Given runs, the network fields each run sets, the
-    overrides apply at the first run and the list has one scenario a run."""
+    parse errors only.  Given network fields, a network scenario with them
+    set over the overrides, in one step with the [network] overrides."""
     try:
         scenario = load_scenario_file(path) if path else resolve_preset(preset)
-        if runs:
-            scenario = replace(as_network(scenario), **runs[0])
+        if network is not None:
+            scenario = apply_overrides(as_network(scenario), overrides, network)
         elif isinstance(scenario, NetworkScenario):
             raise _ParseFailure("this command needs a link scenario, not a network one")
-        if overrides:
+        elif overrides:
             scenario = apply_overrides(scenario, overrides)
-        if runs:
-            return [replace(scenario, **run) for run in runs]
     except (ScenarioParseError, OSError, ValueError) as exc:
         raise _ParseFailure(str(exc)) from exc
     return scenario
@@ -237,14 +235,25 @@ def cmd_sweep_pa(args, stdout: TextIO) -> int:
 
 def cmd_netsim(args, stdout: TextIO) -> int:
     # Imported here so the link-level commands never load numpy.
-    from .netsim import DEFAULT_RADII, network_csv_rows, optimal_radius, simulate_network
+    from .netsim import (
+        DEFAULT_RADII,
+        network_csv_rows,
+        optimal_radius,
+        radius_scenarios,
+        simulate_network,
+    )
 
     # The run flags store into the scenario fields they set, None when not
-    # given, and win over --set.
+    # given, and win over --set; the overrides apply at the first radius, and
+    # every radius's scenario is built before the first runs.
     given = {f.name: getattr(args, f.name, None) for f in fields(NetworkScenario)}
-    flags = {k: v for k, v in given.items() if v is not None}
-    runs = [{**flags, "cell_radius_m": float(r)} for r in args.radius or DEFAULT_RADII]
-    scenarios = _load_scenario(args.scenario, args.preset, args.overrides, runs)
+    radii = args.radius or DEFAULT_RADII
+    first = {k: v for k, v in given.items() if v is not None} | {"cell_radius_m": radii[0]}
+    scenario = _load_scenario(args.scenario, args.preset, args.overrides, first)
+    try:
+        scenarios = radius_scenarios(scenario, radii)
+    except ValueError as exc:
+        raise _ParseFailure(str(exc)) from exc
     reports = tuple(map(simulate_network, scenarios))
     _emit(network_csv_rows(reports), args.out, stdout)
     best = optimal_radius(reports)

@@ -605,12 +605,19 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     )
 
 
+def radius_scenarios(
+    scenario: NetworkScenario, radii: Iterable[float] = DEFAULT_RADII
+) -> tuple[NetworkScenario, ...]:
+    """The scenario at each radius, in input order; all are built, and so
+    checked, before any runs."""
+    return tuple(replace(scenario, cell_radius_m=float(r)) for r in radii)
+
+
 def sweep_radius(
     scenario: NetworkScenario, radii: Iterable[float] = DEFAULT_RADII
 ) -> tuple[NetworkReport, ...]:
     """One report per radius, in input order."""
-    tasks = [replace(scenario, cell_radius_m=float(r)) for r in radii]
-    return tuple(simulate_network(t) for t in tasks)
+    return tuple(map(simulate_network, radius_scenarios(scenario, radii)))
 
 
 def optimal_radius(reports: Iterable[NetworkReport]) -> NetworkReport:

@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import replace
 from operator import add, mul, sub, truediv
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .cascade import (
     Cascade,
@@ -266,10 +266,14 @@ def _apply_sections(
     scenario: LinkScenario | NetworkScenario,
     sections: Iterable[tuple[str, dict[str, tuple[int, str]]]],
     source: str,
+    fixed: Mapping[str, object] | None = None,
 ) -> LinkScenario | NetworkScenario:
     """Apply (section, {key: (position, raw value)}) pairs in the order given;
     errors name `source position`, the line of a file or the index of an
-    override."""
+    override.  The fixed field values win over the [link] or [network]
+    section's and are set in the same replace; a section value they replace
+    is still checked, in the scenario built.  If that section is empty, a
+    fault of the fixed values propagates as their own ValueError."""
     kind = _scenario_kind(scenario)
     for section, entries in sections:
         table, attr = _SECTIONS[section]
@@ -284,12 +288,20 @@ def _apply_sections(
                 raise ScenarioParseError(position, f"unknown key {key!r} in [{section}]", source)
             value_kind, field_name = table[key]
             updates[field_name] = parse_quantity(position, raw, value_kind, source, key)
+        replaced = {}
+        if attr is None and fixed:
+            replaced = {name: updates[name] for name in fixed if name in updates}
+            updates.update(fixed)
         if not updates:
             continue
         target = scenario if attr is None else getattr(scenario, attr)
         try:
             target = replace(target, **updates)
+            if replaced:  # a value that a fixed one replaces must still be valid
+                replace(target, **replaced)
         except ValueError as exc:
+            if not entries:
+                raise
             first = min(position for position, _ in entries.values())
             raise ScenarioParseError(first, f"invalid [{section}] values: {exc}", source) from exc
         scenario = target if attr is None else replace(scenario, **{attr: target})
@@ -341,11 +353,15 @@ def serialize_scenario(scenario: LinkScenario | NetworkScenario) -> str:
 def apply_overrides(
     scenario: LinkScenario | NetworkScenario,
     overrides: Iterable[str],
+    fixed: Mapping[str, object] | None = None,
 ) -> LinkScenario | NetworkScenario:
     """Apply `section.key=value` override strings to a parsed scenario.
 
     Values follow the scenario-file syntax, units included, so an override
-    is exactly one file line spelled inline: `band.bandwidth=1 GHz`.
+    is exactly one file line spelled inline: `band.bandwidth=1 GHz`.  The
+    fixed scenario field values win over the overrides and are set with the
+    [link] or [network] ones in one replace, so no scenario holding only
+    some of them is checked.
     """
     grouped: dict[str, dict[str, tuple[int, str]]] = {}
     for index, item in enumerate(overrides, start=1):
@@ -367,8 +383,10 @@ def apply_overrides(
                 index, f"duplicate override for {section}.{key}", source="override"
             )
         entries[key] = (index, value.strip())
+    if fixed:
+        grouped.setdefault(_scenario_kind(scenario), {})
     # Sections apply in the order each was first given, not file order.
-    return _apply_sections(scenario, grouped.items(), "override")
+    return _apply_sections(scenario, grouped.items(), "override", fixed)
 
 
 def load_scenario_file(path: str) -> LinkScenario | NetworkScenario:

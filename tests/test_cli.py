@@ -452,11 +452,25 @@ class TestExitCodes:
         assert _run([a.format(path) for a in argv]) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            # 3000 m2 holds no cell of the preset's own 65 m, but 3 of 20 m
+            (["netsim", "--radius", "20", "--drops", "1", "--set", "network.area=3000m2"],
+             ["20", "3"]),
+            # a file read at its own 20 m and 3000 m2 is moved to 65 m only
+            # together with the area override that makes it fit
+            (["netsim", "--radius", "65", "--drops", "1", "--scenario", "{}",
+              "--set", "network.area=1km2"], ["65", "85"]),
+        ],
+        ids=["preset", "file"],
+    )
     @_NEEDS_NUMPY
-    def test_overrides_apply_at_the_run_radius(self, capsys):
-        # 3000 m2 holds no cell of the preset's own 65 m, but 3 of 20 m
-        code, out = _run(["netsim", "--radius", "20", "--drops", "1", "--set", "network.area=3000m2"])
-        assert (code, out.splitlines()[1].split(",")[:2]) == (EXIT_OK, ["20", "3"])
+    def test_overrides_apply_at_the_run_radius(self, argv, cells, tmp_path, capsys):
+        path = tmp_path / "small.scenario"
+        path.write_text("[network]\ncell_radius = 20 m\narea = 3000 m2\n", encoding="utf-8")
+        code, out = _run([a.format(path) for a in argv])
+        assert (code, out.splitlines()[1].split(",")[:2]) == (EXIT_OK, cells)
         assert capsys.readouterr().err == ""
 
     @_NEEDS_NUMPY
@@ -944,6 +958,8 @@ class TestNetsimCommand:
             base + ["--drops", "1"]
         )
         assert _run(base + ["--set", "network.drops=3"]) != _run(base + ["--drops", "1"])
+        # the value a flag replaces is still checked
+        assert _run(base + ["--set", "network.drops=0", "--drops", "1"]) == (EXIT_PARSE, "")
 
 
 class TestChainCommand:

@@ -349,6 +349,25 @@ class TestOverrides:
         assert scenario.drops == 5
         assert scenario.ue.screen_power_w == 1.0
 
+    def test_fixed_fields_win_and_apply_with_the_network_overrides(self):
+        small = parse_scenario("[network]\ncell_radius = 20 m\narea = 3000 m2\n")
+        # 3000 m2 holds no 65 m cell; 1 km2 does, and both are set at once
+        scenario = apply_overrides(
+            small, ["network.area=1 km2", "network.drops=5"], {"cell_radius_m": 65.0, "drops": 2}
+        )
+        assert (scenario.cell_radius_m, scenario.area_m2, scenario.drops) == (65.0, 1e6, 2)
+        # a value that a fixed one replaces is still checked
+        with pytest.raises(ScenarioParseError) as err:
+            apply_overrides(small, ["network.drops=0"], {"drops": 2})
+        assert str(err.value) == "override 1: invalid [network] values: drops must be >= 1"
+        # without a [network] override the fixed fields still apply, and a
+        # fault of theirs alone is their own ValueError
+        assert apply_overrides(small, [], {"drops": 2}).drops == 2
+        with pytest.raises(ValueError) as err:
+            apply_overrides(small, ["ue.screen_power=1 W"], {"cell_radius_m": 65.0})
+        assert not isinstance(err.value, ScenarioParseError)
+        assert str(err.value) == "area 3000 m2 holds no cell of radius 65 m"
+
     def test_malformed_override(self):
         with pytest.raises(ScenarioParseError) as err:
             apply_overrides(mmwave_28(), ["banana"])
