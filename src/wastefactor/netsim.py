@@ -17,9 +17,13 @@ into one reused generator.
 
 A drop is whole-array work: cells with the same number of interferers sum
 their interference together, in chunks of bounded size, then the serving
-links, sectors and power run over all cells at once.  Totals are added in cell
-order with the same float operations as a cell-by-cell loop, so reports match
-that loop bit for bit (the tests keep it as an oracle).
+links, sectors and power run over all cells at once.  Interference is summed
+in watts: the close-in model's power at distance d is its power at 1 m times
+d^-n, so each pair is one of two per-radius constants (main lobe, sidelobe)
+times max(d, 1)^-n.  The set-up step forms those constants after the
+interference bound, and only when some cell has interferers.  Totals are
+added in cell order with the same float operations as a cell-by-cell loop, so
+reports match that loop bit for bit (the tests keep it as an oracle).
 
 Interferers are found with a bucket grid, in time linear in the cell count:
 each cell is compared only with the cells of its own and the eight
@@ -365,6 +369,9 @@ class _RadioConstants(NamedTuple):
     ue_slope: float
     ue_fixed: float
     los_d2_m: float  # the LoS decay distance p_los is called with
+    # interference at 1 m from a main-lobe and a sidelobe interferer
+    i_main_w: float = 0.0
+    i_side_w: float = 0.0
 
 
 def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) -> _RadioConstants:
@@ -432,6 +439,10 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
                 f"interference from {most_interferers} interferers of up to {pair_dbm:g} dBm"
                 f" each, sidelobe level {s.sidelobe_db:g} dB, is too large to express in watts"
             )
+        # formed past the bound, so an overflowing sidelobe is named above
+        rc = rc._replace(
+            i_main_w=dbm_to_watts(peak_dbm), i_side_w=dbm_to_watts(peak_dbm - s.sidelobe_db)
+        )
     occupied = min(s.arrays_per_bs, 7, s.ues_per_cell)
     scale = (
         f"{n_cells} cells x {s.drops} drops of up to {occupied} sectors"
@@ -455,6 +466,15 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
 def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray):
     ple = np.where(los, s.ple_los, s.ple_nlos)
     return rc.anchor_db + 10.0 * ple * np.log10(np.maximum(d, 1.0))
+
+
+def _interference_w(
+    s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray, main: np.ndarray
+):
+    """Power received from each interferer: the close-in model in watts,
+    P(1 m) d^-n, with no path loss inside 1 m."""
+    ple = np.where(los, -s.ple_los, -s.ple_nlos)
+    return np.where(main, rc.i_main_w, rc.i_side_w) * np.maximum(d, 1.0) ** ple
 
 
 class _Chunk(NamedTuple):
@@ -520,11 +540,9 @@ def _simulate_drop(
                 delta -= side * np.round(delta / side)
             d_int = np.hypot(delta[0], delta[1])
             los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, rc.los_d2_m)
-            pl_int = _path_loss_db(s, rc, d_int, los_int)
             main_lobe = u_int[..., 1] < 1.0 / sectors
-            discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
-            i_dbm = rc.eirp_dbm - pl_int + rc.gain_ue_db - discrimination
-            interference_w[chunk.cells] = np.sum(dbm_to_watts(i_dbm), axis=2)
+            i_w = _interference_w(s, rc, d_int, los_int, main_lobe)
+            interference_w[chunk.cells] = np.sum(i_w, axis=2)
 
     d_serving = np.hypot(offsets[..., 0], offsets[..., 1])
     los = u_serving < p_los(d_serving, s.los_d1_m, rc.los_d2_m)

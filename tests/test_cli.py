@@ -759,24 +759,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
 
     @pytest.mark.parametrize(
-        "setting, row",
+        "args, row",
         [
             # each bound of the set-up step is finite: power_w is 2.1e307
-            ("ue.screen_power=1e305 W",
+            (["ue.screen_power=1e305 W"],
              "150,14,5.908279914e-305,1240.738782,2.1e+307,9.921822184,0.3952380952,0"),
-            ("network.sidelobe=-10 dB",
+            (["network.sidelobe=-10 dB"],
              "150,14,2.603725882,887.3580638,340.8031812,2.865402053,0.3952380952,0"),
             # every LoS decay past d1 is 0; d / d2 would overflow
-            ("network.los_d2=1e-320 m",
+            (["network.los_d2=1e-320 m"],
              "150,14,2.286075255,779.1005424,340.8026664,4.56535166,0.1333333333,0"),
+            # the sidelobe interference constant underflows to 0 W
+            (["network.sidelobe=1e308 dB"],
+             "150,14,3.676279769,1252.887841,340.8031812,10.17181532,0.3952380952,0"),
+            # no cell has interferers, so neither constant is formed
+            (["network.sidelobe=-1e308 dB", "--no-interference"],
+             "150,14,3.837067911,1307.684951,340.8031812,10.99189959,0.3952380952,0"),
         ],
-        ids=["ue-screen", "sidelobe", "los-d2"],
+        ids=["ue-screen", "sidelobe", "los-d2", "sidelobe-underflow", "sidelobe-no-interference"],
     )
     @_NEEDS_NUMPY
-    def test_netsim_value_near_a_bound_runs_without_warning(self, setting, row, capsys):
+    def test_netsim_value_near_a_bound_runs_without_warning(self, args, row, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = _run(_NETSIM_150 + [setting])
+            code, out = _run(_NETSIM_150 + args)
         assert (code, out.splitlines()[1]) == (EXIT_OK, row)
         assert capsys.readouterr().err == ""
 

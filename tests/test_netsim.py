@@ -33,6 +33,7 @@ from wastefactor.netsim import (
     _Streams,
     _chunks,
     _hex_offsets,
+    _interference_w,
     _neighbor_lists,
     _path_loss_db,
     _pcg64_state,
@@ -109,11 +110,12 @@ def _simulate_cell(s, rc, positions, neighbors, cell_idx, drop_idx, side, totals
             delta -= side * np.round(delta / side)
         d_int = np.hypot(delta[..., 0], delta[..., 1])
         los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
-        pl_int = _path_loss_db(s, rc, d_int, los_int)
         main_lobe = u_int[..., 1] < 1.0 / s.arrays_per_bs
-        discrimination = np.where(main_lobe, 0.0, s.sidelobe_db)
-        i_dbm = rc.eirp_dbm - pl_int + rc.gain_ue_db - discrimination
-        interference_w = np.sum(dbm_to_watts(i_dbm), axis=1)
+        # close-in model in watts: the power at 1 m times d^-n
+        peak_dbm = rc.eirp_dbm - rc.anchor_db + rc.gain_ue_db
+        i_1m = np.where(main_lobe, dbm_to_watts(peak_dbm), dbm_to_watts(peak_dbm - s.sidelobe_db))
+        ple = np.where(los_int, s.ple_los, s.ple_nlos)
+        interference_w = np.sum(i_1m * np.maximum(d_int, 1.0) ** -ple, axis=1)
 
     sinr = signal_w / (rc.noise_w + interference_w)
 
@@ -669,6 +671,37 @@ class TestNeighborLists:
             assert counts.max() <= rows and around.max() <= cols
         assert layout.n_cells > 90_000  # about 8.8e9 pairs for an all-pairs search
         assert rows * cols < 30_000
+
+
+class TestInterferencePower:
+    """The per-pair interference in watts against the dB form it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=5000.0), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=16,
+        ),
+        ple_los=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+        ple_nlos=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+        sidelobe=st.floats(min_value=-50.0, max_value=50.0),
+    )
+    @example(
+        pairs=[(0.0, True, True), (0.5, False, False), (1.0, True, False), (5000.0, False, True)],
+        ple_los=10.0, ple_nlos=10.0, sidelobe=50.0,
+    )
+    def test_matches_db_form(self, pairs, ple_los, ple_nlos, sidelobe):
+        s = default_network(100.0, ple_los=ple_los, ple_nlos=ple_nlos, sidelobe_db=sidelobe)
+        rc = _radio_constants(s, 1, 1)
+        d, los, main = (np.array(column) for column in zip(*pairs))
+        i_dbm = (
+            rc.eirp_dbm - _path_loss_db(s, rc, d, los) + rc.gain_ue_db
+            - np.where(main, 0.0, sidelobe)
+        )
+        np.testing.assert_allclose(
+            _interference_w(s, rc, d, los, main), dbm_to_watts(i_dbm), rtol=1e-12, atol=0.0
+        )
 
 
 class TestScalarOracle:
