@@ -21,9 +21,14 @@ links, sectors and power run over all cells at once.  Interference is summed
 in watts: the close-in model's power at distance d is its power at 1 m times
 d^-n, so each pair is one of two per-radius constants (main lobe, sidelobe)
 times max(d, 1)^-n.  The set-up step forms those constants after the
-interference bound, and only when some cell has interferers.  Totals are
-added in cell order with the same float operations as a cell-by-cell loop, so
-reports match that loop bit for bit (the tests keep it as an oracle).
+interference bound, and only when some cell has interferers.  A chunk keeps
+its pairs' x and y offsets in separate (cell, UE, interferer) arrays, writes
+the distance over x and calls p_los once, which works in place in the arrays
+it allocates.  _interference_w picks each pair's exponent and constant from a
+two-entry table indexed by its bool draws and scales the power in place.
+Totals are added in cell order with the same float operations as a
+cell-by-cell loop, so reports match that loop bit for bit (the tests keep it
+as an oracle).
 
 Interferers are found with a bucket grid, in time linear in the cell count:
 each cell is compared only with the cells of its own and the eight
@@ -276,18 +281,27 @@ def p_los(
 ):
     """Squared LoS probability model; equals 1 out to d1 and decays beyond.
 
-    Accepts scalars or arrays; scalar in, scalar out.
+    Accepts scalars or arrays; scalar in, scalar out.  An array result is a
+    new array; the input is left unchanged.
     """
     d = np.asarray(distance_m, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("distance must be >= 0")
+    scalar = d.ndim == 0
+    d = np.atleast_1d(d)  # one path: a scalar is the one element of an array
     # The d <= d1 branch is algebraically 1; splitting it out avoids a
-    # divide-by-zero at d = 0.
+    # divide-by-zero at d = 0.  In place, the floats of
+    # ((d1 / safe) (1 - decay) + decay) ** 2 with decay = exp(-safe / d2).
     safe = np.maximum(d, d1_m)
-    decay = np.exp(-safe / d2_m)
-    far = ((d1_m / safe) * (1.0 - decay) + decay) ** 2
-    result = np.where(d <= d1_m, 1.0, far)
-    return float(result) if result.ndim == 0 else result
+    decay = safe / -d2_m
+    np.exp(decay, out=decay)
+    np.divide(d1_m, safe, out=safe)
+    far = 1.0 - decay
+    far *= safe
+    far += decay
+    np.square(far, out=far)
+    far[d <= d1_m] = 1.0
+    return float(far[0]) if scalar else far
 
 
 def power_control(
@@ -395,9 +409,17 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
     gain_ue = s.ue.antenna_gain_db(frequency)
     gain_bs = s.bs.antenna_gain_db(frequency)
     eirp = power_control(radius, s.band, s.target_snr_db, gain_ue, s.ple_los)
-    tx_power_w = dbm_to_watts(eirp - gain_bs)
-    ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
     noise_dbm = thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)
+    try:
+        tx_power_w = dbm_to_watts(eirp - gain_bs)
+    except ValueError:
+        raise ValueError(
+            f"the transmit power {eirp - gain_bs:g} dBm that holds the {s.target_snr_db:g} dB"
+            f" target SNR at the {radius:g} m cell edge is too large to express in watts:"
+            f" LoS exponent {s.ple_los:g}, noise {noise_dbm:g} dBm, UE gain {gain_ue:g} dB,"
+            f" base-station gain {gain_bs:g} dB"
+        ) from None
+    ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
     anchor = free_space_path_loss_db(frequency)
     rc = _RadioConstants(
         eirp_dbm=eirp,
@@ -463,8 +485,10 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
     return rc
 
 
+# A bool array's uint8 view selects from a two-entry table (False, True);
+# indexed by the bool array itself, the table would be masked instead.
 def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray):
-    ple = np.where(los, s.ple_los, s.ple_nlos)
+    ple = np.array((s.ple_nlos, s.ple_los))[los.view(np.uint8)]
     return rc.anchor_db + 10.0 * ple * np.log10(np.maximum(d, 1.0))
 
 
@@ -472,9 +496,12 @@ def _interference_w(
     s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray, main: np.ndarray
 ):
     """Power received from each interferer: the close-in model in watts,
-    P(1 m) d^-n, with no path loss inside 1 m."""
-    ple = np.where(los, -s.ple_los, -s.ple_nlos)
-    return np.where(main, rc.i_main_w, rc.i_side_w) * np.maximum(d, 1.0) ** ple
+    P(1 m) d^-n, with no path loss inside 1 m.  Returns a new array."""
+    # Not in place: on numpy 2.4 a one-element power whose output is one of
+    # its inputs takes another loop, and d ** -1 then differs in the last bit.
+    power = np.maximum(d, 1.0) ** np.array((-s.ple_nlos, -s.ple_los))[los.view(np.uint8)]
+    power *= np.array((rc.i_side_w, rc.i_main_w))[main.view(np.uint8)]
+    return power
 
 
 class _Chunk(NamedTuple):
@@ -534,11 +561,14 @@ def _simulate_drop(
         u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
         if k:
             u_int = u[:, 4 * n :].reshape(c, n, k, 2)
-            ue_abs = chunk.centres[..., None] + np.moveaxis(chunk_offsets, -1, 0)
-            delta = ue_abs[..., None] - chunk.interferers[:, :, None, :]  # (2, C, n, k)
+            # UE minus interferer, x and y apart, each (C, n, k)
+            (centre_x, centre_y), (interferer_x, interferer_y) = chunk.centres, chunk.interferers
+            dx = (centre_x[:, None] + chunk_offsets[..., 0])[..., None] - interferer_x[:, None, :]
+            dy = (centre_y[:, None] + chunk_offsets[..., 1])[..., None] - interferer_y[:, None, :]
             if s.wraparound:
-                delta -= side * np.round(delta / side)
-            d_int = np.hypot(delta[0], delta[1])
+                dx -= side * np.round(dx / side)
+                dy -= side * np.round(dy / side)
+            d_int = np.hypot(dx, dy, out=dx)
             los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, rc.los_d2_m)
             main_lobe = u_int[..., 1] < 1.0 / sectors
             i_w = _interference_w(s, rc, d_int, los_int, main_lobe)

@@ -620,8 +620,18 @@ class TestExitCodes:
                 ["netsim", "--radius", "100", "--drops", "1", "--set", "network.ple_nlos=1e300"],
                 "the NLoS signal at the 100 m cell edge with exponent 1e+300 underflows to 0 W",
             ),
+            # a finite path loss whose power-control transmit power overflows
+            _netsim_case(
+                ["netsim", "--radius", "150", "--drops", "1", "--set", "network.ple_los=1e30"],
+                "the transmit power 2.17609e+31 dBm that holds the 20 dB target SNR at the"
+                " 150 m cell edge is too large to express in watts: LoS exponent 1e+30,"
+                " noise -67.9546 dBm, UE gain 29.1492 dB, base-station gain 59.1492 dB",
+            ),
         ],
-        ids=["link", "netsim", "netsim-nlos-overflow", "netsim-nlos-underflow"],
+        ids=[
+            "link", "netsim", "netsim-nlos-overflow", "netsim-nlos-underflow",
+            "netsim-power-overflow",
+        ],
     )
     def test_path_loss_that_overflows_names_the_exponent(self, argv, message, capsys):
         # as under `python -W error`: a NumPy warning before the check fails

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wastefactor.linkbudget import (
     ci_path_loss_db,
@@ -195,6 +196,15 @@ def _small_networks(draw):
         ues_per_cell=draw(st.integers(min_value=1, max_value=20)),
         arrays_per_bs=draw(st.integers(min_value=1, max_value=12)),
     )
+
+
+@st.composite
+def _chunk_pairs(draw):
+    """d, los and main of a chunk's (C, n, k) (UE, interferer) pairs."""
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+    d = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 5000.0)))
+    los, main = (draw(hnp.arrays(np.bool_, shape)) for _ in range(2))
+    return d, los, main
 
 
 class TestScenarioValidation:
@@ -434,6 +444,35 @@ class TestLosProbability:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             p_los(-1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=64),
+        d1=st.floats(min_value=1e-3, max_value=1e3),
+        d2_per_d1=st.floats(min_value=0.0, max_value=1e3),
+    )
+    @example(d=[], d1=22.0, d2_per_d1=113.4 / 22.0)
+    @example(d=[], d1=22.0, d2_per_d1=0.0)
+    def test_matches_the_where_form_exactly(self, d, d1, d2_per_d1):
+        # The oracle calls p_los too, so only this pins p_los's floats: those
+        # of np.where(d <= d1, 1, ...) over the closed form.  d2 is floored at
+        # d1 / 1000 as _radio_constants floors it.
+        d2 = max(d1 * d2_per_d1, d1 / 1000.0)
+        grid = np.random.default_rng(3).uniform(0.0, 20.0 * d1, (6, 5, 7))
+        for distances in (np.array([0.0, d1, np.nextafter(d1, np.inf), 1e300, *d]), grid):
+            before = distances.copy()
+            safe = np.maximum(distances, d1)
+            decay = np.exp(-safe / d2)
+            expected = np.where(
+                distances <= d1, 1.0, ((d1 / safe) * (1.0 - decay) + decay) ** 2
+            )
+            result = p_los(distances, d1, d2)
+            assert np.array_equal(result, expected)
+            assert np.array_equal(distances, before)
+            assert not np.shares_memory(result, distances)
+            for i, distance in enumerate(distances.flat[:8].tolist()):
+                scalar = p_los(distance, d1, d2)
+                assert isinstance(scalar, float) and scalar == result.flat[i]
 
 
 class TestPowerControl:
@@ -702,6 +741,31 @@ class TestInterferencePower:
         np.testing.assert_allclose(
             _interference_w(s, rc, d, los, main), dbm_to_watts(i_dbm), rtol=1e-12, atol=0.0
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=_chunk_pairs(),
+        ple_los=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+        ple_nlos=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+        sidelobe=st.floats(min_value=-50.0, max_value=50.0),
+    )
+    # one pair at exponent 1, where a power written over its input differs
+    @example(
+        pairs=(np.array([[[49.5]]]), np.array([[[False]]]), np.array([[[False]]])),
+        ple_los=1.0, ple_nlos=1.0, sidelobe=0.0,
+    )
+    def test_matches_the_where_form_exactly(self, pairs, ple_los, ple_nlos, sidelobe):
+        # a select gives the floats of np.where
+        s = default_network(100.0, ple_los=ple_los, ple_nlos=ple_nlos, sidelobe_db=sidelobe)
+        rc = _radio_constants(s, 1, 1)
+        d, los, main = pairs
+        inputs = [a.copy() for a in (d, los, main)]
+        expected = np.where(main, rc.i_main_w, rc.i_side_w) * np.maximum(d, 1.0) ** np.where(
+            los, -ple_los, -ple_nlos
+        )
+        assert np.array_equal(_interference_w(s, rc, d, los, main), expected)
+        for array, before in zip((d, los, main), inputs):
+            assert np.array_equal(array, before)
 
 
 class TestScalarOracle:
