@@ -49,6 +49,7 @@ import numpy as np
 from . import _NETSIM_NAMES
 from .linkbudget import (
     ci_path_loss_db,
+    db_to_linear,
     dbm_to_watts,
     free_space_path_loss_db,
     shannon_rate_bps,
@@ -400,9 +401,10 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
     reach and inside the square, so no farther than its diagonal.  The NLoS
     checks run only where p_los leaves room for an NLoS draw.
 
-    Then the interference, rate and consumed power are bounded in Python
-    floats, so that one no float holds is named here instead of becoming inf
-    in a drop's arrays: every path loss is at least the 1 m anchor, a cell
+    Then the power and SNR of a main-lobe link at the 1 m anchor, the
+    interference, rate and consumed power are bounded in Python floats, so
+    that one no float holds is named here instead of becoming inf in a
+    drop's arrays: every path loss is at least the 1 m anchor, a cell
     has at most `occupied` sectors on air, each splitting the band among its
     UEs, and a report adds n_cells x drops cells."""
     frequency, radius = s.band.carrier_frequency_hz, s.cell_radius_m
@@ -410,14 +412,18 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
     gain_bs = s.bs.antenna_gain_db(frequency)
     eirp = power_control(radius, s.band, s.target_snr_db, gain_ue, s.ple_los)
     noise_dbm = thermal_noise_dbm(s.band.bandwidth_hz, s.band.noise_figure_db)
+    # what the power control's EIRP, and so every power below, comes from
+    held = f"holds the {s.target_snr_db:g} dB target SNR at the {radius:g} m cell edge"
+    inputs = (
+        f"LoS exponent {s.ple_los:g}, noise {noise_dbm:g} dBm, UE gain {gain_ue:g} dB,"
+        f" base-station gain {gain_bs:g} dB"
+    )
     try:
         tx_power_w = dbm_to_watts(eirp - gain_bs)
     except ValueError:
         raise ValueError(
-            f"the transmit power {eirp - gain_bs:g} dBm that holds the {s.target_snr_db:g} dB"
-            f" target SNR at the {radius:g} m cell edge is too large to express in watts:"
-            f" LoS exponent {s.ple_los:g}, noise {noise_dbm:g} dBm, UE gain {gain_ue:g} dB,"
-            f" base-station gain {gain_bs:g} dB"
+            f"the transmit power {eirp - gain_bs:g} dBm that {held} is too large to express"
+            f" in watts: {inputs}"
         ) from None
     ue_slope, ue_fixed = rx_power_coefficients(s.band, s.ue)
     anchor = free_space_path_loss_db(frequency)
@@ -450,6 +456,16 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
                 )
 
     peak_dbm = eirp - anchor + gain_ue  # a main-lobe link at the anchor
+    snr_db = peak_dbm - noise_dbm
+    try:  # the largest signal of a drop, and its SNR
+        dbm_to_watts(peak_dbm)
+        db_to_linear(snr_db)
+    except ValueError:
+        raise ValueError(
+            f"a main-lobe link at 1 m from the EIRP {eirp:g} dBm that {held} receives"
+            f" {peak_dbm:g} dBm at SNR {snr_db:g} dB, too large to express in watts or as"
+            f" a ratio: {inputs}"
+        ) from None
     if most_interferers:
         pair_dbm = peak_dbm - min(s.sidelobe_db, 0.0)
         try:
@@ -471,7 +487,6 @@ def _radio_constants(s: NetworkScenario, n_cells: int, most_interferers: int) ->
         f" and {s.ues_per_cell} UEs"
     )
     cells = n_cells * s.drops
-    snr_db = peak_dbm - noise_dbm
     if not cells * occupied * shannon_rate_bps(s.band.bandwidth_hz, snr_db) < math.inf:
         raise ValueError(
             f"{scale}: the summed rate over {s.band.bandwidth_hz!r} Hz at SNR up to"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from . import _SWEEPS_NAMES
-from .linkbudget import tx_power_for_snr_dbm
+from .linkbudget import dbm_to_watts, tx_power_for_snr_dbm
 from .transceiver import (
     LinkScenario,
     _check_bandwidth,
@@ -127,15 +127,26 @@ def _evaluate_point(
         _, snr, rate, consumed, eirp = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
     else:
         # a path loss or gain that fails raises before the target is named
+        path_loss, gain_tx, gain_rx = link.path_loss_db, link.tx_gain_db, link.rx_gain_db
         tx_power = tx_power_for_snr_dbm(
-            snr_target_db, bandwidth_hz, band.noise_figure_db,
-            link.path_loss_db, link.tx_gain_db, link.rx_gain_db,
+            snr_target_db, bandwidth_hz, band.noise_figure_db, path_loss, gain_tx, gain_rx
         )
         try:
             _check_tx_power(tx_power)
             _, snr, rate, consumed, eirp = link.evaluate(bandwidth_hz, pa_efficiency, tx_power)
         except ValueError as exc:
-            # the transmit power was derived from the target, so name the target
+            # the transmit power was derived from the target, so name the
+            # target; evaluate converts the power first, so a power that does
+            # not convert here is what failed, and its inputs are named too
+            try:
+                dbm_to_watts(tx_power)
+            except ValueError:
+                raise ValueError(
+                    f"SNR target {snr_target_db:g} dB: the transmit power {tx_power:g} dBm"
+                    f" that holds it is too large to express in watts: bandwidth"
+                    f" {bandwidth_hz:g} Hz, noise figure {band.noise_figure_db:g} dB, path loss"
+                    f" {path_loss:g} dB, transmit gain {gain_tx:g} dB, receive gain {gain_rx:g} dB"
+                ) from None
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     # by position (x, cef_bpj, rate_bps, p_consumed_w, snr_db, feasible):
     # keywords take twice as long on the path every point runs

@@ -476,6 +476,27 @@ def _source_power_w(insertion_loss: float, pa_gain: float, tx_power_w: float) ->
     return tx_power_w * insertion_loss / pa_gain
 
 
+class _lazy:
+    """A value computed on its first read and stored in the instance's
+    __dict__, where it shadows this non-data descriptor; a computation that
+    raises stores nothing, so every later read computes, and raises, again.
+    functools.cached_property does the same but, before Python 3.12, takes
+    a lock on each first read."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class _Link:
     """One scenario's link, and what every evaluation of it shares: the
     linear insertion loss ahead of the PA and PA gain (the source power's
@@ -486,9 +507,16 @@ class _Link:
     only if it succeeds, so a failure raises again, at its own step of
     build_chain's check order, on every call that reaches it.  The first
     point that passes those checks walks the chain once and keeps the
-    walk's (waste factor, gain) in `walk`.  evaluate_link and build_chain
-    build one per call; a sweep builds one per curve and evaluates every
-    point on it.
+    walk's (waste factor, gain) in `walk`.
+
+    evaluate also keeps, in `operating`, what its last (bandwidth, transmit
+    power) pair computed that the PA efficiency does not enter: the
+    transmit power in watts, received power, SNR, rate and both terminals'
+    draws but the PA bank's.  A point at the same pair reads them instead
+    of computing them again; it still runs checked() at its own PA
+    efficiency.  Only a pair whose values were all computed is kept.
+    evaluate_link and build_chain build one link per call; a sweep builds
+    one per curve and evaluates every point on it.
     """
 
     def __init__(self, scenario: LinkScenario) -> None:
@@ -500,20 +528,21 @@ class _Link:
         self.pa_gain = db_to_linear(band.pa_gain_db)
         self.lo_power_w = dbm_to_watts(band.lo_power_dbm)
         self.walk: tuple[float, float] | None = None
+        self.operating: tuple | None = None
 
-    @functools.cached_property
+    @_lazy
     def path_loss_db(self) -> float:
         return self.scenario.path_loss_db()
 
-    @functools.cached_property
+    @_lazy
     def tx_gain_db(self) -> float:
         return self.tx.antenna_gain_db(self.band.carrier_frequency_hz)
 
-    @functools.cached_property
+    @_lazy
     def rx_gain_db(self) -> float:
         return self.rx.antenna_gain_db(self.band.carrier_frequency_hz)
 
-    @functools.cached_property
+    @_lazy
     def channel_loss(self) -> float:
         try:
             return db_to_linear(self.path_loss_db)
@@ -523,11 +552,11 @@ class _Link:
                 f" at {self.band.carrier_frequency_hz:g} Hz: {exc}"
             ) from None
 
-    @functools.cached_property
+    @_lazy
     def receive(self) -> tuple:
         return _receive_side(_rx_fields(self.band, self.rx))
 
-    @functools.cached_property
+    @_lazy
     def stages(self) -> tuple[Component, ...]:
         """The transmit antenna and the channel, then the receive side."""
         return (
@@ -583,38 +612,50 @@ class _Link:
 
         Returns (received power in dBm, SNR in dB, rate in b/s, consumed
         power in W, EIRP in dBm).  A sweep or bisection point is this and
-        nothing more: it builds no report.  The first point to get past the
-        consumed power walks the chain at its own PA efficiency and keeps
-        the walk; only stage gains enter the gain products, and the PA
-        bank's is the PA gain at every efficiency, so that walk checks them
-        for every point.  A walk that raises is not kept.
+        nothing more: it builds no report.  At the (bandwidth, transmit
+        power) pair of the last point that got past the receive draw, the
+        values computed before checked() and after it up to the receive
+        draw are read from `operating`: they succeeded there and are the
+        same floats.  The first point to get past the consumed power walks
+        the chain at its own PA efficiency and keeps the walk; only stage
+        gains enter the gain products, and the PA bank's is the PA gain at
+        every efficiency, so that walk checks them for every point.  A
+        walk that raises is not kept.
         """
         band, tx, rx = self.band, self.tx, self.rx
-        path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
-
-        # Converted first, so that a transmit power too large for a float is
-        # the value an overflow names, not the SNR derived from it.
-        tx_power_w = dbm_to_watts(tx_power_dbm)
-        p_received = received_power_dbm(tx_power_dbm, gain_tx, gain_rx, path_loss)
-        noise = thermal_noise_dbm(bandwidth_hz, band.noise_figure_db)
-        snr = p_received - noise
-        rate = shannon_rate_bps(bandwidth_hz, snr)
+        operating = self.operating
+        if operating is None or operating[0] != bandwidth_hz or operating[1] != tx_power_dbm:
+            operating = None
+            path_loss, gain_tx, gain_rx = self.path_loss_db, self.tx_gain_db, self.rx_gain_db
+            # Converted first, so that a transmit power too large for a float
+            # is the value an overflow names, not the SNR derived from it.
+            tx_power_w = dbm_to_watts(tx_power_dbm)
+            p_received = received_power_dbm(tx_power_dbm, gain_tx, gain_rx, path_loss)
+            noise = thermal_noise_dbm(bandwidth_hz, band.noise_figure_db)
+            snr = p_received - noise
+            rate = shannon_rate_bps(bandwidth_hz, snr)
+        else:
+            _, _, tx_power_w, p_received, snr, rate, tx_fixed, rx_draw = operating
 
         _, transmit = self.checked(pa_efficiency, tx_power_dbm, tx_power_w)
-        _, rx_slope, rx_bank = self.receive
-        arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
-        # The terminal-power model of tx_/rx_power_coefficients, read from
-        # the cache entries checked() has looked up.
-        tx_fixed = _fixed_draw(0.0, self.lo_power_w, band, tx, bandwidth_hz)
+        if operating is None:
+            _, rx_slope, rx_bank = self.receive
+            arrival_w = dbm_to_watts(tx_power_dbm + gain_tx - path_loss)
+            # The terminal-power model of tx_/rx_power_coefficients, read
+            # from the cache entries checked() has looked up.
+            tx_fixed = _fixed_draw(0.0, self.lo_power_w, band, tx, bandwidth_hz)
+            rx_fixed = _fixed_draw(rx_bank, self.lo_power_w, band, rx, bandwidth_hz)
+            rx_draw = terminal_power(rx, rx_slope, rx_fixed, arrival_w)
+            self.operating = (
+                bandwidth_hz, tx_power_dbm, tx_power_w, p_received, snr, rate, tx_fixed, rx_draw
+            )
         tx_draw = terminal_power(tx, transmit.slope, tx_fixed, tx_power_w)
-        rx_fixed = _fixed_draw(rx_bank, self.lo_power_w, band, rx, bandwidth_hz)
-        rx_draw = terminal_power(rx, rx_slope, rx_fixed, arrival_w)
         consumed = tx_draw + rx_draw
         if not consumed < math.inf:
             raise _consumed_fault(band, bandwidth_hz, tx, tx_draw, rx, rx_draw)
         if self.walk is None:  # a gain product that underflows to 0 raises here
             self.walk = _walk((*transmit.stages, *self.stages))
-        return p_received, snr, rate, consumed, tx_power_dbm + gain_tx
+        return p_received, snr, rate, consumed, tx_power_dbm + self.tx_gain_db
 
 
 def _consumed_fault(
@@ -681,7 +722,7 @@ class _TransmitSide:
         self.fields = fields
         self.stages = _transmit_components(*fields, 0.0)
 
-    @functools.cached_property
+    @_lazy
     def slope(self) -> float:
         """The ledger total of the same stages sized for 1 W radiated.
         Computed on first read and kept only if it succeeds, so a chain that

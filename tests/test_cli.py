@@ -68,6 +68,15 @@ _SOURCE_OVERFLOW_TEXT = (
 # One netsim drop at the 14 cells of 150 m, and the counts its bounds name.
 _NETSIM_150 = ["netsim", "--radius", "150", "--drops", "1", "--set"]
 _NETSIM_150_SCALE = "14 cells x 1 drops of up to 6 sectors and 15 UEs"
+# A LoS exponent and base-station aperture whose power control puts a
+# main-lobe link at 1 m past what a float holds.
+_PEAK_OVERFLOW = ["network.ple_los=145.2", "--set", "bs.aperture=1e4 m2"]
+_PEAK_OVERFLOW_TEXT = (
+    "a main-lobe link at 1 m from the EIRP 3157.95 dBm that holds the 20 dB target SNR at the"
+    " 150 m cell edge receives 3111.73 dBm at SNR 3179.68 dB, too large to express in watts or"
+    " as a ratio: LoS exponent 145.2, noise -67.9546 dBm, UE gain 29.1492 dB, base-station"
+    " gain 102.16 dB"
+)
 
 # Golden stdout files and the argv each was recorded from, run in a
 # directory that holds demo.chain (_DEMO_CHAIN).
@@ -732,6 +741,21 @@ class TestExitCodes:
                 "evaluation failed: interference from 13 interferers of up to 1e+308 dBm each,"
                 " sidelobe level -1e+308 dB, is too large to express in watts",
             ),
+            # the solved transmit power overflows the watts conversion: the
+            # SNR target's inputs are named
+            (["sweep-bw", "--points", "4", "--set", "bs.aperture=1e-320 m2"], EXIT_EVAL,
+             "evaluation failed: SNR target 20 dB: the transmit power 3160.09 dBm that holds it"
+             " is too large to express in watts: bandwidth 1e+08 Hz, noise figure 10 dB, path"
+             " loss 115.37 dB, transmit gain -3137.84 dB, receive gain 29.1492 dB"),
+            # the transmit power converts, but a main-lobe link at 1 m does not;
+            # with interference the sidelobe level is not the cause either
+            _netsim_case(
+                _NETSIM_150 + _PEAK_OVERFLOW + ["--no-interference"], EXIT_EVAL,
+                f"evaluation failed: {_PEAK_OVERFLOW_TEXT}",
+            ),
+            _netsim_case(
+                _NETSIM_150 + _PEAK_OVERFLOW, EXIT_EVAL, f"evaluation failed: {_PEAK_OVERFLOW_TEXT}"
+            ),
             # rejected as the scenario is built, at the first run radius, from
             # an estimate of the cell count: no lattice is placed
             _netsim_case(
@@ -759,7 +783,8 @@ class TestExitCodes:
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
             "netsim-bs-screen", "netsim-bs-cooling", "netsim-converters", "netsim-ue-screen",
             "netsim-ue-screen-drop-sum", "netsim-bandwidth", "netsim-bandwidth-sum",
-            "netsim-sidelobe", "netsim-area", "netsim-zero-rate-snr", "netsim-zero-rate-sidelobe",
+            "netsim-sidelobe", "snr-target-power", "netsim-peak", "netsim-peak-interference",
+            "netsim-area", "netsim-zero-rate-snr", "netsim-zero-rate-sidelobe",
         ],
     )
     def test_value_that_overflows_is_named(self, argv, code, message, capsys):

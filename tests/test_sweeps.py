@@ -99,7 +99,10 @@ class TestSweepEvaluation:
         "target, message",
         [
             (math.inf, "SNR target inf dB: transmit power must be finite"),
-            (1e308, "SNR target 1e+308 dB: power 1e+308 dBm is too large to express in watts"),
+            (1e308,
+             "SNR target 1e+308 dB: the transmit power 1e+308 dBm that holds it is too large"
+             " to express in watts: bandwidth 4e+09 Hz, noise figure 10 dB, path loss 115.37 dB,"
+             " transmit gain 59.1492 dB, receive gain 29.1492 dB"),
         ],
         ids=["inf", "1e308"],
     )
@@ -285,18 +288,26 @@ def _oracle_point(scenario, x, snr_target_db):
     if snr_target_db is None:
         report = evaluate_link(scenario)
     else:
-        freq = scenario.band.carrier_frequency_hz
-        tx_power = tx_power_for_snr_dbm(
-            snr_target_db,
-            scenario.band.bandwidth_hz,
-            scenario.band.noise_figure_db,
+        band, freq = scenario.band, scenario.band.carrier_frequency_hz
+        inputs = (
+            band.bandwidth_hz,
+            band.noise_figure_db,
             scenario.path_loss_db(),
             scenario.transmitter.antenna_gain_db(freq),
             scenario.receiver.antenna_gain_db(freq),
         )
+        tx_power = tx_power_for_snr_dbm(snr_target_db, *inputs)
         try:
             report = evaluate_link(replace(scenario, tx_power_dbm=tx_power))
         except ValueError as exc:
+            if str(exc) == f"power {tx_power!r} dBm is too large to express in watts":
+                # the watts conversion of the solved power: its inputs are named
+                raise ValueError(
+                    f"SNR target {snr_target_db:g} dB: the transmit power {tx_power:g} dBm"
+                    " that holds it is too large to express in watts: bandwidth {:g} Hz,"
+                    " noise figure {:g} dB, path loss {:g} dB, transmit gain {:g} dB,"
+                    " receive gain {:g} dB".format(*inputs)
+                ) from exc
             raise ValueError(f"SNR target {snr_target_db:g} dB: {exc}") from exc
     return SweepSample(
         x=x,
@@ -576,10 +587,18 @@ class TestSweepCoreOracle:
         scenario = _dl_140()
         expected = _outcome(_oracle_point, scenario, scenario.band.bandwidth_hz, 1e308)
         assert expected == (
-            ValueError, "SNR target 1e+308 dB: power 1e+308 dBm is too large to express in watts"
+            ValueError,
+            "SNR target 1e+308 dB: the transmit power 1e+308 dBm that holds it is too large to"
+            " express in watts: bandwidth 4e+09 Hz, noise figure 10 dB, path loss 115.37 dB,"
+            " transmit gain 59.1492 dB, receive gain 29.1492 dB",
         )
         assert _outcome(snr_matched_sample, scenario, 1e308) == expected
-        assert _outcome(sweep, _bandwidth_spec(snr=1e308, points=4)) == expected
+        # the sweep fails at its first grid point, whose bandwidth is named
+        spec = _bandwidth_spec(snr=1e308, points=4)
+        assert _outcome(sweep, spec) == _outcome(
+            _oracle_sample, scenario, "bandwidth", spec.lo, 1e308
+        )
+        assert "bandwidth 1e+08 Hz," in _outcome(sweep, spec)[1]
 
 
 

@@ -712,6 +712,97 @@ class TestChainFreeEvaluation:
         assert _outcome(build_chain, scenario) == _outcome(_oracle_chain, scenario)
 
 
+# Values _Link.evaluate's callers accept: bandwidths that pass
+# _check_bandwidth, efficiencies in (0, 1] and finite transmit powers, with
+# extremes at which a point fails (the SNR, rate, PA bank draw, source power
+# or watts conversion) mixed in.
+_WARM_BANDWIDTHS = st.floats(1e6, 1e11) | st.sampled_from([1e-300, 1e300, 1e308])
+_WARM_EFFICIENCIES = st.floats(1e-3, 1.0) | st.sampled_from([5e-324, 1e-300, 1.0])
+_WARM_POWERS = st.floats(-60.0, 60.0) | st.sampled_from(
+    [-4000.0, -300.0, 200.0, 3000.0, 3200.0, 1e308, -1e308]
+)
+
+
+class TestWarmLink:
+    """A link keeps its last operating point (bandwidth, transmit power) and
+    its lazy values; whatever it evaluated before, each point must give what
+    a fresh link gives."""
+
+    @given(
+        _links() | st.sampled_from(sorted(_FAULTS)).map(_faulty),
+        st.lists(_WARM_BANDWIDTHS, min_size=1, max_size=3),
+        st.lists(_WARM_EFFICIENCIES, min_size=1, max_size=3),
+        st.lists(_WARM_POWERS, min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_warm_link_matches_a_fresh_one(
+        self, scenario, bandwidths, efficiencies, powers, indices
+    ):
+        # indices into small pools: operating points repeat, with the same
+        # and with alternating efficiencies, and failing points fall between
+        warm = transceiver._Link(scenario)
+        for b, e, p in indices:
+            point = (
+                bandwidths[b % len(bandwidths)],
+                efficiencies[e % len(efficiencies)],
+                powers[p % len(powers)],
+            )
+            assert _outcome(lambda args: warm.evaluate(*args), point) == _outcome(
+                lambda args: transceiver._Link(scenario).evaluate(*args), point
+            )
+
+    @pytest.mark.parametrize(
+        "fault, points, fails",
+        [
+            # one bandwidth at two powers, then two bandwidths at one power
+            (None, [(1e8, 0.0), (1e8, 10.0), (1e8, 0.0), (4e8, 0.0), (1e8, 0.0)], False),
+            # the PA bank's draw at 1 W overflows after the operating point is
+            # kept, so each repeat reads it and raises at the slope again
+            ("pa-bank-draw-at-1w", [(1e8, 0.0), (1e8, 0.0)], True),
+        ],
+        ids=["fine", "slope-fails"],
+    )
+    def test_repeated_operating_points(self, fault, points, fails):
+        scenario = mmwave_28() if fault is None else _faulty(fault)
+        warm = transceiver._Link(scenario)
+        for bandwidth, power in points:
+            for eta in (0.3, 0.05, 0.3):
+                def evaluate(link):
+                    return link.evaluate(bandwidth, eta, power)
+
+                expected = _outcome(evaluate, transceiver._Link(scenario))
+                assert _outcome(evaluate, warm) == expected
+                assert isinstance(expected[0], type) == fails
+
+    def test_lazy_value_that_fails_raises_on_every_read(self):
+        calls = []
+
+        class Holder:
+            @transceiver._lazy
+            def value(self):
+                calls.append(None)
+                if len(calls) < 3:
+                    raise ValueError(f"failure {len(calls)}")
+                return len(calls)
+
+        holder = Holder()
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match=f"failure {attempt}"):
+                holder.value
+            assert "value" not in vars(holder)
+        assert holder.value == 3
+        assert holder.value == 3 and len(calls) == 3  # kept once it succeeds
+
+        link = transceiver._Link(_faulty("path-loss-overflow"))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                link.channel_loss
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].startswith("path loss over 1e+300 m")
+
+
 class TestTerminalPowerModel:
     def test_consumed_decomposes_into_terminal_shares(self):
         # evaluate_link charges tx slope x transmit power + rx slope x arrival
