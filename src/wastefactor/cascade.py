@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Component",
@@ -235,6 +235,15 @@ def consumption_view(cascade: Cascade) -> Cascade:
     return replace(cascade, components=tuple(merged))
 
 
+def _fold(values: Iterable[float]) -> float:
+    """Left-to-right sum from 0.0.  The built-in sum of floats is compensated
+    from Python 3.12, so its last bits would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def consumed_power(cascade: Cascade) -> float:
     """Total power drawn by the chain: signal path plus non-path overhead.
 
@@ -252,7 +261,7 @@ def consumed_power(cascade: Cascade) -> float:
             f"source power {view.source_power!r} W: the sink power underflows to 0 W"
             " and the waste factor overflows, so the consumed power is undefined"
         )
-    non_path = sum(c.non_path_power for c in cascade.components)
+    non_path = _fold(c.non_path_power for c in cascade.components)
     return signal_path + non_path
 
 
@@ -277,8 +286,8 @@ def bookkeeping_oracle(cascade: Cascade) -> PowerLedger:
             draws.append(0.0)
         else:
             draws.append(power * (comp.waste_factor - 1.0 / comp.gain))
-    total_signal = cascade.source_power + sum(draws)
-    total_non_path = sum(c.non_path_power for c in comps)
+    total_signal = cascade.source_power + _fold(draws)
+    total_non_path = _fold(c.non_path_power for c in comps)
     return PowerLedger(
         per_stage_output=tuple(outputs),
         per_stage_dc=tuple(draws),

@@ -11,9 +11,9 @@ from the scenario seed by spawn key, so adding cells or running drops in a
 different order never reshuffles another cell's draws, and results are
 reduced by index.  Identical seeds produce identical reports byte for byte.
 Each stream is the PCG64 generator that NumPy's seed sequence seeds from the
-scenario seed and the spawn key (cell, drop), but a drop hashes the states of
-all its cells in one batch of uint32 array arithmetic and loads them in turn
-into one reused generator.
+scenario seed and the spawn key (cell, drop), but a drop hashes the seed words
+of all its cells in one batch of uint32 array arithmetic; NumPy's PCG64 then
+seeds each cell's own generator from its four words.
 
 A drop is whole-array work: cells with the same number of interferers sum
 their interference together, in chunks of bounded size, then the serving
@@ -128,11 +128,8 @@ def hex_layout(area_m2: float, cell_radius_m: float) -> CellLayout:
     return CellLayout(cell_radius_m=r, area_side_m=side, bs_positions=tuple(positions))
 
 
-# NumPy's seed-sequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# multiplier (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
-# Statistically Good Algorithms for Random Number Generation").
+# NumPy's seed-sequence hash (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -140,7 +137,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(value: int) -> list[int]:
@@ -188,56 +184,48 @@ def _absorb(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
 _STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), np.uint32)[:, None]
 
 
-def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
-    """PCG64's (state, inc) seeded from four generate_state words: inc is
-    2 i + 1, then two steps from state 0 add the seed s."""
-    s_hi, s_lo, i_hi, i_lo = words.tolist()
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
-
-
-class _Streams:
-    """The random streams of one seed, one per (cell, drop).
+def _stream_words(seed: int, cells: np.ndarray, drop: int) -> np.ndarray:
+    """generate_state(4, np.uint64) of each cell's stream in the drop, as
+    native, C-contiguous uint64 of shape (cells, 4).
 
     Each stream is the PCG64 generator that NumPy's seed sequence of the seed
     with spawn key (cell, drop) seeds: the seed's words (at least four), the
     cell's word and the drop's words are hashed into a pool of four words,
     which is hashed into PCG64's seed words.  The seed's share of the pool is
-    NumPy's own SeedSequence(seed).pool; states() hashes the rest for all
-    cells of a drop at once, as uint32 arrays of shape (pool word, cell), and
-    fill() seeds a single reused generator from one cell's words."""
+    NumPy's own SeedSequence(seed).pool; the rest is hashed for all cells at
+    once, as uint32 arrays of shape (pool word, cell)."""
+    # That pool took four hash constants per pool word, then four per seed
+    # word past the fourth; the spawn key's words take the next.
+    extra = max(0, len(_words(seed)) - _POOL_SIZE)  # raises on a negative seed
+    if len(cells) and not (cells.min() >= 0 and cells.max() <= _MASK32):
+        raise ValueError("cell indices must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    hash_const = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))[-1]
+    for key in (cells.astype(np.uint32), *_words(drop)):
+        pool, hash_const = _absorb(pool, hash_const, key)
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+    # PCG64 reads the words' memory as native uint64, unchecked
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
-    def __init__(self, seed: int):
-        # That pool took four hash constants per pool word, then four per
-        # seed word past the fourth; the spawn key's words take the next.
-        extra = max(0, len(_words(seed)) - _POOL_SIZE)  # raises on a negative seed
-        self._pool = np.random.SeedSequence(seed).pool[:, None]
-        count = _POOL_SIZE * (_POOL_SIZE + extra)
-        self._hash_const = _hash_constants(_INIT_A, _MULT_A, count)[-1]
-        self._bit_generator = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bit_generator)
 
-    def states(self, cells: np.ndarray, drop: int) -> np.ndarray:
-        """generate_state(4, np.uint64) of each cell's stream in the drop,
-        shape (cells, 4)."""
-        if len(cells) and not (cells.min() >= 0 and cells.max() <= _MASK32):
-            raise ValueError("cell indices must lie in [0, 2**32)")
-        pool, hash_const = self._pool, self._hash_const
-        for key in (cells.astype(np.uint32), *_words(drop)):
-            pool, hash_const = _absorb(pool, hash_const, key)
-        state = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
-        return np.ascontiguousarray(state.T, "<u4").view("<u8")
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One stream's four seed words, given to PCG64 as its seed sequence:
+    PCG64 asks for generate_state(4, np.uint64) and seeds itself from them."""
 
-    def fill(self, words: np.ndarray, out: np.ndarray) -> None:
-        """Fill out with uniform doubles from the start of one stream."""
-        state, inc = _pcg64_state(words)
-        self._bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._generator.random(out=out)
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _fill(words: np.ndarray, rows: np.ndarray) -> None:
+    """Fill each row with uniform doubles from the start of the stream that
+    the matching row of _stream_words seeds."""
+    for seed_words, row in zip(words, rows):
+        np.random.Generator(np.random.PCG64(_Words(seed_words))).random(out=row)
 
 
 # Flat-top hexagon vertices, unit circumradius, counterclockwise.
@@ -269,10 +257,8 @@ def drop_ues(layout: CellLayout, ues_per_cell: int, seed: int) -> np.ndarray:
     on (seed, cell index), never on how many cells exist."""
     if ues_per_cell < 1:
         raise ValueError("ues_per_cell must be >= 1")
-    streams = _Streams(seed)
     u = np.empty((layout.n_cells, ues_per_cell, 3))
-    for row, state in zip(u, streams.states(np.arange(layout.n_cells), 0)):
-        streams.fill(state, row)
+    _fill(_stream_words(seed, np.arange(layout.n_cells), 0), u)
     centres = np.asarray(layout.bs_positions).reshape(-1, 1, 2)
     return centres + _hex_offsets(u, layout.cell_radius_m)
 
@@ -551,8 +537,8 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _simulate_drop(
-    s: NetworkScenario, rc: _RadioConstants, streams: _Streams, chunks: list[_Chunk],
-    n_cells: int, drop_idx: int, side: float,
+    s: NetworkScenario, rc: _RadioConstants, chunks: list[_Chunk], n_cells: int, drop_idx: int,
+    side: float,
 ) -> tuple[float, float, float, int]:
     """Rate, power, summed SINR (dB) and LoS count of one drop.
 
@@ -565,12 +551,11 @@ def _simulate_drop(
     offsets = np.empty((n_cells, n, 2))
     u_serving = np.empty((n_cells, n))
     interference_w = np.zeros((n_cells, n))
-    states = streams.states(np.arange(n_cells), drop_idx)
+    words = _stream_words(s.seed, np.arange(n_cells), drop_idx)
     for chunk in chunks:
         c, k = chunk.interferers.shape[1:]
         u = np.empty((c, 4 * n + 2 * n * k))
-        for row, cell in zip(u, chunk.cells.tolist()):
-            streams.fill(states[cell], row)
+        _fill(words[chunk.cells], u)
         chunk_offsets = _hex_offsets(u[:, : 3 * n].reshape(c, n, 3), s.cell_radius_m)
         offsets[chunk.cells] = chunk_offsets
         u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
@@ -625,7 +610,6 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario, layout.n_cells, max(map(len, neighbors)))
-    streams = _Streams(scenario.seed)
 
     drop_rates = np.empty(scenario.drops)
     drop_powers = np.empty(scenario.drops)
@@ -633,7 +617,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     los_count = 0
     for drop in range(scenario.drops):
         rate, power, sinr_db, los = _simulate_drop(
-            scenario, rc, streams, chunks, layout.n_cells, drop, layout.area_side_m
+            scenario, rc, chunks, layout.n_cells, drop, layout.area_side_m
         )
         drop_rates[drop] = rate
         drop_powers[drop] = power

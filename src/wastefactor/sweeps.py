@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -155,15 +156,21 @@ def _evaluate_point(
 
 def sweep(spec: SweepSpec) -> Curve:
     """Evaluate the grid in order, one sample per grid point, on one link
-    that the curve's evaluator goes on using."""
+    that the curve's evaluator goes on using.  A grid that rounds two finite
+    points to one value raises before any point is evaluated."""
+    grid = _grid(spec)
+    # a point that is not finite is left to the evaluation, which names it
+    if any(a >= b for a, b in zip(grid, grid[1:]) if b < math.inf):
+        raise ValueError(
+            f"a {spec.points}-point {spec.parameter} grid from {spec.lo!r} to {spec.hi!r}"
+            f" ({spec.unit}) repeats a value: the range is too narrow for that many points"
+        )
     link = _Link(spec.scenario)
 
     def evaluate(x: float) -> SweepSample:
         return _evaluate_point(link, spec.parameter, x, spec.snr_target_db)
 
-    return Curve(
-        unit=spec.unit, samples=tuple(evaluate(x) for x in _grid(spec)), evaluator=evaluate
-    )
+    return Curve(unit=spec.unit, samples=tuple(map(evaluate, grid)), evaluator=evaluate)
 
 
 def _refine(

@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .cascade import (
     Cascade,
     Component,
+    _fold,
     _require_non_path,
     _walk,
     bookkeeping_oracle,
@@ -762,7 +763,7 @@ def _receive_side(fields: tuple) -> tuple[tuple[Component, ...], float, float]:
         make_passive("mixer", db_to_linear(mixer_loss_db)),
     )
     ledger = bookkeeping_oracle(Cascade(components=stages, source_power=1.0))
-    return stages, sum(ledger.per_stage_dc), ledger.total_non_path
+    return stages, _fold(ledger.per_stage_dc), ledger.total_non_path
 
 
 def tx_power_coefficients(

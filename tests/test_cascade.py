@@ -222,6 +222,15 @@ class TestBookkeepingOracle:
         assert ledger.total_non_path == pytest.approx(0.25)
         assert ledger.total_consumed == pytest.approx(ledger.total_signal_path + 0.25)
 
+    def test_total_is_a_left_to_right_fold(self):
+        # Python 3.12's compensated sum gives 49.650425541051995 here
+        chain = _chain(
+            make_passive("in", db_to_linear(5.0)),
+            make_amplifier("amp", gain=db_to_linear(20.0), efficiency=0.65),
+            make_passive("out", db_to_linear(3.0)),
+        )
+        assert bookkeeping_oracle(chain).total_consumed == 49.65042554105199
+
     def test_directive_draws_nothing(self):
         chain = _chain(make_directive("horn", gain=1000.0))
         ledger = bookkeeping_oracle(chain)

@@ -778,6 +778,17 @@ class TestExitCodes:
                 "evaluation failed: the rate at cell radius 150 m is 0 b/s: mean SINR -3054.19 dB"
                 " at target SNR 20 dB, sidelobe level -3070 dB",
             ),
+            # a range too narrow for its points rounds two of them to one
+            # value; the grid is named before any point is evaluated
+            (["sweep-pa", "--lo", "0.5", "--hi", "0.5000000000000001", "--points", "3"],
+             EXIT_EVAL,
+             "evaluation failed: a 3-point pa_efficiency grid from 0.5 to 0.5000000000000001"
+             " (fraction) repeats a value: the range is too narrow for that many points"),
+            (["sweep-bw", "--lo-ghz", "1", "--hi-ghz", "1.0000000000000002", "--points", "5"],
+             EXIT_EVAL,
+             f"evaluation failed: a 5-point bandwidth grid from {1e9!r} to"
+             f" {1.0000000000000002 * 1e9!r} (Hz) repeats a value: the range is too narrow"
+             " for that many points"),
         ],
         ids=[
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
@@ -785,6 +796,7 @@ class TestExitCodes:
             "netsim-ue-screen-drop-sum", "netsim-bandwidth", "netsim-bandwidth-sum",
             "netsim-sidelobe", "snr-target-power", "netsim-peak", "netsim-peak-interference",
             "netsim-area", "netsim-zero-rate-snr", "netsim-zero-rate-sidelobe",
+            "sweep-pa-grid", "sweep-bw-grid",
         ],
     )
     def test_value_that_overflows_is_named(self, argv, code, message, capsys):

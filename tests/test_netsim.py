@@ -31,14 +31,15 @@ from wastefactor.netsim import (
     sweep_radius,
 )
 from wastefactor.netsim import (
-    _Streams,
+    _Words,
     _chunks,
+    _fill,
     _hex_offsets,
     _interference_w,
     _neighbor_lists,
     _path_loss_db,
-    _pcg64_state,
     _radio_constants,
+    _stream_words,
 )
 from wastefactor.transceiver import (
     _MAX_CELLS,
@@ -842,32 +843,58 @@ class TestStreams:
     def test_states_match_numpy(self, seed, cells, drop):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            words = _Streams(seed).states(np.array(cells), drop)
-            states = [_pcg64_state(row) for row in words]
+            words = _stream_words(seed, np.array(cells), drop)
+            states = [np.random.PCG64(_Words(row)).state["state"] for row in words]
+            out = np.empty((len(cells), 5))
+            _fill(words, out)
         assert words.tolist() == [_numpy_words(seed, cell, drop) for cell in cells]
-        assert states == [_numpy_state(seed, cell, drop) for cell in cells]
+        assert [(state["state"], state["inc"]) for state in states] == [
+            _numpy_state(seed, cell, drop) for cell in cells
+        ]
+        expected = [_cell_rng(seed, cell, drop).random(5) for cell in cells]
+        assert np.array_equal(out, np.array(expected))
 
     def test_fill_draws_the_reference_stream(self):
-        streams = _Streams(5)
         out = np.empty((4, 33))
-        for row, state in zip(out, streams.states(np.arange(4), 9)):
-            streams.fill(state, row)
+        _fill(_stream_words(5, np.arange(4), 9), out)
         expected = [_cell_rng(5, cell, 9).random(33) for cell in range(4)]
         assert np.array_equal(out, np.array(expected))
 
+    @pytest.mark.parametrize("n_cells", [0, 1, 5])
+    def test_words_are_native_contiguous_uint64(self, n_cells):
+        # PCG64 reads the words' memory without checking its type or length
+        words = _stream_words(2**200, np.arange(n_cells), 3)
+        assert words.dtype == np.uint64 and words.dtype.isnative
+        assert words.flags.c_contiguous
+        assert words.shape == (n_cells, 4)
+
+    def test_fill_order_does_not_matter(self):
+        # nothing is shared between streams, so any order gives the same rows
+        words = _stream_words(7, np.arange(6), 2)
+        together = np.empty((6, 40))
+        _fill(words, together)
+        shuffled = np.empty((6, 40))
+        for cell in (4, 1, 5, 0, 3, 2):
+            _fill(words[cell : cell + 1], shuffled[cell : cell + 1])
+        assert np.array_equal(shuffled, together)
+        interleaved = np.empty((6, 40))
+        _fill(words[1::2], interleaved[1::2])
+        _fill(words[::2], interleaved[::2])
+        assert np.array_equal(interleaved, together)
+
     def test_no_cells(self):
-        assert _Streams(1).states(np.arange(0), 0).shape == (0, 4)
+        assert _stream_words(1, np.arange(0), 0).shape == (0, 4)
 
     @pytest.mark.parametrize("cells", [[2**32], [0, 2**32 + 1], [-1]])
     def test_cell_index_out_of_range_raises(self, cells):
         with pytest.raises(ValueError, match="cell indices"):
-            _Streams(1).states(np.array(cells), 0)
+            _stream_words(1, np.array(cells), 0)
 
     def test_negative_seed_or_drop_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
-            _Streams(-1)
+            _stream_words(-1, np.arange(3), 0)
         with pytest.raises(ValueError, match="non-negative"):
-            _Streams(1).states(np.arange(3), -2)
+            _stream_words(1, np.arange(3), -2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**200])
     def test_drops_raise_no_numpy_warnings(self, seed):

@@ -12,7 +12,6 @@ from wastefactor.cascade import (
     cascade_waste_factor,
     waste_figure_db,
 )
-from wastefactor.netsim import NetworkScenario
 from wastefactor.scenario_io import (
     PRESET_DIR_ENV,
     ScenarioParseError,
@@ -27,6 +26,7 @@ from wastefactor.scenario_io import (
 )
 from wastefactor.transceiver import (
     LinkScenario,
+    NetworkScenario,
     build_chain,
     mmwave_28,
     preset_scenario,
