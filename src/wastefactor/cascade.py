@@ -8,8 +8,9 @@ the DC overhead of active stages.  Cascade evaluation walks the chain from
 the sink backwards so that each stage's waste is referred to the cascade
 output through the gain of everything downstream of it.  A chain whose
 gain product, source to sink or sink back to the second stage, underflows
-to 0 has no waste factor or gain: each function that walks it raises,
-naming the component where the product reaches 0.
+to 0, or whose gain or waste factor overflows to inf, has no waste factor
+or gain: each function that walks it raises, naming the component where
+the product or the waste factor's running total leaves the floats.
 """
 
 from __future__ import annotations
@@ -158,7 +159,9 @@ def _walk(components: tuple[Component, ...]) -> tuple[float, float]:
     walks back from the sink: each stage's excess waste (W_i - 1) is divided
     by the product of the gains downstream of it.  Both products are formed
     here, the forward one first, and the first that underflows to 0 raises,
-    naming the component where it does.
+    naming the component where it does.  After both, a gain that overflows
+    to inf raises, and then a waste factor that does, each naming the first
+    component where it reaches inf.
     """
     gain = 1.0
     for component in components:
@@ -172,11 +175,33 @@ def _walk(components: tuple[Component, ...]) -> tuple[float, float]:
         if downstream == 0.0:
             raise _underflow(follower)
         total += (component.waste_factor - 1.0) / downstream
+    if gain == math.inf or total == math.inf:
+        raise _overflow(components)
     return total, gain
 
 
 def _underflow(component: Component) -> ValueError:
     return ValueError(f"the gain product underflows to 0 at component {component.label!r}")
+
+
+def _overflow(components: tuple[Component, ...]) -> ValueError:
+    """The error for a chain whose gain or waste factor _walk found inf,
+    naming the first component where the gain product, or else the waste
+    factor's running total, reaches inf: _walk's loops again, run on this
+    failing path only."""
+    gain = 1.0
+    for component in components:
+        gain *= component.gain
+        if gain == math.inf:
+            return ValueError(f"the gain product overflows at component {component.label!r}")
+    total = components[-1].waste_factor
+    downstream = 1.0
+    for follower, component in zip(components[:0:-1], components[-2::-1]):
+        downstream *= follower.gain
+        total += (component.waste_factor - 1.0) / downstream
+        if total == math.inf:
+            break
+    return ValueError(f"the waste factor overflows at component {component.label!r}")
 
 
 def cascade_gain(cascade: Cascade) -> float:
@@ -249,18 +274,11 @@ def consumed_power(cascade: Cascade) -> float:
 
     The signal-path share is the sink signal power times the waste factor of
     the consumption view of the chain, which for chains without directive
-    stages is exactly sink_power * cascade_waste_factor(cascade).  Where the
-    sink power underflows to 0 W and the waste factor overflows to inf, their
-    product is no number: that raises ValueError, naming the source power.
+    stages is exactly sink_power * cascade_waste_factor(cascade).
     """
     view = consumption_view(cascade)
     waste, gain = _walk(view.components)
     signal_path = view.source_power * gain * waste
-    if math.isnan(signal_path):
-        raise ValueError(
-            f"source power {view.source_power!r} W: the sink power underflows to 0 W"
-            " and the waste factor overflows, so the consumed power is undefined"
-        )
     non_path = _fold(c.non_path_power for c in cascade.components)
     return signal_path + non_path
 

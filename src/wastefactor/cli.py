@@ -281,6 +281,12 @@ def cmd_chain(args, stdout: TextIO) -> int:
     gain = cascade_gain(cascade)
     consumed = consumed_power(cascade)
     delivered = cascade.source_power * gain
+    for name, power in (("delivered", delivered), ("consumed", consumed)):
+        if power == math.inf:
+            raise ValueError(
+                f"the {name} power is too large to express in watts: source power"
+                f" {args.source_dbm:g} dBm, cascade gain {linear_to_db(gain):g} dB"
+            )
     stages = [(c.label, linear_to_db(c.gain), c.waste_factor) for c in cascade.components]
     report = [
         f"{len(stages)} components, source {args.source_dbm:g} dBm",

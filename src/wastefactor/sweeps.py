@@ -156,14 +156,22 @@ def _evaluate_point(
 
 def sweep(spec: SweepSpec) -> Curve:
     """Evaluate the grid in order, one sample per grid point, on one link
-    that the curve's evaluator goes on using.  A grid that rounds two finite
-    points to one value raises before any point is evaluated."""
+    that the curve's evaluator goes on using.  A grid between finite ends
+    that spaces a point past the floats, or that rounds two finite points to
+    one value, raises before any point is evaluated."""
     grid = _grid(spec)
-    # a point that is not finite is left to the evaluation, which names it
-    if any(a >= b for a, b in zip(grid, grid[1:]) if b < math.inf):
+    # a point past an end that is not finite is left to the evaluation,
+    # which names it
+    if spec.hi < math.inf and max(grid) == math.inf:
+        fault = "spaces a point that is not finite: the range is too wide"
+    elif any(a >= b for a, b in zip(grid, grid[1:]) if b < math.inf):
+        fault = "repeats a value: the range is too narrow for that many points"
+    else:
+        fault = None
+    if fault:
         raise ValueError(
             f"a {spec.points}-point {spec.parameter} grid from {spec.lo!r} to {spec.hi!r}"
-            f" ({spec.unit}) repeats a value: the range is too narrow for that many points"
+            f" ({spec.unit}) {fault}"
         )
     link = _Link(spec.scenario)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -75,6 +76,10 @@ USER_EQUIPMENT = "user-equipment"
 # Entries held by each terminal-side cache.  A PA-efficiency grid over four
 # element counts needs 256 transmit keys; each bisection adds a few more.
 _SLOPE_CACHE_SIZE = 1024
+
+# The smallest CEF a link evaluates to, in b/J: below the smallest normal
+# float it loses precision, and in Gb/J it can print as 0.
+_MIN_CEF_BPJ = sys.float_info.min
 
 # A drop holds (cells, UEs) float arrays; at this bound one is 7.5 MB for the
 # 941 cells of 20 m radius in 1 km2, and a one-cell chunk stays near 1 MB.
@@ -507,8 +512,9 @@ class _Link:
     antenna to the sink (`stages`), each computed on first use and kept
     only if it succeeds, so a failure raises again, at its own step of
     build_chain's check order, on every call that reaches it.  The first
-    point that passes those checks walks the chain once and keeps the
-    walk's (waste factor, gain) in `walk`.
+    point that passes those checks walks the chain and keeps the walk's
+    (waste factor, gain) in `walk`, and its PA efficiency in
+    `walk_efficiency`; a later point walks again only at a lower efficiency.
 
     evaluate also keeps, in `operating`, what its last (bandwidth, transmit
     power) pair computed that the PA efficiency does not enter: the
@@ -529,6 +535,7 @@ class _Link:
         self.pa_gain = db_to_linear(band.pa_gain_db)
         self.lo_power_w = dbm_to_watts(band.lo_power_dbm)
         self.walk: tuple[float, float] | None = None
+        self.walk_efficiency = math.inf
         self.operating: tuple | None = None
 
     @_lazy
@@ -617,11 +624,16 @@ class _Link:
         power) pair of the last point that got past the receive draw, the
         values computed before checked() and after it up to the receive
         draw are read from `operating`: they succeeded there and are the
-        same floats.  The first point to get past the consumed power walks
-        the chain at its own PA efficiency and keeps the walk; only stage
-        gains enter the gain products, and the PA bank's is the PA gain at
-        every efficiency, so that walk checks them for every point.  A
-        walk that raises is not kept.
+        same floats.  A point that gets past the consumed power walks the
+        chain at its own PA efficiency, if that is below every efficiency
+        walked before, and keeps the walk.  Only stage gains enter the gain
+        products, and the PA bank's is the PA gain at every efficiency, so
+        one walk checks them for every point.  The PA bank's waste
+        1/eta + 1/G only falls as eta rises, and the waste factor with it,
+        so a waste factor that stays finite at one efficiency does at every
+        higher one.  A walk that raises is not kept.  A rate of 0 b/s, naming
+        what sets the SNR, and then a CEF below the smallest normal float
+        raise last.
         """
         band, tx, rx = self.band, self.tx, self.rx
         operating = self.operating
@@ -654,9 +666,29 @@ class _Link:
         consumed = tx_draw + rx_draw
         if not consumed < math.inf:
             raise _consumed_fault(band, bandwidth_hz, tx, tx_draw, rx, rx_draw)
-        if self.walk is None:  # a gain product that underflows to 0 raises here
+        if pa_efficiency < self.walk_efficiency:  # a walk out of range raises here
             self.walk = _walk((*transmit.stages, *self.stages))
+            self.walk_efficiency = pa_efficiency
+        if rate / consumed < _MIN_CEF_BPJ:
+            raise self._cef_fault(bandwidth_hz, tx_power_dbm, snr, rate, consumed)
         return p_received, snr, rate, consumed, tx_power_dbm + self.tx_gain_db
+
+    def _cef_fault(
+        self, bandwidth_hz: float, tx_power_dbm: float, snr: float, rate: float, consumed: float
+    ) -> ValueError:
+        """A rate of 0 b/s, naming what sets the SNR, or else a CEF below
+        the smallest normal float, naming the rate and the consumed power."""
+        if rate == 0.0:
+            return ValueError(
+                f"the rate is 0 b/s at SNR {snr:g} dB: bandwidth {bandwidth_hz:g} Hz, transmit"
+                f" power {tx_power_dbm:g} dBm, path loss {self.path_loss_db:g} dB, transmit gain"
+                f" {self.tx_gain_db:g} dB, receive gain {self.rx_gain_db:g} dB, noise figure"
+                f" {self.band.noise_figure_db:g} dB"
+            )
+        return ValueError(
+            f"the CEF {rate / consumed:g} b/J is too small to express: rate {rate:g} b/s"
+            f" over consumed power {consumed:g} W"
+        )
 
 
 def _consumed_fault(

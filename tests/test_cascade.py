@@ -341,15 +341,29 @@ class TestConsumedPower:
         assert consumed_power(chain) == pytest.approx(bookkeeping_oracle(chain).total_consumed, rel=1e-9)
 
 
-def _reference_underflow(components):
-    """The label of the component where a gain product first reaches 0, or
-    None: source to sink, then sink back to the second stage."""
+def _reference_fault(components):
+    """The message for a chain the walk cannot finish, or None, with the
+    products formed by plain loops: a gain product that reaches 0, source
+    to sink, then sink back to the second stage; then a gain product, source
+    to sink, that reaches inf; then a waste factor whose running total from
+    the sink does."""
     for order in (components, components[:0:-1]):
         product = 1.0
         for component in order:
             product *= component.gain
             if product == 0.0:
-                return component.label
+                return f"the gain product underflows to 0 at component {component.label!r}"
+    product = 1.0
+    for component in components:
+        product *= component.gain
+        if product == math.inf:
+            return f"the gain product overflows at component {component.label!r}"
+    waste, downstream = components[-1].waste_factor, 1.0
+    for i in range(len(components) - 2, -1, -1):
+        downstream *= components[i + 1].gain
+        waste += (components[i].waste_factor - 1.0) / downstream
+        if waste == math.inf:
+            return f"the waste factor overflows at component {components[i].label!r}"
     return None
 
 
@@ -359,20 +373,6 @@ def _fits_a_float(loss_db):
     except ValueError:
         return False
     return True
-
-
-def _reference_signal_path(chain):
-    """Source power x gain x waste factor, the products formed by plain
-    loops; for a chain with no directive stage and no gain product of 0."""
-    comps = chain.components
-    gain = 1.0
-    for component in comps:
-        gain *= component.gain
-    waste, downstream = comps[-1].waste_factor, 1.0
-    for i in range(len(comps) - 2, -1, -1):
-        downstream *= comps[i + 1].gain
-        waste += (comps[i].waste_factor - 1.0) / downstream
-    return chain.source_power * gain * waste
 
 
 @st.composite
@@ -398,11 +398,13 @@ _WALKING = (cascade_waste_factor, cascade_gain, waste_figure_db, consumed_power)
 
 class TestWalkContract:
     """Each public function that walks a chain returns a number or raises
-    naming the component where a gain product underflows to 0."""
+    naming the component where a gain product underflows to 0, or where the
+    gain product or the waste factor overflows to inf."""
 
     @given(_extreme_chain())
     @example(
-        # 1e-10 W at the sink underflows to 0 W, the waste factor to inf
+        # 1e-10 W at the sink underflows to 0 W, and the waste factor, the
+        # first loss over a downstream gain of 1e-23, overflows at a
         _chain(
             make_passive("a", db_to_linear(3000.0)),
             make_passive("b", db_to_linear(80.0)),
@@ -412,25 +414,18 @@ class TestWalkContract:
     )
     @settings(max_examples=400, deadline=None)
     def test_returns_a_number_or_names_the_component(self, chain):
-        label = _reference_underflow(chain.components)
+        message = _reference_fault(chain.components)
         for fn in _WALKING:
-            if label is None and fn is consumed_power and math.isnan(_reference_signal_path(chain)):
-                with pytest.raises(ValueError) as info:
-                    fn(chain)
-                assert str(info.value) == (
-                    f"source power {chain.source_power!r} W: the sink power underflows to 0 W"
-                    " and the waste factor overflows, so the consumed power is undefined"
-                )
-            elif label is None:
+            if message is None:
                 value = fn(chain)
-                assert isinstance(value, float) and not math.isnan(value)
+                assert isinstance(value, float)
+                # the source power times the sink's gain may under- or overflow
+                assert math.isfinite(value) or (fn is consumed_power and value == math.inf)
             else:
                 # a ZeroDivisionError is no ValueError, so it fails here too
                 with pytest.raises(ValueError) as info:
                     fn(chain)
-                assert str(info.value) == (
-                    f"the gain product underflows to 0 at component {label!r}"
-                )
+                assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "components, label",
@@ -457,6 +452,36 @@ class TestWalkContract:
             with pytest.raises(ValueError) as info:
                 fn(chain)
             assert str(info.value) == f"the gain product underflows to 0 at component {label!r}"
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            # 1e300 x 1e300 is inf at b
+            ([make_amplifier("a", 1e300, 1.0), make_amplifier("b", 1e300, 1.0)],
+             "the gain product overflows at component 'b'"),
+            # a's excess waste over b's gain of 1e-10 is inf
+            ([make_passive("a", 1e300), make_passive("b", 1e10)],
+             "the waste factor overflows at component 'a'"),
+            # the gain product overflows at b, and sink back it reaches 0 at c:
+            # the underflow is named
+            ([make_amplifier("a", 1e300, 1.0), make_amplifier("b", 1e300, 1.0),
+              make_passive("c", 1e300), make_passive("d", 1e300)],
+             "the gain product underflows to 0 at component 'c'"),
+            # the gain product overflows at b and the waste factor at c: the
+            # gain is named
+            ([make_amplifier("a", 1e300, 1.0), make_amplifier("b", 1e300, 1.0),
+              make_passive("c", 1e300), make_passive("d", 1e10)],
+             "the gain product overflows at component 'b'"),
+        ],
+        ids=["gain", "waste", "underflow-first", "gain-first"],
+    )
+    def test_overflowing_chain_names_the_component(self, components, message):
+        chain = _chain(*components)
+        assert _reference_fault(chain.components) == message
+        for fn in _WALKING:
+            with pytest.raises(ValueError) as info:
+                fn(chain)
+            assert str(info.value) == message
 
     def test_empty_cascade_rejected_at_construction(self):
         with pytest.raises(ValueError, match="^cascade has no components to evaluate$"):

@@ -1,18 +1,22 @@
 """Tests for cli.py — subcommands, exit codes, CSV outputs."""
+import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wastefactor
 from wastefactor import sweeps, transceiver
 from wastefactor.cli import EXIT_EVAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from wastefactor.scenario_io import PRESET_DIR_ENV, serialize_scenario
+from wastefactor.scenario_io import _KINDS, _SECTIONS, PRESET_DIR_ENV, serialize_scenario
 from wastefactor.sweeps import CURVE_CSV_HEADER
 from wastefactor.transceiver import mmwave_28
 
@@ -567,10 +571,10 @@ class TestExitCodes:
         assert (code, out) == (EXIT_EVAL, "")
         assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
-    def test_chain_whose_consumed_power_is_no_number_names_the_source(self, tmp_path, capsys):
+    def test_chain_whose_waste_factor_overflows_names_the_component(self, tmp_path, capsys):
         # 1e-10 W times a gain of about 1e-323 underflows to 0 W, and the
         # waste factor, the first loss over a downstream gain of 1e-23,
-        # overflows to inf: their product would print as nan
+        # overflows to inf at a: their product would print as nan
         path = tmp_path / "nan.chain"
         path.write_text(
             "passive a loss=3000dB\npassive b loss=80dB\namp c gain=-150dB eta=1\n",
@@ -579,8 +583,7 @@ class TestExitCodes:
         code, out = _run(["chain", str(path), "--source-dbm", "-70"])
         assert (code, out) == (EXIT_EVAL, "")
         assert capsys.readouterr().err == (
-            f"wastefactor: evaluation failed: source power {1e-10!r} W: the sink power"
-            " underflows to 0 W and the waste factor overflows, so the consumed power is undefined\n"
+            "wastefactor: evaluation failed: the waste factor overflows at component 'a'\n"
         )
 
     def test_bandwidth_whose_snr_overflows_names_the_value(self, capsys):
@@ -789,6 +792,15 @@ class TestExitCodes:
              f"evaluation failed: a 5-point bandwidth grid from {1e9!r} to"
              f" {1.0000000000000002 * 1e9!r} (Hz) repeats a value: the range is too narrow"
              " for that many points"),
+            # both ends are finite, but hi / lo overflows, so every point
+            # past the first would be inf
+            (["sweep-bw", "--lo-ghz", "1e-150", "--hi-ghz", "1e160", "--points", "4"],
+             EXIT_EVAL,
+             f"evaluation failed: a 4-point bandwidth grid from {1e-150 * 1e9!r} to"
+             f" {1e160 * 1e9!r} (Hz) spaces a point that is not finite: the range is too wide"),
+            # the upper end itself is inf in Hz: the band names the point
+            (["sweep-bw", "--hi-ghz", "1e308", "--points", "4"], EXIT_EVAL,
+             "evaluation failed: subthz-140: bandwidth must be positive and finite"),
         ],
         ids=[
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
@@ -796,7 +808,7 @@ class TestExitCodes:
             "netsim-ue-screen-drop-sum", "netsim-bandwidth", "netsim-bandwidth-sum",
             "netsim-sidelobe", "snr-target-power", "netsim-peak", "netsim-peak-interference",
             "netsim-area", "netsim-zero-rate-snr", "netsim-zero-rate-sidelobe",
-            "sweep-pa-grid", "sweep-bw-grid",
+            "sweep-pa-grid", "sweep-bw-grid", "sweep-bw-grid-overflow", "sweep-bw-hi-inf",
         ],
     )
     def test_value_that_overflows_is_named(self, argv, code, message, capsys):
@@ -804,6 +816,38 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert _run(argv) == (code, "")
         assert capsys.readouterr().err == f"wastefactor: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # log2(1 + SNR) is 0 at an SNR of about -2963 dB
+            (["link", "--set", "link.tx_power=-3000 dBm"],
+             "the rate is 0 b/s at SNR -2963.1 dB: bandwidth 4e+08 Hz, transmit power"
+             " -3000 dBm, path loss 101.391 dB, transmit gain 15.1698 dB, receive gain"
+             " 45.1698 dB, noise figure 10 dB"),
+            # the first cell, mmwave-28's LoS uplink, has a path loss of 2061 dB
+            (["table1", "--set", "link.ple_los=100"],
+             "the rate is 0 b/s at SNR -1923.1 dB: bandwidth 4e+08 Hz, transmit power"
+             " 0 dBm, path loss 2061.39 dB, transmit gain 15.1698 dB, receive gain"
+             " 45.1698 dB, noise figure 10 dB"),
+            # the solved transmit power holds the target, whose rate is 0
+            (["sweep-bw", "--points", "3", "--snr", "-3000"],
+             "SNR target -3000 dB: the rate is 0 b/s at SNR -3000 dB: bandwidth 1e+08 Hz,"
+             " transmit power -3056.9 dBm, path loss 115.37 dB, transmit gain 59.1492 dB,"
+             " receive gain 29.1492 dB, noise figure 10 dB"),
+            # about 1e-288 b/s over the 1e302 W an LNA bank of figure of merit
+            # 1e-300 draws
+            (["link", "--set", "band.bandwidth=1e-300 GHz", "--set", "band.lna_fom=1e-300"],
+             "the CEF 0 b/J is too small to express: rate 1.00752e-288 b/s over consumed"
+             " power 1.2288e+302 W"),
+        ],
+        ids=["link", "table1", "sweep-bw-snr", "cef-underflow"],
+    )
+    def test_zero_rate_or_cef_is_named(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(argv) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
 
     @pytest.mark.parametrize(
         "args, row",
@@ -1036,6 +1080,35 @@ class TestChainCommand:
         assert code == EXIT_OK
         assert "delivered power: 0.501187 W" in out
 
+    @pytest.mark.parametrize(
+        "lines, source_dbm, message",
+        [
+            # 1e300 x 1e300 is inf at b
+            (["amp a gain=3000dB eta=1", "amp b gain=3000dB eta=1"], "0",
+             "the gain product overflows at component 'b'"),
+            # a's loss over b's gain of 1e-10 is inf
+            (["passive a loss=3000dB", "passive b loss=100dB"], "0",
+             "the waste factor overflows at component 'a'"),
+            # W and G are finite; 1e297 W x 1e20 is not
+            (["amp a gain=200dB eta=1"], "3000",
+             "the delivered power is too large to express in watts: source power 3000 dBm,"
+             " cascade gain 200 dB"),
+            # the delivered power is finite; times W = 1e300 it is not
+            (["amp a gain=3000dB eta=1", "passive b loss=3000dB"], "3000",
+             "the consumed power is too large to express in watts: source power 3000 dBm,"
+             " cascade gain 0 dB"),
+        ],
+        ids=["gain", "waste", "delivered", "consumed"],
+    )
+    def test_overflow_is_named(self, lines, source_dbm, message, tmp_path, capsys):
+        path = tmp_path / "over.chain"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(["chain", str(path), "--source-dbm", source_dbm])
+        assert (code, out) == (EXIT_EVAL, "")
+        assert capsys.readouterr().err == f"wastefactor: evaluation failed: {message}\n"
+
 
 class TestGoldenOutput:
     """Byte-for-byte reports for the default presets, recorded in tests/golden."""
@@ -1086,6 +1159,102 @@ class TestGoldenOutput:
         code, out = _run(["netsim", *argv])
         assert code == EXIT_OK
         assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# The contract's extremes, as override text: zero of both signs, a negative,
+# the subnormal and near-underflow range, the near-overflow range, dB values
+# past what a ratio or a wattage holds, and two words no quantity reads.
+_EXTREMES = (
+    "0", "-0", "-1", "5e-324", "1e-320", "1e-300", "1e-30", "1e30", "1e300",
+    "1e308", "-1e308", "3000", "-3000", "nan", "inf",
+)
+# Every key of the link-level sections that takes a quantity, with its
+# _KINDS entry (an integer reads as a bare number).
+_QUANTITY_KEYS = [
+    (f"{section}.{key}", _KINDS["bare" if kind == "int" else kind])
+    for section in ("band", "bs", "ue", "link")
+    for key, (kind, _) in _SECTIONS[section][0].items()
+    if kind == "int" or kind in _KINDS
+]
+
+
+@st.composite
+def _overrides(draw):
+    """One or two `--set` overrides, each a key with a unit of its kind (None
+    for a bare number) and one of the extremes."""
+    argv = []
+    for _ in range(draw(st.integers(1, 2))):
+        name, (_, written, read_only, _) = draw(st.sampled_from(_QUANTITY_KEYS))
+        unit = draw(st.sampled_from([unit for unit, _ in written + read_only]))
+        value = draw(st.sampled_from(_EXTREMES))
+        argv += ["--set", f"{name}={value}" if unit is None else f"{name}={value} {unit}"]
+    return argv
+
+
+_SNRS = st.sampled_from((-3000.0, -30.0, 0.0, 20.0, 70.0, 3000.0)) | st.floats(-100.0, 100.0)
+_COMMANDS = st.one_of(
+    st.just(["link"]),
+    st.just(["table1"]),
+    _SNRS.map(lambda snr: ["sweep-bw", "--points", "3", "--snr", repr(snr)]),
+    st.just(["sweep-pa", "--points", "3"]),
+    st.builds(
+        lambda snr, cef: ["sweep-pa", "--points", "3", "--snr", repr(snr), "--target-cef", repr(cef)],
+        _SNRS,
+        st.sampled_from((1e-300, 1e-9, 1.0, 1e9, 1e300)),
+    ),
+)
+
+
+def _csv_faults(text):
+    """Each number of a CSV written by --out that is not finite, and each
+    CEF that is not positive; `# key=value` lines are read too."""
+    faults = []
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    pairs = [
+        (column, value) for row in rows[1:] for column, value in zip(rows[0], row)
+    ] + [
+        tuple(word.split("=", 1))
+        for line in text.splitlines() if line.startswith("#")
+        for word in line.split() if "=" in word
+    ]
+    for column, value in pairs:
+        try:
+            number = float(value)
+        except ValueError:
+            continue
+        if not math.isfinite(number) or (column.endswith("cef_gbpj") and not number > 0.0):
+            faults.append(f"{column}={value}")
+    return faults
+
+
+class TestContract:
+    """Every accepted input gives a finite answer or a named failure: the
+    link-level commands, on one or two overrides of extreme values, exit 0
+    with a CSV of finite numbers and positive CEFs, or exit 1-3 with empty
+    stdout and one line on stderr, with warnings as errors."""
+
+    @given(_COMMANDS, _overrides())
+    @example(["link"], ["--set", "link.tx_power=-3000 dBm"])
+    @example(["table1"], ["--set", "link.ple_los=100"])
+    @example(["table1"], ["--set", "bs.aperture=1e-300 cm2"])
+    @example(["sweep-pa", "--points", "3"], ["--set", "bs.aperture=1e-300 cm2"])
+    @settings(max_examples=300, deadline=None)
+    def test_finite_answer_or_named_failure(self, command, overrides):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            out = os.path.join(scratch, "out.csv")
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main([*command, *overrides, "--out", out], stdout=stdout)
+            if code == EXIT_OK:
+                with open(out, encoding="utf-8") as handle:
+                    assert _csv_faults(handle.read()) == []
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_EVAL)
+        if code != EXIT_OK:
+            assert stdout.getvalue() == ""
+            lines = stderr.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("wastefactor: "), lines
+            assert lines[0].endswith("\n")
 
 
 class TestWithoutNumpy:

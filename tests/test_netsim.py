@@ -18,6 +18,7 @@ from wastefactor.linkbudget import (
 from wastefactor import netsim
 from wastefactor.netsim import (
     NETSIM_CSV_HEADER,
+    CellLayout,
     NetworkReport,
     NetworkScenario,
     default_network,
@@ -53,6 +54,8 @@ from wastefactor.transceiver import (
     terminal_power,
     tx_power_coefficients,
 )
+
+from test_transceiver import RecordChecks
 
 # Hexagon packing in the default 1 km^2 study area, frozen per radius.
 _CELL_COUNTS = {20: 941, 35: 304, 50: 150, 65: 85, 80: 56, 100: 39, 150: 14, 250: 6, 500: 1}
@@ -943,3 +946,29 @@ class TestRadiusSweep:
         assert first[1] == str(_CELL_COUNTS[35])
         for field in (first[2], first[3], first[4]):
             assert float(field) > 0.0
+
+
+# netsim's output records, checked as test_transceiver.py checks the others:
+# their fields in order, and the defaults of those that have one.
+_RECORDS = {
+    NetworkReport: (
+        (
+            "radius_m",
+            "n_cells",
+            "throughput_bps",
+            "power_w",
+            "cef_bpj",
+            "mean_sinr_db",
+            "los_fraction",
+            "ci_halfwidth_bpj",
+            "drops",
+        ),
+        {},
+    ),
+    CellLayout: (("cell_radius_m", "area_side_m", "bs_positions"), {}),
+}
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: record.__name__)
+class TestOutputRecords(RecordChecks):
+    records = _RECORDS

@@ -1,5 +1,6 @@
 """Tests for transceiver.py — preset chains, link evaluation, terminal power."""
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -43,7 +44,6 @@ from wastefactor.transceiver import (
     tx_power_coefficients,
 )
 from wastefactor import transceiver
-from wastefactor.netsim import CellLayout, NetworkReport
 from wastefactor.sweeps import CrossoverResult, EfficiencyMatch, SweepSample
 from wastefactor.transceiver import _receive_side, _transmit_components
 
@@ -547,9 +547,21 @@ def _oracle(scenario):
             f" converters {band.converter_w_per_hz:g} W/Hz x {band.bandwidth_hz:g} Hz"
             for side, terminal, draw in named
         ))
+    waste_db, gain_db = waste_figure_db(chain), 10.0 * math.log10(cascade_gain(chain))
+    if rate == 0.0:
+        raise ValueError(
+            f"the rate is 0 b/s at SNR {snr:g} dB: bandwidth {band.bandwidth_hz:g} Hz, transmit"
+            f" power {scenario.tx_power_dbm:g} dBm, path loss {path_loss:g} dB, transmit gain"
+            f" {gain_tx:g} dB, receive gain {gain_rx:g} dB, noise figure {band.noise_figure_db:g} dB"
+        )
+    if rate / consumed < sys.float_info.min:
+        raise ValueError(
+            f"the CEF {rate / consumed:g} b/J is too small to express: rate {rate:g} b/s"
+            f" over consumed power {consumed:g} W"
+        )
     return LinkReport(
-        waste_figure_db=waste_figure_db(chain),
-        cascade_gain_db=10.0 * math.log10(cascade_gain(chain)),
+        waste_figure_db=waste_db,
+        cascade_gain_db=gain_db,
         p_received_dbw=p_received - 30.0,
         snr_db=snr,
         rate_bps=rate,
@@ -621,6 +633,14 @@ _FAULTS = {
     },
     # only the whole chain's gain underflows to zero, and its log would fail
     "gain-underflow": {"band": {"pa_gain_db": -2400.0, "mixer_loss_db": 500.0}},
+    # the receive antenna's gain is about 1e-298, so the channel's excess
+    # waste over it overflows the waste factor
+    "waste-overflow": {"rx": {"aperture_m2": 1e-304}},
+    # every check passes, but the SNR is so low that log2(1 + SNR) is 0
+    "zero-rate": {"link": {"tx_power_dbm": -3000.0}},
+    # a rate of about 1e-288 b/s over an LNA bank that draws about 1e302 W:
+    # the CEF underflows to 0 b/J
+    "cef-underflow": {"band": {"bandwidth_hz": 1e-291, "lna_fom_per_mw": 1e-300}},
 }
 
 
@@ -775,6 +795,31 @@ class TestWarmLink:
                 assert _outcome(evaluate, warm) == expected
                 assert isinstance(expected[0], type) == fails
 
+    def test_lower_efficiency_walks_again(self, monkeypatch):
+        # the PA bank's waste 1/eta + 1/G rises as eta falls, and at 1e-305
+        # the waste factor overflows: a point walks again only below every
+        # efficiency walked before, and a walk that raises is not kept
+        scenario = mmwave_28()
+        etas = (0.5, 1.0, 0.5, 0.05, 1e-305, 0.3, 1e-305)
+        points = [(scenario.band.bandwidth_hz, eta, scenario.tx_power_dbm) for eta in etas]
+        expected = [
+            _outcome(lambda args: transceiver._Link(scenario).evaluate(*args), point)
+            for point in points
+        ]
+        assert expected[4] == (ValueError, "the waste factor overflows at component 'pa-bank'")
+        walks = []
+        walk = transceiver._walk
+        monkeypatch.setattr(
+            transceiver, "_walk", lambda components: walks.append(components) or walk(components)
+        )
+        warm = transceiver._Link(scenario)
+        counts = []
+        for point, outcome in zip(points, expected):
+            assert _outcome(lambda args: warm.evaluate(*args), point) == outcome
+            counts.append(len(walks))
+        assert counts == [1, 1, 1, 2, 3, 3, 4]
+        assert warm.walk_efficiency == 0.05
+
     def test_lazy_value_that_fails_raises_on_every_read(self):
         calls = []
 
@@ -893,43 +938,31 @@ _RECORDS = {
     SweepSample: (("x", "cef_bpj", "rate_bps", "p_consumed_w", "snr_db", "feasible"), {}),
     CrossoverResult: (("found", "x", "cef_bpj"), {"x": None, "cef_bpj": None}),
     EfficiencyMatch: (("found", "efficiency", "cef_bpj"), {"efficiency": None, "cef_bpj": None}),
-    NetworkReport: (
-        (
-            "radius_m",
-            "n_cells",
-            "throughput_bps",
-            "power_w",
-            "cef_bpj",
-            "mean_sinr_db",
-            "los_fraction",
-            "ci_halfwidth_bpj",
-            "drops",
-        ),
-        {},
-    ),
-    CellLayout: (("cell_radius_m", "area_side_m", "bs_positions"), {}),
 }
 
 
-@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: record.__name__)
-class TestOutputRecords:
+class RecordChecks:
     """The output records are named tuples with the fields, defaults and
-    repr they had as frozen dataclasses."""
+    repr they had as frozen dataclasses.  A subclass parametrizes `record`
+    over its `records` table; netsim's records are checked in
+    test_netsim.py, which needs numpy."""
+
+    records: dict = {}
 
     def test_fields_and_defaults(self, record):
-        names, defaults = _RECORDS[record]
+        names, defaults = self.records[record]
         assert record._fields == names
         assert record._field_defaults == defaults
         assert record(*names) == names
 
     def test_repr_names_every_field(self, record):
-        names, _ = _RECORDS[record]
+        names, _ = self.records[record]
         values = [float(i) for i in range(len(names))]
         text = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
         assert repr(record(*values)) == f"{record.__name__}({text})"
 
     def test_replace_changes_one_field(self, record):
-        names, _ = _RECORDS[record]
+        names, _ = self.records[record]
         original = record(*names)
         changed = original._replace(**{names[-1]: "new"})
         assert type(changed) is record
@@ -937,3 +970,8 @@ class TestOutputRecords:
         assert original == names
         with pytest.raises(AttributeError):
             setattr(original, names[0], "other")
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: record.__name__)
+class TestOutputRecords(RecordChecks):
+    records = _RECORDS
