@@ -21,14 +21,21 @@ links, sectors and power run over all cells at once.  Interference is summed
 in watts: the close-in model's power at distance d is its power at 1 m times
 d^-n, so each pair is one of two per-radius constants (main lobe, sidelobe)
 times max(d, 1)^-n.  The set-up step forms those constants after the
-interference bound, and only when some cell has interferers.  A chunk keeps
-its pairs' x and y offsets in separate (cell, UE, interferer) arrays, writes
-the distance over x and calls p_los once, which works in place in the arrays
-it allocates.  _interference_w picks each pair's exponent and constant from a
-two-entry table indexed by its bool draws and scales the power in place.
-Totals are added in cell order with the same float operations as a
-cell-by-cell loop, so reports match that loop bit for bit (the tests keep it
-as an oracle).
+interference bound, and only when some cell has interferers.
+
+Each radius builds one _Workspace of flat buffers, sized from its largest
+chunk, and every chunk of every drop writes its variates and (cell, UE,
+interferer) pair arrays into views of their first elements: x and y offsets
+apart, the wraparound fold through one scratch buffer, the distance over x,
+and the two bool draws.  p_los is called once per chunk and works in place in
+the arrays it allocates.  _interference_w selects each pair's exponent and 1 m
+constant with np.take from a two-entry table indexed by the uint8 view of its
+bool draws; mode="clip", since the default mode="raise" buffers the output in
+a fresh array.  So a chunk allocates no other pair-sized float array, and the
+pages of the last chunk's temporaries are not returned to the system only to
+be faulted in again.  Totals are added in cell order with the same float
+operations as a cell-by-cell loop, so reports match that loop bit for bit
+(the tests keep it as an oracle).
 
 Interferers are found with a bucket grid, in time linear in the cell count:
 each cell is compared only with the cells of its own and the eight
@@ -494,14 +501,27 @@ def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: n
 
 
 def _interference_w(
-    s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray, main: np.ndarray
+    s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray, main: np.ndarray,
+    workspace: _Workspace | None = None,
 ):
     """Power received from each interferer: the close-in model in watts,
-    P(1 m) d^-n, with no path loss inside 1 m.  Returns a new array."""
-    # Not in place: on numpy 2.4 a one-element power whose output is one of
-    # its inputs takes another loop, and d ** -1 then differs in the last bit.
-    power = np.maximum(d, 1.0) ** np.array((-s.ple_nlos, -s.ple_los))[los.view(np.uint8)]
-    power *= np.array((rc.i_side_w, rc.i_main_w))[main.view(np.uint8)]
+    P(1 m) d^-n, with no path loss inside 1 m.
+
+    Writes into the last three float buffers of the workspace (one of d's
+    size by default), so d may be a view of the first, never of another;
+    returns a view of the last and leaves its inputs unchanged."""
+    if workspace is None:
+        workspace = _Workspace.sized(d.size, 0)
+    _, base, table, power = workspace.pairs(d.shape)[:4]
+    np.maximum(d, 1.0, out=base)
+    # mode="clip": with the default "raise", np.take buffers `out`
+    np.take(np.array((-s.ple_nlos, -s.ple_los)), los.view(np.uint8), out=table, mode="clip")
+    # Into a buffer that is neither input: on numpy 2.4 a one-element power
+    # whose output is one of its inputs takes another loop, and d ** -1 then
+    # differs in the last bit.
+    np.power(base, table, out=power)
+    np.take(np.array((rc.i_side_w, rc.i_main_w)), main.view(np.uint8), out=base, mode="clip")
+    power *= base
     return power
 
 
@@ -531,6 +551,34 @@ def _chunks(positions: np.ndarray, neighbors: list[np.ndarray], n_ue: int) -> li
     return chunks
 
 
+class _Workspace(NamedTuple):
+    """One radius's flat buffers, which every chunk of every drop writes its
+    variates and pair-sized arrays into, as views of their first elements.
+    Sized from the largest chunk, which may exceed _CHUNK_PAIRS: one cell is
+    one chunk however many pairs it has."""
+
+    draws: np.ndarray  # (D,): one chunk's variates
+    floats: np.ndarray  # (4, P): the distance, then _interference_w's three
+    bools: np.ndarray  # (2, P): the LoS and main-lobe draws
+
+    @classmethod
+    def sized(cls, pairs: int, draws: int) -> _Workspace:
+        return cls(np.empty(draws), np.empty((4, pairs)), np.empty((2, pairs), dtype=bool))
+
+    @classmethod
+    def for_chunks(cls, chunks: list[_Chunk], n_ue: int) -> _Workspace:
+        """Sized from the most pairs, c n k, and draws, c (4n + 2nk), of a chunk."""
+        shapes = [chunk.interferers.shape[1:] for chunk in chunks]
+        return cls.sized(
+            max(c * n_ue * k for c, k in shapes), max(c * n_ue * (4 + 2 * k) for c, k in shapes)
+        )
+
+    def pairs(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The four float buffers, then the two bool ones, as arrays of shape."""
+        size = math.prod(shape)
+        return tuple(b[:size].reshape(shape) for b in (*self.floats, *self.bools))
+
+
 def _fold(values: np.ndarray) -> float:
     """Left-to-right sum, the order of a running total (np.sum adds pairwise)."""
     return float(np.add.accumulate(values)[-1])
@@ -538,13 +586,14 @@ def _fold(values: np.ndarray) -> float:
 
 def _simulate_drop(
     s: NetworkScenario, rc: _RadioConstants, chunks: list[_Chunk], n_cells: int, drop_idx: int,
-    side: float,
+    side: float, workspace: _Workspace,
 ) -> tuple[float, float, float, int]:
     """Rate, power, summed SINR (dB) and LoS count of one drop.
 
     Each cell draws all 4n + 2nk variates of its stream in one call: 3n hex
     offsets, n serving-LoS draws, then n x k x 2 interferer draws.  Per-cell
-    totals are folded in cell order, sector power before UE power.
+    totals are folded in cell order, sector power before UE power.  Every
+    chunk writes its variates and pair-sized arrays into the workspace.
     """
     n = s.ues_per_cell
     sectors = s.arrays_per_bs
@@ -554,46 +603,60 @@ def _simulate_drop(
     words = _stream_words(s.seed, np.arange(n_cells), drop_idx)
     for chunk in chunks:
         c, k = chunk.interferers.shape[1:]
-        u = np.empty((c, 4 * n + 2 * n * k))
+        u = workspace.draws[: c * (4 * n + 2 * n * k)].reshape(c, -1)
         _fill(words[chunk.cells], u)
         chunk_offsets = _hex_offsets(u[:, : 3 * n].reshape(c, n, 3), s.cell_radius_m)
         offsets[chunk.cells] = chunk_offsets
         u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
         if k:
             u_int = u[:, 4 * n :].reshape(c, n, k, 2)
-            # UE minus interferer, x and y apart, each (C, n, k)
+            dx, dy, scratch, _, los_int, main_lobe = workspace.pairs((c, n, k))
+            # UE minus interferer, x and y apart
             (centre_x, centre_y), (interferer_x, interferer_y) = chunk.centres, chunk.interferers
-            dx = (centre_x[:, None] + chunk_offsets[..., 0])[..., None] - interferer_x[:, None, :]
-            dy = (centre_y[:, None] + chunk_offsets[..., 1])[..., None] - interferer_y[:, None, :]
+            ue_x = centre_x[:, None] + chunk_offsets[..., 0]
+            ue_y = centre_y[:, None] + chunk_offsets[..., 1]
+            np.subtract(ue_x[..., None], interferer_x[:, None, :], out=dx)
+            np.subtract(ue_y[..., None], interferer_y[:, None, :], out=dy)
             if s.wraparound:
-                dx -= side * np.round(dx / side)
-                dy -= side * np.round(dy / side)
+                for delta in (dx, dy):  # delta -= side * round(delta / side)
+                    np.divide(delta, side, out=scratch)
+                    np.round(scratch, out=scratch)
+                    np.multiply(side, scratch, out=scratch)
+                    np.subtract(delta, scratch, out=delta)
             d_int = np.hypot(dx, dy, out=dx)
-            los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, rc.los_d2_m)
-            main_lobe = u_int[..., 1] < 1.0 / sectors
-            i_w = _interference_w(s, rc, d_int, los_int, main_lobe)
+            np.less(u_int[..., 0], p_los(d_int, s.los_d1_m, rc.los_d2_m), out=los_int)
+            np.less(u_int[..., 1], 1.0 / sectors, out=main_lobe)
+            i_w = _interference_w(s, rc, d_int, los_int, main_lobe, workspace)
             interference_w[chunk.cells] = np.sum(i_w, axis=2)
 
     d_serving = np.hypot(offsets[..., 0], offsets[..., 1])
     los = u_serving < p_los(d_serving, s.los_d1_m, rc.los_d2_m)
     arrival_dbm = rc.eirp_dbm - _path_loss_db(s, rc, d_serving, los)
-    signal_w = dbm_to_watts(arrival_dbm + rc.gain_ue_db)
-    sinr = signal_w / (rc.noise_w + interference_w)
+    ue_power = terminal_power(s.ue, rc.ue_slope, rc.ue_fixed, dbm_to_watts(arrival_dbm))
+    ue_power = np.sum(ue_power, axis=1)  # per cell
+    # the SINR, formed over the signal, with the noise added to the interference
+    sinr = dbm_to_watts(arrival_dbm + rc.gain_ue_db)
+    interference_w += rc.noise_w
+    sinr /= interference_w
 
-    angles = np.arctan2(offsets[..., 1], offsets[..., 0])
     # the sector index runs 0..6 at most, so a cell needs no more slots than
     # that, however many arrays it has
     stride = min(sectors, 7)
-    sector = np.floor((angles + math.pi) / (math.pi / 3.0)).astype(int) % stride
-    slot = np.arange(n_cells)[:, None] * stride + sector
+    # each UE's slot, from floor((angle + pi) / (pi / 3)) formed over d_serving
+    angles = np.arctan2(offsets[..., 1], offsets[..., 0], out=d_serving)
+    angles += math.pi
+    angles /= math.pi / 3.0
+    slot = np.floor(angles, out=angles).astype(int)
+    slot %= stride
+    slot += np.arange(n_cells)[:, None] * stride
     occupancy = np.bincount(slot.ravel(), minlength=n_cells * stride)
-    bandwidth_share = s.band.bandwidth_hz / occupancy[slot]
+    # log2(1 + SINR) times each UE's share of the band, written over angles
+    rate_terms = np.log2(1.0 + sinr)
+    rate_terms *= np.divide(s.band.bandwidth_hz, occupancy[slot], out=angles)
 
-    ue_power = terminal_power(s.ue, rc.ue_slope, rc.ue_fixed, dbm_to_watts(arrival_dbm))
-
-    rate = np.sum(bandwidth_share * np.log2(1.0 + sinr), axis=1)
+    rate = np.sum(rate_terms, axis=1)
     occupied = np.count_nonzero(occupancy.reshape(n_cells, stride), axis=1)
-    power = np.stack([occupied * rc.sector_power_w, np.sum(ue_power, axis=1)], axis=1)
+    power = np.stack([occupied * rc.sector_power_w, ue_power], axis=1)
     sinr_db = np.sum(10.0 * np.log10(sinr), axis=1)
     return _fold(rate), _fold(power.ravel()), _fold(sinr_db), int(np.count_nonzero(los))
 
@@ -610,6 +673,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
         neighbors = [np.empty(0, dtype=np.intp)] * layout.n_cells
     chunks = _chunks(positions, neighbors, scenario.ues_per_cell)
     rc = _radio_constants(scenario, layout.n_cells, max(map(len, neighbors)))
+    workspace = _Workspace.for_chunks(chunks, scenario.ues_per_cell)
 
     drop_rates = np.empty(scenario.drops)
     drop_powers = np.empty(scenario.drops)
@@ -617,7 +681,7 @@ def simulate_network(scenario: NetworkScenario) -> NetworkReport:
     los_count = 0
     for drop in range(scenario.drops):
         rate, power, sinr_db, los = _simulate_drop(
-            scenario, rc, chunks, layout.n_cells, drop, layout.area_side_m
+            scenario, rc, chunks, layout.n_cells, drop, layout.area_side_m, workspace
         )
         drop_rates[drop] = rate
         drop_powers[drop] = power

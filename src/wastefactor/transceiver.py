@@ -150,7 +150,7 @@ class BandProfile:
 # runs the same code as the dataclass it leaves unbuilt.
 def _check_bandwidth(label: str, bandwidth_hz: float) -> None:
     if not 0.0 < bandwidth_hz < math.inf:
-        raise ValueError(f"{label}: bandwidth must be positive and finite")
+        raise ValueError(f"{label}: bandwidth {bandwidth_hz!r} Hz must be positive and finite")
     # the product thermal_noise_dbm takes the dBm of
     if BOLTZMANN * REFERENCE_TEMP_K * bandwidth_hz == 0.0:
         raise ValueError(

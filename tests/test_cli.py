@@ -166,7 +166,7 @@ class TestExitCodes:
         # a bandwidth grid whose top point overflows to inf names the band
         assert main(["sweep-bw", "--hi-ghz", "1e308"]) == EXIT_EVAL
         assert capsys.readouterr().err == (
-            "wastefactor: evaluation failed: subthz-140: bandwidth must be positive and finite\n"
+            "wastefactor: evaluation failed: subthz-140: bandwidth inf Hz must be positive and finite\n"
         )
         # a path loss too large for a ratio names the distance
         assert main(["link", "--set", "link.distance=1e300 m"]) == EXIT_EVAL
@@ -800,7 +800,7 @@ class TestExitCodes:
              f" {1e160 * 1e9!r} (Hz) spaces a point that is not finite: the range is too wide"),
             # the upper end itself is inf in Hz: the band names the point
             (["sweep-bw", "--hi-ghz", "1e308", "--points", "4"], EXIT_EVAL,
-             "evaluation failed: subthz-140: bandwidth must be positive and finite"),
+             "evaluation failed: subthz-140: bandwidth inf Hz must be positive and finite"),
         ],
         ids=[
             "rate", "consumed-link", "consumed-table1", "consumed-sum", "ues-per-cell",
@@ -1168,25 +1168,38 @@ _EXTREMES = (
     "0", "-0", "-1", "5e-324", "1e-320", "1e-300", "1e-30", "1e30", "1e300",
     "1e308", "-1e308", "3000", "-3000", "nan", "inf",
 )
-# Every key of the link-level sections that takes a quantity, with its
-# _KINDS entry (an integer reads as a bare number).
-_QUANTITY_KEYS = [
-    (f"{section}.{key}", _KINDS["bare" if kind == "int" else kind])
-    for section in ("band", "bs", "ue", "link")
-    for key, (kind, _) in _SECTIONS[section][0].items()
-    if kind == "int" or kind in _KINDS
-]
+
+
+def _quantity_keys(*sections):
+    """Every key of the sections that takes a quantity, with its _KINDS entry
+    (an integer reads as a bare number)."""
+    return [
+        (f"{section}.{key}", _KINDS["bare" if kind == "int" else kind])
+        for section in sections
+        for key, (kind, _) in _SECTIONS[section][0].items()
+        if kind == "int" or kind in _KINDS
+    ]
+
+
+_QUANTITY_KEYS = _quantity_keys("band", "bs", "ue", "link")
+_NETWORK_KEYS = _quantity_keys("network")
+# The [network] keys that scale a run's work take only the extremes up to
+# 1e-30 and a few small numbers, so that a run stays short; the bounds on
+# layout size have tests of their own.
+_WORK_KEYS = {f"network.{key}" for key in ("ues_per_cell", "drops", "area", "interferer_reach")}
+_SMALL = tuple(v for v in _EXTREMES if not float(v) > 1e-30) + ("0.5", "1", "2", "3")
 
 
 @st.composite
-def _overrides(draw):
+def _overrides(draw, keys=_QUANTITY_KEYS):
     """One or two `--set` overrides, each a key with a unit of its kind (None
-    for a bare number) and one of the extremes."""
+    for a bare number) and one of the extremes (a small value for a key
+    that scales work)."""
     argv = []
     for _ in range(draw(st.integers(1, 2))):
-        name, (_, written, read_only, _) = draw(st.sampled_from(_QUANTITY_KEYS))
+        name, (_, written, read_only, _) = draw(st.sampled_from(keys))
         unit = draw(st.sampled_from([unit for unit, _ in written + read_only]))
-        value = draw(st.sampled_from(_EXTREMES))
+        value = draw(st.sampled_from(_SMALL if name in _WORK_KEYS else _EXTREMES))
         argv += ["--set", f"{name}={value}" if unit is None else f"{name}={value} {unit}"]
     return argv
 
@@ -1228,24 +1241,19 @@ def _csv_faults(text):
 
 
 class TestContract:
-    """Every accepted input gives a finite answer or a named failure: the
-    link-level commands, on one or two overrides of extreme values, exit 0
-    with a CSV of finite numbers and positive CEFs, or exit 1-3 with empty
-    stdout and one line on stderr, with warnings as errors."""
+    """Every accepted input gives a finite answer or a named failure: each
+    command, on one or two overrides of extreme values, exits 0 with a CSV
+    of finite numbers and positive CEFs, or exits 1-3 with empty stdout and
+    one line on stderr, with warnings as errors."""
 
-    @given(_COMMANDS, _overrides())
-    @example(["link"], ["--set", "link.tx_power=-3000 dBm"])
-    @example(["table1"], ["--set", "link.ple_los=100"])
-    @example(["table1"], ["--set", "bs.aperture=1e-300 cm2"])
-    @example(["sweep-pa", "--points", "3"], ["--set", "bs.aperture=1e-300 cm2"])
-    @settings(max_examples=300, deadline=None)
-    def test_finite_answer_or_named_failure(self, command, overrides):
+    @staticmethod
+    def _check(argv):
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as scratch:
             out = os.path.join(scratch, "out.csv")
             with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("error")
-                code = main([*command, *overrides, "--out", out], stdout=stdout)
+                code = main([*argv, "--out", out], stdout=stdout)
             if code == EXIT_OK:
                 with open(out, encoding="utf-8") as handle:
                     assert _csv_faults(handle.read()) == []
@@ -1255,6 +1263,27 @@ class TestContract:
             lines = stderr.getvalue().splitlines(keepends=True)
             assert len(lines) == 1 and lines[0].startswith("wastefactor: "), lines
             assert lines[0].endswith("\n")
+
+    @given(_COMMANDS, _overrides())
+    @example(["link"], ["--set", "link.tx_power=-3000 dBm"])
+    @example(["table1"], ["--set", "link.ple_los=100"])
+    @example(["table1"], ["--set", "bs.aperture=1e-300 cm2"])
+    @example(["sweep-pa", "--points", "3"], ["--set", "bs.aperture=1e-300 cm2"])
+    @settings(max_examples=300, deadline=None)
+    def test_finite_answer_or_named_failure(self, command, overrides):
+        """The link-level commands over the [band], [bs], [ue] and [link] keys."""
+        self._check([*command, *overrides])
+
+    @_NEEDS_NUMPY
+    @given(_overrides(_NETWORK_KEYS))
+    @example(["--set", "network.area=1e-30 km2"])
+    @example(["--set", "network.target_snr=-3000 dB"])
+    @example(["--set", "network.sidelobe=-1e308 dB"])
+    @settings(max_examples=300, deadline=None)
+    def test_netsim_finite_answer_or_named_failure(self, overrides):
+        """netsim at one radius and one drop over the [network] keys, where
+        ues_per_cell, drops, area and interferer_reach take small values only."""
+        self._check(["netsim", "--radius", "150", "--drops", "1", *overrides])
 
 
 class TestWithoutNumpy:

@@ -33,6 +33,7 @@ from wastefactor.netsim import (
 )
 from wastefactor.netsim import (
     _Words,
+    _Workspace,
     _chunks,
     _fill,
     _hex_offsets,
@@ -771,6 +772,30 @@ class TestInterferencePower:
         for array, before in zip((d, los, main), inputs):
             assert np.array_equal(array, before)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=_chunk_pairs(), spare=st.integers(0, 64), ple=st.floats(0.5, 10.0))
+    @example(
+        pairs=(np.array([[[49.5]]]), np.array([[[False]]]), np.array([[[False]]])),
+        spare=7, ple=1.0,
+    )
+    def test_larger_workspace_of_nan_gives_the_where_form(self, pairs, spare, ple):
+        # the drop's workspace is sized from its largest chunk and holds the
+        # last chunk's values: only the prefix of each buffer may be read
+        s = default_network(100.0, ple_los=ple, ple_nlos=ple + 1.0, sidelobe_db=20.0)
+        rc = _radio_constants(s, 1, 1)
+        d, los, main = pairs
+        inputs = [a.copy() for a in (d, los, main)]
+        workspace = _Workspace.sized(d.size + spare, 3)
+        workspace.draws.fill(np.nan)
+        workspace.floats.fill(np.nan)
+        workspace.bools.fill(True)
+        expected = np.where(main, rc.i_main_w, rc.i_side_w) * np.maximum(d, 1.0) ** np.where(
+            los, -s.ple_los, -s.ple_nlos
+        )
+        assert np.array_equal(_interference_w(s, rc, d, los, main, workspace), expected)
+        for array, before in zip((d, los, main), inputs):
+            assert np.array_equal(array, before)
+
 
 class TestScalarOracle:
     """The whole-array drop against the cell-by-cell loop, compared exactly."""
@@ -791,10 +816,22 @@ class TestScalarOracle:
         assert simulate_network(scenario) == _oracle(scenario)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        scenario = default_network(35.0, drops=2, wraparound=True)
-        default = simulate_network(scenario)
-        monkeypatch.setattr(netsim, "_CHUNK_PAIRS", 1)  # one cell per chunk
-        assert simulate_network(scenario) == default
+        # At 1000 UEs per cell one cell's pairs exceed _CHUNK_PAIRS, so the
+        # workspace is sized from that one-cell chunk, not from the budget.
+        past_budget = default_network(20.0, area_m2=0.1e6, drops=2, ues_per_cell=1000)
+        layout = hex_layout(past_budget.area_m2, past_budget.cell_radius_m)
+        neighbors = _neighbor_lists(
+            np.asarray(layout.bs_positions), past_budget.interferer_reach * 20.0,
+            layout.area_side_m, False,
+        )
+        assert max(map(len, neighbors)) * 1000 > netsim._CHUNK_PAIRS
+        assert simulate_network(past_budget) == _oracle(past_budget)
+        for scenario in (default_network(35.0, drops=2, wraparound=True), past_budget):
+            monkeypatch.undo()
+            default = simulate_network(scenario)
+            for budget in (1, 1 << 30):  # one cell per chunk; one chunk per neighbour count
+                monkeypatch.setattr(netsim, "_CHUNK_PAIRS", budget)
+                assert simulate_network(scenario) == default
 
     @pytest.mark.parametrize("wraparound", [False, True])
     def test_chunks_cover_cells_once_within_budget(self, wraparound):

@@ -480,7 +480,7 @@ class TestSweepCoreOracle:
     @pytest.mark.parametrize(
         "parameter, x, message",
         [
-            ("bandwidth", math.inf, "subthz-140: bandwidth must be positive and finite"),
+            ("bandwidth", math.inf, "subthz-140: bandwidth inf Hz must be positive and finite"),
             ("pa_efficiency", 0.0, "subthz-140: PA efficiency must be in (0, 1]"),
             ("pa_efficiency", 1.5, "subthz-140: PA efficiency must be in (0, 1]"),
             ("pa_efficiency", math.nan, "subthz-140: PA efficiency must be in (0, 1]"),
@@ -578,7 +578,7 @@ class TestSweepCoreOracle:
         # sweep-bw --hi-ghz 1e308: the top of the grid is inf Hz
         spec = SweepSpec(scenario=_dl_140(), parameter="bandwidth", lo=1e8, hi=1e308 * 1e9,
                          points=4, snr_target_db=20.0)
-        expected = (ValueError, "subthz-140: bandwidth must be positive and finite")
+        expected = (ValueError, "subthz-140: bandwidth inf Hz must be positive and finite")
         assert _outcome(_oracle_sample, spec.scenario, "bandwidth", spec.hi, 20.0) == expected
         assert _outcome(sweep, spec) == expected
 

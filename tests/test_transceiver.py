@@ -119,6 +119,8 @@ class TestPresets:
         [
             (lambda s: replace(s.band, carrier_frequency_hz=0.0),
              "mmwave-28: carrier frequency must be positive and finite"),
+            (lambda s: replace(s.band, bandwidth_hz=-1.0),
+             "mmwave-28: bandwidth -1.0 Hz must be positive and finite"),
             (lambda s: replace(s.band, lna_fom_per_mw=math.inf),
              "mmwave-28: LNA figure of merit must be positive and finite"),
             (lambda s: replace(s.band, phase_shifter_loss_db=-1.0),
@@ -139,7 +141,7 @@ class TestPresets:
              "sidelobe level must be finite"),
         ],
         ids=[
-            "carrier", "lna-fom", "insertion-loss", "noise-figure", "role", "elements",
+            "carrier", "bandwidth", "lna-fom", "insertion-loss", "noise-figure", "role", "elements",
             "antenna-efficiency", "environment", "direction", "los-distance", "sidelobe",
         ],
     )
