@@ -9,7 +9,11 @@ network consumption efficiency are aggregated per cell radius.
 Determinism: every (cell, drop) pair owns an independent substream derived
 from the scenario seed by spawn key, so adding cells or running drops in a
 different order never reshuffles another cell's draws, and results are
-reduced by index.  Identical seeds produce identical reports byte for byte.
+reduced by index.  Identical seeds print identical reports byte for byte:
+the printed text is the contract, and the goldens and benchmark digests were
+recorded with numpy 2.4.6.  Raw floats may differ in the last bits across
+CPUs, where numpy picks an exp or power loop by CPU feature; the tests' scalar
+oracle calls the same ufuncs, so its exact match holds on each machine.
 Each stream is the PCG64 generator that NumPy's seed sequence seeds from the
 scenario seed and the spawn key (cell, drop), but a drop hashes the seed words
 of all its cells in one batch of uint32 array arithmetic; NumPy's PCG64 then
@@ -26,16 +30,18 @@ interference bound, and only when some cell has interferers.
 Each radius builds one _Workspace of flat buffers, sized from its largest
 chunk, and every chunk of every drop writes its variates and (cell, UE,
 interferer) pair arrays into views of their first elements: x and y offsets
-apart, the wraparound fold through one scratch buffer, the distance over x,
-and the two bool draws.  p_los is called once per chunk and works in place in
-the arrays it allocates.  _interference_w selects each pair's exponent and 1 m
-constant with np.take from a two-entry table indexed by the uint8 view of its
-bool draws; mode="clip", since the default mode="raise" buffers the output in
-a fresh array.  So a chunk allocates no other pair-sized float array, and the
-pages of the last chunk's temporaries are not returned to the system only to
-be faulted in again.  Totals are added in cell order with the same float
-operations as a cell-by-cell loop, so reports match that loop bit for bit
-(the tests keep it as an oracle).
+apart, the wraparound fold through one scratch buffer, the distance
+sqrt(x x + y y) over x (np.hypot costs several times more), the LoS
+probability through the y, scratch and fourth buffers, and the two bool
+draws.  _interference_w selects each pair's exponent and 1 m constant with
+np.take from a two-entry table indexed by the uint8 view of its bool draws;
+mode="clip", since the default mode="raise" buffers the output in a fresh
+array.  So a chunk allocates no pair-sized float array (np.take still
+converts each uint8 index to intp), and the pages of the last chunk's
+temporaries are not returned to the system only to be faulted in again.
+Totals are added in cell order with the same float operations as a
+cell-by-cell loop, so reports match that loop bit for bit (the tests keep it
+as an oracle).
 
 Interferers are found with a bucket grid, in time linear in the cell count:
 each cell is compared only with the cells of its own and the eight
@@ -279,23 +285,35 @@ def p_los(
     new array; the input is left unchanged.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("distance must be >= 0")
     scalar = d.ndim == 0
     d = np.atleast_1d(d)  # one path: a scalar is the one element of an array
+    far = _p_los_into(d, d1_m, d2_m, *np.empty((3, *d.shape)), np.empty(d.shape, dtype=bool))
+    return float(far[0]) if scalar else far
+
+
+def _p_los_into(
+    d: np.ndarray, d1_m: float, d2_m: float,
+    safe: np.ndarray, decay: np.ndarray, far: np.ndarray, near: np.ndarray,
+) -> np.ndarray:
+    """p_los of the distances d, written into far, which it returns.
+
+    safe, decay and far are float buffers of d's shape and near a bool one;
+    all four are overwritten, so none may share memory with d."""
+    if np.less(d, 0.0, out=near).any():
+        raise ValueError("distance must be >= 0")
     # The d <= d1 branch is algebraically 1; splitting it out avoids a
-    # divide-by-zero at d = 0.  In place, the floats of
+    # divide-by-zero at d = 0.  The floats of
     # ((d1 / safe) (1 - decay) + decay) ** 2 with decay = exp(-safe / d2).
-    safe = np.maximum(d, d1_m)
-    decay = safe / -d2_m
+    np.maximum(d, d1_m, out=safe)
+    np.divide(safe, -d2_m, out=decay)
     np.exp(decay, out=decay)
     np.divide(d1_m, safe, out=safe)
-    far = 1.0 - decay
+    np.subtract(1.0, decay, out=far)
     far *= safe
     far += decay
     np.square(far, out=far)
-    far[d <= d1_m] = 1.0
-    return float(far[0]) if scalar else far
+    far[np.less_equal(d, d1_m, out=near)] = 1.0
+    return far
 
 
 def power_control(
@@ -359,6 +377,9 @@ def _neighbor_lists(
             delta = positions[block][:, None, :] - positions[cols][None, :, :]
             if wraparound:
                 delta -= side * np.round(delta / side)
+            # np.hypot, not the drop's sqrt(x x + y y): hex centres sit at
+            # exact multiples of the spacing, so a distance may tie with the
+            # reach, and a last-bit change could move a neighbour
             dist = np.hypot(delta[..., 0], delta[..., 1])
             dist[np.arange(len(block)), np.searchsorted(cols, block)] = np.inf
             for cell, row in zip(block.tolist(), dist):
@@ -558,7 +579,7 @@ class _Workspace(NamedTuple):
     one chunk however many pairs it has."""
 
     draws: np.ndarray  # (D,): one chunk's variates
-    floats: np.ndarray  # (4, P): the distance, then _interference_w's three
+    floats: np.ndarray  # (4, P): the distance, then p_los's and _interference_w's three
     bools: np.ndarray  # (2, P): the LoS and main-lobe draws
 
     @classmethod
@@ -577,6 +598,17 @@ class _Workspace(NamedTuple):
         """The four float buffers, then the two bool ones, as arrays of shape."""
         size = math.prod(shape)
         return tuple(b[:size].reshape(shape) for b in (*self.floats, *self.bools))
+
+
+def _distance_into(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx dx + dy dy), written over dx, which it returns; dy is
+    overwritten too.  Multiply, add and sqrt are each correctly rounded, so
+    the floats are those of math.sqrt(x * x + y * y) on every machine, where
+    np.hypot's depend on the libm; np.hypot also costs several times more."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _fold(values: np.ndarray) -> float:
@@ -610,7 +642,7 @@ def _simulate_drop(
         u_serving[chunk.cells] = u[:, 3 * n : 4 * n]
         if k:
             u_int = u[:, 4 * n :].reshape(c, n, k, 2)
-            dx, dy, scratch, _, los_int, main_lobe = workspace.pairs((c, n, k))
+            dx, dy, scratch, spare, los_int, main_lobe = workspace.pairs((c, n, k))
             # UE minus interferer, x and y apart
             (centre_x, centre_y), (interferer_x, interferer_y) = chunk.centres, chunk.interferers
             ue_x = centre_x[:, None] + chunk_offsets[..., 0]
@@ -623,8 +655,11 @@ def _simulate_drop(
                     np.round(scratch, out=scratch)
                     np.multiply(side, scratch, out=scratch)
                     np.subtract(delta, scratch, out=delta)
-            d_int = np.hypot(dx, dy, out=dx)
-            np.less(u_int[..., 0], p_los(d_int, s.los_d1_m, rc.los_d2_m), out=los_int)
+            d_int = _distance_into(dx, dy)
+            # dy is free now; the compare reads LoS before _interference_w
+            # overwrites the last three float buffers
+            p_int = _p_los_into(d_int, s.los_d1_m, rc.los_d2_m, dy, scratch, spare, los_int)
+            np.less(u_int[..., 0], p_int, out=los_int)
             np.less(u_int[..., 1], 1.0 / sectors, out=main_lobe)
             i_w = _interference_w(s, rc, d_int, los_int, main_lobe, workspace)
             interference_w[chunk.cells] = np.sum(i_w, axis=2)

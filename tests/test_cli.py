@@ -82,6 +82,30 @@ _PEAK_OVERFLOW_TEXT = (
     " gain 102.16 dB"
 )
 
+# The netsim golden stdout files and the netsim argv each was recorded from.
+_NETSIM_GOLDEN_ARGV = {
+    "netsim": ["--radius", "20", "--radius", "65", "--drops", "2"],
+    "netsim-wrap": [
+        "--radius", "20", "--radius", "35", "--radius", "65", "--drops", "2", "--wraparound"
+    ],
+}
+
+# Runs `main(argv)` in a fresh interpreter, after checking that numpy runs
+# none of the SIMD targets that NPY_DISABLE_CPU_FEATURES names.
+_WITHOUT_DISPATCHED_FEATURES = """\
+import os
+import sys
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
+features = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+if any(_multiarray_umath.__cpu_features__[name] for name in features):
+    sys.exit(f"numpy still runs one of {features}")
+from wastefactor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 # Golden stdout files and the argv each was recorded from, run in a
 # directory that holds demo.chain (_DEMO_CHAIN).
 _GOLDEN_ARGV = {
@@ -102,14 +126,14 @@ def _run(argv):
     return code, stream.getvalue()
 
 
-def _python(script, *argv, cwd=None):
+def _python(script, *argv, cwd=None, env=None):
     """`python -W error -c script argv...` in a fresh interpreter that finds
-    this package's source."""
+    this package's source, with the variables env adds to its environment."""
     path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-W", "error", "-c", script, *argv],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         capture_output=True,
         encoding="utf-8",
     )
@@ -1144,21 +1168,37 @@ class TestGoldenOutput:
         assert out == text + "\n"
         assert path.read_text(encoding="utf-8") == csv_text
 
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("netsim", ["--radius", "20", "--radius", "65", "--drops", "2"]),
-            (
-                "netsim-wrap",
-                ["--radius", "20", "--radius", "35", "--radius", "65", "--drops", "2", "--wraparound"],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name, argv", list(_NETSIM_GOLDEN_ARGV.items()))
     @_NEEDS_NUMPY
     def test_netsim_matches_golden(self, name, argv):
         code, out = _run(["netsim", *argv])
         assert code == EXIT_OK
         assert out == (_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name, argv", list(_NETSIM_GOLDEN_ARGV.items()))
+    @_NEEDS_NUMPY
+    def test_netsim_matches_golden_without_dispatched_simd(self, name, argv):
+        # The printed text is the determinism contract; raw floats may move
+        # in the last bits where numpy picks a loop by CPU feature (exp and
+        # power among them).  So the goldens must hold with every dispatched
+        # target that this CPU has turned off.  A name outside the dispatch
+        # list makes `import numpy` warn, which -W error turns into a failure.
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath
+        features = [
+            feature for feature in _multiarray_umath.__cpu_dispatch__
+            if _multiarray_umath.__cpu_features__.get(feature)
+        ]
+        if not features:
+            pytest.skip("numpy dispatches to no SIMD target on this CPU, so no second loop exists")
+        proc = _python(
+            _WITHOUT_DISPATCHED_FEATURES, "netsim", *argv,
+            env={"NPY_DISABLE_CPU_FEATURES": " ".join(features)},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == (_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 # The contract's extremes, as override text: zero of both signs, a negative,

@@ -35,10 +35,12 @@ from wastefactor.netsim import (
     _Words,
     _Workspace,
     _chunks,
+    _distance_into,
     _fill,
     _hex_offsets,
     _interference_w,
     _neighbor_lists,
+    _p_los_into,
     _path_loss_db,
     _radio_constants,
     _stream_words,
@@ -114,7 +116,8 @@ def _simulate_cell(s, rc, positions, neighbors, cell_idx, drop_idx, side, totals
         delta = ue_abs[:, None, :] - positions[neighbors][None, :, :]
         if s.wraparound:
             delta -= side * np.round(delta / side)
-        d_int = np.hypot(delta[..., 0], delta[..., 1])
+        # the kernel's distance: multiply, add and sqrt, each correctly rounded
+        d_int = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
         los_int = u_int[..., 0] < p_los(d_int, s.los_d1_m, s.los_d2_m)
         main_lobe = u_int[..., 1] < 1.0 / s.arrays_per_bs
         # close-in model in watts: the power at 1 m times d^-n
@@ -447,8 +450,13 @@ class TestLosProbability:
         assert p_los(40.0, d1_m=10.0) < 1.0
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            p_los(-1.0)
+        for d in (-1.0, [3.0, -1e-300]):
+            with pytest.raises(ValueError, match=r"^distance must be >= 0$"):
+                p_los(d)
+        assert p_los(-0.0) == 1.0
+        d = np.array([3.0, 40.0, -0.5])  # the workspace form, as a drop calls it
+        with pytest.raises(ValueError, match=r"^distance must be >= 0$"):
+            _p_los_into(d, 22.0, 113.4, *_Workspace.sized(4, 0).pairs(d.shape)[1:5])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -478,6 +486,31 @@ class TestLosProbability:
             for i, distance in enumerate(distances.flat[:8].tolist()):
                 scalar = p_los(distance, d1, d2)
                 assert isinstance(scalar, float) and scalar == result.flat[i]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=64),
+        d1=st.floats(min_value=1e-3, max_value=1e3),
+        d2_per_d1=st.floats(min_value=1e-4, max_value=1e3),
+        spare=st.integers(0, 64),
+    )
+    @example(d=[], d1=22.0, d2_per_d1=113.4 / 22.0, spare=0)
+    @example(d=[5.0], d1=22.0, d2_per_d1=1e-4, spare=3)  # d2 below d1 / 1000
+    def test_workspace_form_is_p_los_exactly(self, d, d1, d2_per_d1, spare):
+        # A drop writes p_los into its workspace, whose buffers are sized from
+        # the largest chunk and hold the last chunk's values.
+        d2 = d1 * d2_per_d1
+        grid = np.random.default_rng(3).uniform(0.0, 20.0 * d1, (6, 5, 7))
+        for distances in (np.array([0.0, d1, np.nextafter(d1, np.inf), 1e300, *d]), grid):
+            before = distances.copy()
+            workspace = _Workspace.sized(distances.size + spare, 0)
+            workspace.floats.fill(np.nan)
+            workspace.bools.fill(True)
+            _, safe, decay, far, near, _ = workspace.pairs(distances.shape)
+            result = _p_los_into(distances, d1, d2, safe, decay, far, near)
+            assert result is far
+            assert result.tobytes() == p_los(distances, d1, d2).tobytes()
+            assert np.array_equal(distances, before)
 
 
 class TestPowerControl:
@@ -715,6 +748,33 @@ class TestNeighborLists:
             assert counts.max() <= rows and around.max() <= cols
         assert layout.n_cells > 90_000  # about 8.8e9 pairs for an all-pairs search
         assert rows * cols < 30_000
+
+
+class TestInterfererDistance:
+    """The kernel's interferer distance, formed in place over dx."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(*[st.floats(-1e150, 1e150, allow_nan=False)] * 2), min_size=1, max_size=64
+        ),
+        spare=st.integers(0, 8),
+    )
+    @example(
+        points=[(3.0, 4.0), (0.0, -0.0), (5e-324, 0.0), (1e-200, -1e-200), (-1e150, 1e150),
+                (30.0, 51.96152422706632), (-123.456, 0.1)],
+        spare=1,
+    )
+    def test_matches_the_correctly_rounded_scalar_form(self, points, spare):
+        # Multiply, add and sqrt each round correctly, so pure Python's floats
+        # are the kernel's on every machine; np.hypot's need not be.
+        workspace = _Workspace.sized(len(points) + spare, 0)
+        workspace.floats.fill(np.nan)
+        dx, dy = workspace.pairs((len(points),))[:2]
+        dx[:], dy[:] = zip(*points)
+        d = _distance_into(dx, dy)
+        assert np.shares_memory(d, workspace.floats[0])
+        assert d.tolist() == [math.sqrt(x * x + y * y) for x, y in points]
 
 
 class TestInterferencePower:
