@@ -9,8 +9,9 @@ the sink backwards so that each stage's waste is referred to the cascade
 output through the gain of everything downstream of it.  A chain whose
 gain product, source to sink or sink back to the second stage, underflows
 to 0, or whose gain or waste factor overflows to inf, has no waste factor
-or gain: each function that walks it raises, naming the component where
-the product or the waste factor's running total leaves the floats.
+or gain: the one pass that forms both products finds it, and each function
+that walks the chain raises, naming the component where that product or
+the waste factor's running total leaves the floats.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -153,21 +155,25 @@ def make_directive(label: str, gain: float) -> Component:
 
 
 def _walk(components: tuple[Component, ...]) -> tuple[float, float]:
-    """(waste factor, gain) of a chain, source first.
+    """(waste factor, gain) of a chain, source first, in one pass.
 
     The gain is the product of the gains, source to sink.  The waste factor
     walks back from the sink: each stage's excess waste (W_i - 1) is divided
-    by the product of the gains downstream of it.  Both products are formed
-    here, the forward one first, and the first that underflows to 0 raises,
-    naming the component where it does.  After both, a gain that overflows
-    to inf raises, and then a waste factor that does, each naming the first
-    component where it reaches inf.
+    by the product of the gains downstream of it.  The loops that form the
+    two products also find each fault.  A product that underflows to 0
+    raises there, naming the component; the forward one is formed first.
+    The first component where the gain product, or else the waste factor's
+    running total, reaches inf is kept and named after both loops.
     """
+    overflow = None  # (what overflows, the first component where it does)
     gain = 1.0
     for component in components:
         gain *= component.gain
-        if gain == 0.0:
-            raise _underflow(component)
+        if not 0.0 < gain < inf:
+            if gain == 0.0:
+                raise _underflow(component)
+            if overflow is None:
+                overflow = ("gain product", component)
     total = components[-1].waste_factor
     downstream = 1.0
     for follower, component in zip(components[:0:-1], components[-2::-1]):
@@ -175,33 +181,16 @@ def _walk(components: tuple[Component, ...]) -> tuple[float, float]:
         if downstream == 0.0:
             raise _underflow(follower)
         total += (component.waste_factor - 1.0) / downstream
-    if gain == math.inf or total == math.inf:
-        raise _overflow(components)
+        if total == inf and overflow is None:
+            overflow = ("waste factor", component)
+    if overflow is not None:
+        what, component = overflow
+        raise ValueError(f"the {what} overflows at component {component.label!r}")
     return total, gain
 
 
 def _underflow(component: Component) -> ValueError:
     return ValueError(f"the gain product underflows to 0 at component {component.label!r}")
-
-
-def _overflow(components: tuple[Component, ...]) -> ValueError:
-    """The error for a chain whose gain or waste factor _walk found inf,
-    naming the first component where the gain product, or else the waste
-    factor's running total, reaches inf: _walk's loops again, run on this
-    failing path only."""
-    gain = 1.0
-    for component in components:
-        gain *= component.gain
-        if gain == math.inf:
-            return ValueError(f"the gain product overflows at component {component.label!r}")
-    total = components[-1].waste_factor
-    downstream = 1.0
-    for follower, component in zip(components[:0:-1], components[-2::-1]):
-        downstream *= follower.gain
-        total += (component.waste_factor - 1.0) / downstream
-        if total == math.inf:
-            break
-    return ValueError(f"the waste factor overflows at component {component.label!r}")
 
 
 def cascade_gain(cascade: Cascade) -> float:

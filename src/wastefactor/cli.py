@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-from .cascade import cascade_gain, cascade_waste_factor, consumed_power
+from .cascade import _walk, consumed_power
 from .linkbudget import dbm_to_watts, linear_to_db
 from .scenario_io import (
     ScenarioParseError,
@@ -277,8 +277,7 @@ def cmd_chain(args, stdout: TextIO) -> int:
     cascade = replace(cascade, source_power=source_w)
     # Every value is computed before anything is written, so a failure
     # leaves stdout empty.
-    w = cascade_waste_factor(cascade)
-    gain = cascade_gain(cascade)
+    w, gain = _walk(cascade.components)
     consumed = consumed_power(cascade)
     delivered = cascade.source_power * gain
     for name, power in (("delivered", delivered), ("consumed", consumed)):

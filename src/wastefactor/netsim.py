@@ -523,16 +523,14 @@ def _path_loss_db(s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: n
 
 def _interference_w(
     s: NetworkScenario, rc: _RadioConstants, d: np.ndarray, los: np.ndarray, main: np.ndarray,
-    workspace: _Workspace | None = None,
+    workspace: _Workspace,
 ):
     """Power received from each interferer: the close-in model in watts,
     P(1 m) d^-n, with no path loss inside 1 m.
 
-    Writes into the last three float buffers of the workspace (one of d's
-    size by default), so d may be a view of the first, never of another;
-    returns a view of the last and leaves its inputs unchanged."""
-    if workspace is None:
-        workspace = _Workspace.sized(d.size, 0)
+    Writes into the last three float buffers of the workspace, so d may be
+    a view of the first, never of another; returns a view of the last and
+    leaves its inputs unchanged."""
     _, base, table, power = workspace.pairs(d.shape)[:4]
     np.maximum(d, 1.0, out=base)
     # mode="clip": with the default "raise", np.take buffers `out`

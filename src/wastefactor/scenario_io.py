@@ -380,7 +380,7 @@ def apply_overrides(
         key = key.strip()
         if key in entries:
             raise ScenarioParseError(
-                index, f"duplicate override for {section}.{key}", source="override"
+                index, f"duplicate override for {section}.{key}: {item!r}", source="override"
             )
         entries[key] = (index, value.strip())
     if fixed:

@@ -118,27 +118,22 @@ class BandProfile:
     noise_figure_db: float = 10.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.carrier_frequency_hz < math.inf:
-            raise ValueError(f"{self.label}: carrier frequency must be positive and finite")
+        owner = f"{self.label}: "
+        _require_positive(owner, "carrier frequency", self.carrier_frequency_hz, " Hz")
         _check_bandwidth(self.label, self.bandwidth_hz)
         _check_pa_efficiency(self.label, self.pa_efficiency)
-        if not 0.0 < self.lna_fom_per_mw < math.inf:
-            raise ValueError(f"{self.label}: LNA figure of merit must be positive and finite")
+        _require_positive(owner, "LNA figure of merit", self.lna_fom_per_mw, " per mW")
         _require_linear(self.label, "LO power", self.lo_power_dbm, "dBm", dbm_to_watts)
-        if not 0.0 <= self.converter_w_per_hz < math.inf:
-            raise ValueError(f"{self.label}: converter power density must be >= 0 and finite")
+        _require_nonnegative(owner, "converter power density", self.converter_w_per_hz, " W/Hz")
         _require_linear(self.label, "PA gain", self.pa_gain_db, "dB", db_to_linear)
         _require_linear(self.label, "LNA gain", self.lna_gain_db, "dB", db_to_linear)
-        if not (
-            0.0 <= self.mixer_loss_db < math.inf and 0.0 <= self.phase_shifter_loss_db < math.inf
-        ):
-            raise ValueError(f"{self.label}: insertion losses must be >= 0 dB and finite")
+        _require_nonnegative(owner, "mixer loss", self.mixer_loss_db, " dB")
+        _require_nonnegative(owner, "phase-shifter loss", self.phase_shifter_loss_db, " dB")
         _require_linear(self.label, "mixer loss", self.mixer_loss_db, "dB", db_to_linear)
         _require_linear(
             self.label, "phase-shifter loss", self.phase_shifter_loss_db, "dB", db_to_linear
         )
-        if not 0.0 <= self.noise_figure_db < math.inf:
-            raise ValueError(f"{self.label}: noise figure must be >= 0 dB and finite")
+        _require_nonnegative(owner, "noise figure", self.noise_figure_db, " dB")
 
     @property
     def lna_dc_w(self) -> float:
@@ -161,12 +156,25 @@ def _check_bandwidth(label: str, bandwidth_hz: float) -> None:
 
 def _check_pa_efficiency(label: str, pa_efficiency: float) -> None:
     if not (0.0 < pa_efficiency <= 1.0):
-        raise ValueError(f"{label}: PA efficiency must be in (0, 1]")
+        raise ValueError(f"{label}: PA efficiency {pa_efficiency!r} must be in (0, 1]")
 
 
 def _check_tx_power(tx_power_dbm: float) -> None:
     if not math.isfinite(tx_power_dbm):
-        raise ValueError("transmit power must be finite")
+        raise ValueError(f"transmit power {tx_power_dbm!r} dBm must be finite")
+
+
+def _require_positive(owner: str, name: str, value: float, unit: str = "") -> None:
+    """value must be positive and finite.  The message names it, between
+    the owner, as "mmwave-28: " or "", and the unit, as " Hz" or ""."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{owner}{name} {value!r}{unit} must be positive and finite")
+
+
+def _require_nonnegative(owner: str, name: str, value: float, unit: str = "") -> None:
+    """value must be >= 0 and finite, named as by _require_positive."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{owner}{name} {value!r}{unit} must be >= 0 and finite")
 
 
 def _require_linear(label: str, name: str, value: float, unit: str, to_linear) -> None:
@@ -199,14 +207,13 @@ class TerminalProfile:
     def __post_init__(self) -> None:
         if self.role not in (BASE_STATION, USER_EQUIPMENT):
             raise ValueError(f"unknown terminal role {self.role!r}")
-        if not 0.0 < self.aperture_m2 < math.inf:
-            raise ValueError("aperture must be positive and finite")
+        _require_positive("", "aperture", self.aperture_m2, " m2")
         if self.element_count < 1:
-            raise ValueError("element count must be >= 1")
+            raise ValueError(f"element count {self.element_count!r} must be >= 1")
         if not (0.0 < self.antenna_efficiency <= 1.0):
-            raise ValueError("antenna efficiency must be in (0, 1]")
-        if not (0.0 <= self.cooling_overhead < math.inf and 0.0 <= self.screen_power_w < math.inf):
-            raise ValueError("cooling overhead and screen power must be >= 0 and finite")
+            raise ValueError(f"antenna efficiency {self.antenna_efficiency!r} must be in (0, 1]")
+        _require_nonnegative("", "cooling overhead", self.cooling_overhead)
+        _require_nonnegative("", "screen power", self.screen_power_w, " W")
 
     def antenna_gain_db(self, frequency_hz: float) -> float:
         return aperture_gain_db(self.aperture_m2, frequency_hz, self.antenna_efficiency)
@@ -232,10 +239,13 @@ class LinkScenario:
         if self.direction not in ("uplink", "downlink"):
             raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
         if not 1.0 <= self.distance_m < math.inf:
-            raise ValueError("distance must be >= 1 m (close-in model reference) and finite")
+            raise ValueError(
+                f"distance {self.distance_m!r} m must be >= 1 m (close-in model reference)"
+                " and finite"
+            )
         _check_tx_power(self.tx_power_dbm)
-        if not (0.0 < self.ple_los < math.inf and 0.0 < self.ple_nlos < math.inf):
-            raise ValueError("path-loss exponents must be positive and finite")
+        _require_positive("", "LoS path-loss exponent", self.ple_los)
+        _require_positive("", "NLoS path-loss exponent", self.ple_nlos)
 
     @property
     def ple(self) -> float:
@@ -278,17 +288,20 @@ class NetworkScenario:
 
     def __post_init__(self) -> None:
         if not (20.0 <= self.cell_radius_m <= 500.0):
-            raise ValueError("cell radius must lie in the studied 20-500 m range")
-        if not 0.0 < self.area_m2 < math.inf:
-            raise ValueError("area must be positive and finite")
+            raise ValueError(
+                f"cell radius {self.cell_radius_m!r} m must lie in the studied 20-500 m range"
+            )
+        _require_positive("", "area", self.area_m2, " m2")
         # netsim.hex_layout places its first centre at y = sqrt(3) r / 2 and keeps
         # only centres strictly inside the square.
         if not math.sqrt(3.0) * self.cell_radius_m / 2.0 < math.sqrt(self.area_m2):
             raise ValueError(
-                f"area {self.area_m2:g} m2 holds no cell of radius {self.cell_radius_m:g} m"
+                f"area {self.area_m2!r} m2 holds no cell of radius {self.cell_radius_m!r} m"
             )
-        if self.arrays_per_bs < 1 or self.ues_per_cell < 1:
-            raise ValueError("array and UE counts must be >= 1")
+        if self.arrays_per_bs < 1:
+            raise ValueError(f"arrays per BS {self.arrays_per_bs!r} must be >= 1")
+        if self.ues_per_cell < 1:
+            raise ValueError(f"UEs per cell {self.ues_per_cell!r} must be >= 1")
         if self.ues_per_cell > _MAX_UES_PER_CELL:
             raise ValueError(
                 f"UEs per cell must be at most {_MAX_UES_PER_CELL}, got {self.ues_per_cell!r}"
@@ -296,29 +309,28 @@ class NetworkScenario:
         cells = _cells_at_most(self.area_m2, self.cell_radius_m)
         if cells > _MAX_CELLS or cells * self.ues_per_cell > _MAX_UES_PER_DROP:
             raise ValueError(
-                f"area {self.area_m2:g} m2 at cell radius {self.cell_radius_m:g} m holds up to"
+                f"area {self.area_m2!r} m2 at cell radius {self.cell_radius_m!r} m holds up to"
                 f" {cells:g} cells of {self.ues_per_cell} UEs; a layout holds at most"
                 f" {_MAX_CELLS} cells and {_MAX_UES_PER_DROP} UEs"
             )
         if self.drops < 1:
-            raise ValueError("drops must be >= 1")
+            raise ValueError(f"drops {self.drops!r} must be >= 1")
         if not math.isfinite(self.target_snr_db):
-            raise ValueError("target SNR must be finite")
-        if not (0.0 < self.los_d1_m < math.inf and 0.0 < self.los_d2_m < math.inf):
-            raise ValueError("LoS model distances must be positive and finite")
-        if not (0.0 < self.ple_los < math.inf and 0.0 < self.ple_nlos < math.inf):
-            raise ValueError("path-loss exponents must be positive and finite")
+            raise ValueError(f"target SNR {self.target_snr_db!r} dB must be finite")
+        _require_positive("", "LoS model distance d1", self.los_d1_m, " m")
+        _require_positive("", "LoS model distance d2", self.los_d2_m, " m")
+        _require_positive("", "LoS path-loss exponent", self.ple_los)
+        _require_positive("", "NLoS path-loss exponent", self.ple_nlos)
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed {self.seed!r} must be non-negative")
         if not math.isfinite(self.sidelobe_db):
-            raise ValueError("sidelobe level must be finite")
-        if not 0.0 < self.interferer_reach < math.inf:
-            raise ValueError("interferer reach must be positive and finite")
+            raise ValueError(f"sidelobe level {self.sidelobe_db!r} dB must be finite")
+        _require_positive("", "interferer reach", self.interferer_reach, " radii")
         pairs = cells * _interferers_at_most(cells, self.interferer_reach)
         if pairs > _MAX_INTERFERER_PAIRS:
             raise ValueError(
-                f"interferer reach {self.interferer_reach:g} radii over area {self.area_m2:g} m2"
-                f" at cell radius {self.cell_radius_m:g} m gives up to {pairs:g} (cell,"
+                f"interferer reach {self.interferer_reach!r} radii over area {self.area_m2!r} m2"
+                f" at cell radius {self.cell_radius_m!r} m gives up to {pairs:g} (cell,"
                 f" interferer) pairs; a layout holds at most {_MAX_INTERFERER_PAIRS}"
             )
 

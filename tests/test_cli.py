@@ -16,7 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 import wastefactor
 from wastefactor import sweeps, transceiver
 from wastefactor.cli import EXIT_EVAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from wastefactor.scenario_io import _KINDS, _SECTIONS, PRESET_DIR_ENV, serialize_scenario
+from wastefactor.scenario_io import (
+    _KINDS,
+    _SECTIONS,
+    PRESET_DIR_ENV,
+    ScenarioParseError,
+    parse_quantity,
+    serialize_scenario,
+)
 from wastefactor.sweeps import CURVE_CSV_HEADER
 from wastefactor.transceiver import mmwave_28
 
@@ -440,8 +447,8 @@ class TestExitCodes:
         [
             ("link.distance=1e999 m", "distance"),
             ("link.tx_power=1e999 dBm", "transmit power"),
-            ("link.ple_los=1e999", "path-loss exponents"),
-            ("link.ple_nlos=1e999", "path-loss exponents"),
+            ("link.ple_los=1e999", "LoS path-loss exponent inf"),
+            ("link.ple_nlos=1e999", "NLoS path-loss exponent inf"),
             ("band.pa_gain=-4000 dB", "PA gain -4000.0 dB"),
             ("band.pa_gain=4000 dB", "PA gain 4000.0 dB"),
             ("band.mixer_loss=4000 dB", "mixer loss 4000.0 dB"),
@@ -463,22 +470,22 @@ class TestExitCodes:
     @_NEEDS_NUMPY
     def test_area_without_cells_is_parse_error(self, capsys):
         assert main(["netsim", "--set", "network.area=1m2"]) == EXIT_PARSE
-        assert "area 1 m2" in capsys.readouterr().err
+        assert "area 1.0 m2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             # the default sweep's 500 m radius holds no cell
             (["netsim", "--drops", "1", "--set", "network.area=1e5m2"],
-             "area 100000 m2 holds no cell of radius 500 m"),
+             "area 100000.0 m2 holds no cell of radius 500.0 m"),
             # the overrides apply at the first run radius, 20 m
             (["netsim", "--drops", "1", "--set", "network.area=200 km2"],
-             "override 1: invalid [network] values: area 2e+08 m2 at cell radius 20 m holds"
+             "override 1: invalid [network] values: area 200000000.0 m2 at cell radius 20.0 m holds"
              " up to 193331 cells of 15 UEs; a layout holds at most 131072 cells and"
              " 2097152 UEs"),
             # a file read at its own 20 m, run at 65 m
             (["netsim", "--drops", "1", "--radius", "20", "--radius", "65", "--scenario", "{}"],
-             "area 3000 m2 holds no cell of radius 65 m"),
+             "area 3000.0 m2 holds no cell of radius 65.0 m"),
         ],
         ids=["last-radius", "first-radius", "file"],
     )
@@ -522,8 +529,8 @@ class TestExitCodes:
                 "--set", "network.area=100 km2", "--set", "network.interferer_reach=1e9"]
         assert _run(argv) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == (
-            "wastefactor: override 1: invalid [network] values: interferer reach 1e+09 radii"
-            " over area 1e+08 m2 at cell radius 20 m gives up to 9.37945e+09 (cell,"
+            "wastefactor: override 1: invalid [network] values: interferer reach 1000000000.0"
+            " radii over area 100000000.0 m2 at cell radius 20.0 m gives up to 9.37945e+09 (cell,"
             " interferer) pairs; a layout holds at most 16777216\n"
         )
 
@@ -788,7 +795,7 @@ class TestExitCodes:
             _netsim_case(
                 ["netsim", "--radius", "150", "--drops", "2", "--set", "network.area=1e308m2"],
                 EXIT_PARSE,
-                "override 1: invalid [network] values: area 1e+308 m2 at cell radius 150 m holds"
+                "override 1: invalid [network] values: area 1e+308 m2 at cell radius 150.0 m holds"
                 " up to 1.71067e+303 cells of 15 UEs; a layout holds at most 131072 cells and"
                 " 2097152 UEs",
             ),
@@ -1244,6 +1251,21 @@ def _overrides(draw, keys=_QUANTITY_KEYS):
     return argv
 
 
+def _override_values(argv):
+    """Each `--set` value of argv as given, and the repr of what
+    parse_quantity reads it as, where it reads."""
+    for flag, item in zip(argv, argv[1:]):
+        if flag != "--set":
+            continue
+        head, _, text = item.partition("=")
+        section, _, key = head.partition(".")
+        yield text
+        try:
+            yield repr(parse_quantity(1, text, _SECTIONS[section][0][key][0]))
+        except ScenarioParseError:
+            pass
+
+
 _SNRS = st.sampled_from((-3000.0, -30.0, 0.0, 20.0, 70.0, 3000.0)) | st.floats(-100.0, 100.0)
 _COMMANDS = st.one_of(
     st.just(["link"]),
@@ -1303,6 +1325,8 @@ class TestContract:
             lines = stderr.getvalue().splitlines(keepends=True)
             assert len(lines) == 1 and lines[0].startswith("wastefactor: "), lines
             assert lines[0].endswith("\n")
+        if code == EXIT_PARSE:
+            assert any(named in lines[0] for named in _override_values(argv)), lines
 
     @given(_COMMANDS, _overrides())
     @example(["link"], ["--set", "link.tx_power=-3000 dBm"])

@@ -278,7 +278,7 @@ class TestScenarioValidation:
             assert _cells_at_most(area, 20.0) * ues > _MAX_UES_PER_DROP or (
                 _cells_at_most(area, 20.0) > _MAX_CELLS
             )
-            message = f"area {area:g} m2 at cell radius 20 m holds up to"
+            message = f"area {area!r} m2 at cell radius 20.0 m holds up to"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 default_network(20.0, area_m2=area, ues_per_cell=ues)
         assert _cells_at_most(2.2e6, 20.0) < _MAX_CELLS
@@ -313,7 +313,10 @@ class TestScenarioValidation:
         cells = _cells_at_most(1e6, 20.0)
         assert _interferers_at_most(cells, 1e9) == cells - 1
         assert default_network(20.0, interferer_reach=1e9).interferer_reach == 1e9
-        message = "interferer reach 1e+09 radii over area 1e+08 m2 at cell radius 20 m gives up to"
+        message = (
+            "interferer reach 1000000000.0 radii over area 100000000.0 m2 at cell radius 20.0 m"
+            " gives up to"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             default_network(20.0, area_m2=100e6, interferer_reach=1e9)
 
@@ -804,7 +807,8 @@ class TestInterferencePower:
             - np.where(main, 0.0, sidelobe)
         )
         np.testing.assert_allclose(
-            _interference_w(s, rc, d, los, main), dbm_to_watts(i_dbm), rtol=1e-12, atol=0.0
+            _interference_w(s, rc, d, los, main, _Workspace.sized(d.size, 0)),
+            dbm_to_watts(i_dbm), rtol=1e-12, atol=0.0,
         )
 
     @settings(max_examples=200, deadline=None)
@@ -828,7 +832,9 @@ class TestInterferencePower:
         expected = np.where(main, rc.i_main_w, rc.i_side_w) * np.maximum(d, 1.0) ** np.where(
             los, -ple_los, -ple_nlos
         )
-        assert np.array_equal(_interference_w(s, rc, d, los, main), expected)
+        assert np.array_equal(
+            _interference_w(s, rc, d, los, main, _Workspace.sized(d.size, 0)), expected
+        )
         for array, before in zip((d, los, main), inputs):
             assert np.array_equal(array, before)
 

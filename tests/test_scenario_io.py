@@ -359,14 +359,14 @@ class TestOverrides:
         # a value that a fixed one replaces is still checked
         with pytest.raises(ScenarioParseError) as err:
             apply_overrides(small, ["network.drops=0"], {"drops": 2})
-        assert str(err.value) == "override 1: invalid [network] values: drops must be >= 1"
+        assert str(err.value) == "override 1: invalid [network] values: drops 0 must be >= 1"
         # without a [network] override the fixed fields still apply, and a
         # fault of theirs alone is their own ValueError
         assert apply_overrides(small, [], {"drops": 2}).drops == 2
         with pytest.raises(ValueError) as err:
             apply_overrides(small, ["ue.screen_power=1 W"], {"cell_radius_m": 65.0})
         assert not isinstance(err.value, ScenarioParseError)
-        assert str(err.value) == "area 3000 m2 holds no cell of radius 65 m"
+        assert str(err.value) == "area 3000.0 m2 holds no cell of radius 65.0 m"
 
     def test_malformed_override(self):
         with pytest.raises(ScenarioParseError) as err:
@@ -389,8 +389,11 @@ class TestOverrides:
             apply_overrides(parse_scenario("[network]\n"), ["link.distance=10 m"])
 
     def test_duplicate_override(self):
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(ScenarioParseError) as err:
             apply_overrides(mmwave_28(), ["band.bandwidth=1 GHz", "band.bandwidth=2 GHz"])
+        assert str(err.value) == (
+            "override 2: duplicate override for band.bandwidth: 'band.bandwidth=2 GHz'"
+        )
 
     def test_overrides_apply_in_the_order_given(self):
         with pytest.raises(ScenarioParseError) as err:
@@ -399,7 +402,7 @@ class TestOverrides:
         with pytest.raises(ScenarioParseError) as err:
             apply_overrides(mmwave_28(), ["ue.aperture=-1 m2", "bs.aperture=-2 m2"])
         assert str(err.value) == (
-            "override 1: invalid [ue] values: aperture must be positive and finite"
+            "override 1: invalid [ue] values: aperture -1.0 m2 must be positive and finite"
         )
 
     def test_file_sections_apply_in_canonical_order(self):
@@ -407,7 +410,7 @@ class TestOverrides:
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
         assert str(err.value) == (
-            "line 4: invalid [band] values: mmwave-28: PA efficiency must be in (0, 1]"
+            "line 4: invalid [band] values: mmwave-28: PA efficiency 1.2 must be in (0, 1]"
         )
 
     @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ class TestSweepEvaluation:
     @pytest.mark.parametrize(
         "target, message",
         [
-            (math.inf, "SNR target inf dB: transmit power must be finite"),
+            (math.inf, "SNR target inf dB: transmit power inf dBm must be finite"),
             (1e308,
              "SNR target 1e+308 dB: the transmit power 1e+308 dBm that holds it is too large"
              " to express in watts: bandwidth 4e+09 Hz, noise figure 10 dB, path loss 115.37 dB,"
@@ -481,9 +481,9 @@ class TestSweepCoreOracle:
         "parameter, x, message",
         [
             ("bandwidth", math.inf, "subthz-140: bandwidth inf Hz must be positive and finite"),
-            ("pa_efficiency", 0.0, "subthz-140: PA efficiency must be in (0, 1]"),
-            ("pa_efficiency", 1.5, "subthz-140: PA efficiency must be in (0, 1]"),
-            ("pa_efficiency", math.nan, "subthz-140: PA efficiency must be in (0, 1]"),
+            ("pa_efficiency", 0.0, "subthz-140: PA efficiency 0.0 must be in (0, 1]"),
+            ("pa_efficiency", 1.5, "subthz-140: PA efficiency 1.5 must be in (0, 1]"),
+            ("pa_efficiency", math.nan, "subthz-140: PA efficiency nan must be in (0, 1]"),
         ],
         ids=["bandwidth-inf", "eta-0", "eta-1.5", "eta-nan"],
     )

@@ -118,27 +118,27 @@ class TestPresets:
         "build, message",
         [
             (lambda s: replace(s.band, carrier_frequency_hz=0.0),
-             "mmwave-28: carrier frequency must be positive and finite"),
+             "mmwave-28: carrier frequency 0.0 Hz must be positive and finite"),
             (lambda s: replace(s.band, bandwidth_hz=-1.0),
              "mmwave-28: bandwidth -1.0 Hz must be positive and finite"),
             (lambda s: replace(s.band, lna_fom_per_mw=math.inf),
-             "mmwave-28: LNA figure of merit must be positive and finite"),
+             "mmwave-28: LNA figure of merit inf per mW must be positive and finite"),
             (lambda s: replace(s.band, phase_shifter_loss_db=-1.0),
-             "mmwave-28: insertion losses must be >= 0 dB and finite"),
+             "mmwave-28: phase-shifter loss -1.0 dB must be >= 0 and finite"),
             (lambda s: replace(s.band, noise_figure_db=math.nan),
-             "mmwave-28: noise figure must be >= 0 dB and finite"),
+             "mmwave-28: noise figure nan dB must be >= 0 and finite"),
             (lambda s: replace(s.ue, role="relay"), "unknown terminal role 'relay'"),
-            (lambda s: replace(s.ue, element_count=0), "element count must be >= 1"),
+            (lambda s: replace(s.ue, element_count=0), "element count 0 must be >= 1"),
             (lambda s: replace(s.bs, antenna_efficiency=1.5),
-             "antenna efficiency must be in (0, 1]"),
+             "antenna efficiency 1.5 must be in (0, 1]"),
             (lambda s: replace(s, environment="indoor"),
              "environment must be 'los' or 'nlos', got 'indoor'"),
             (lambda s: replace(s, direction="sideways"),
              "direction must be 'uplink' or 'downlink', got 'sideways'"),
             (lambda s: replace(as_network(s), los_d2_m=0.0),
-             "LoS model distances must be positive and finite"),
+             "LoS model distance d2 0.0 m must be positive and finite"),
             (lambda s: replace(as_network(s), sidelobe_db=math.inf),
-             "sidelobe level must be finite"),
+             "sidelobe level inf dB must be finite"),
         ],
         ids=[
             "carrier", "bandwidth", "lna-fom", "insertion-loss", "noise-figure", "role", "elements",
